@@ -557,7 +557,7 @@ fn main() {
 
     // Cold parallel pass. Force at least a few workers even on small
     // hosts so the determinism gate always exercises real interleaving.
-    let parallel_jobs = psc_mpi::default_jobs().max(4);
+    let parallel_jobs = psc_runner::default_jobs().max(4);
     let parallel =
         Engine::serial(cluster()).with_jobs(parallel_jobs).with_cache(RunCache::in_memory());
     let t1 = Instant::now();
@@ -751,22 +751,6 @@ fn main() {
             serve.mismatches, serve.executed, serve.unique_specs
         );
         std::process::exit(1);
-    }
-    // PSC_BENCH_GATE_SERVE=<floor> gates the replay's dedup rate; any
-    // unparseable non-"0" value uses the 0.5 default floor.
-    match std::env::var("PSC_BENCH_GATE_SERVE") {
-        Ok(v) if v != "0" => {
-            let floor = v.parse::<f64>().unwrap_or(0.5);
-            if serve.dedup_rate < floor {
-                eprintln!(
-                    "SERVE DEDUP FAILURE: dedup rate {:.3} below the {floor} floor — \
-                     the in-flight table or cache stopped collapsing duplicate specs",
-                    serve.dedup_rate
-                );
-                std::process::exit(1);
-            }
-        }
-        _ => {}
     }
     let gate_policy = std::env::var("PSC_BENCH_GATE_POLICY").map(|v| v != "0").unwrap_or(false);
     if gate_policy && overhead_exceeds(&policy, 0.01) {

@@ -145,7 +145,7 @@ USAGE:
   histograms (p50/p95/max), queue wait, worker utilization, disk-I/O
   time. `sweep` and `stats` also export the raw engine metrics:
   --metrics-out writes a Prometheus text-exposition snapshot,
-  --self-trace-out a flamegraph of the engine's own resolve/worker
+  --self-trace-out a flamegraph of the engine's own pool/worker
   spans (Trace Event JSON, open in Perfetto), --events-out a structured
   JSONL event log. Metrics are observation-only: results are
   byte-identical with or without them (analyzer rule M001).

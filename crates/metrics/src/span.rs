@@ -3,8 +3,8 @@
 //! A [`SpanRecord`] is one interval of host wall-clock attributed to a
 //! named activity on a logical lane (`tid` — worker index, or 0 for
 //! the coordinating thread). The engine records what *it* spent time
-//! on — resolving a plan against the cache, a worker waiting for its
-//! first item, executing a run, serializing a cache entry — and
+//! on — a plan's worker pool, executing a run, serializing a cache
+//! entry — and
 //! `psc-telemetry` turns the records into a Chrome/Perfetto trace
 //! (`--self-trace-out`) on the same timeline the [`crate::clock`]
 //! epoch defines.
@@ -19,7 +19,7 @@ use std::sync::Mutex;
 /// One completed host-side interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
-    /// Activity name (e.g. `"resolve"`, `"run"`, `"cache.disk_write"`).
+    /// Activity name (e.g. `"pool"`, `"run"`, `"cache.disk_write"`).
     pub name: String,
     /// Coarse category for trace-viewer filtering (e.g. `"engine"`,
     /// `"cache"`, `"run"`).

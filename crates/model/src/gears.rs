@@ -92,18 +92,15 @@ impl GearProfile {
 /// sequentially at every gear.
 ///
 /// `workload` is any single-rank program (e.g. a kernel at Test class);
-/// it runs once per gear on a 1-node cluster. The per-gear runs are
-/// independent, so they execute as a batch across the default worker
-/// pool ([`psc_mpi::default_jobs`]) — results are identical to the
-/// serial loop, just faster on a multi-core host.
+/// it runs once per gear on a 1-node cluster.
 pub fn profile_workload<F>(cluster: &psc_mpi::Cluster, workload: F) -> GearProfile
 where
     F: Fn(&mut psc_mpi::Comm) + Sync,
 {
     let gears = cluster.node.gears.len();
-    let cfgs: Vec<psc_mpi::ClusterConfig> =
-        (1..=gears).map(|g| psc_mpi::ClusterConfig::uniform(1, g)).collect();
-    let runs = cluster.run_many(&cfgs, |comm| workload(comm), psc_mpi::default_jobs());
+    let runs: Vec<psc_mpi::RunResult> = (1..=gears)
+        .map(|g| cluster.run(&psc_mpi::ClusterConfig::uniform(1, g), &workload).0)
+        .collect();
     let ig: Vec<f64> =
         (1..=gears).map(|g| cluster.node.idle_power_w(cluster.node.gear(g))).collect();
     GearProfile::from_runs(&runs, &ig)

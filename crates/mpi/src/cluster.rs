@@ -230,10 +230,12 @@ impl Cluster {
 
     /// Run an SPMD program on `cfg.nodes` ranks and collect measurements.
     ///
-    /// The closure runs once per rank on its own thread with a private
-    /// [`Comm`]. Returns the run measurements and the per-rank return
-    /// values (indexed by rank), so kernels can hand back residuals or
-    /// checksums for verification.
+    /// The closure runs once per rank with a private [`Comm`] — as a
+    /// coroutine of the DES scheduler on the calling thread, or on its
+    /// own OS thread under [`RuntimeBackend::Threaded`]. Returns the
+    /// run measurements and the per-rank return values (indexed by
+    /// rank), so kernels can hand back residuals or checksums for
+    /// verification.
     ///
     /// ```
     /// use psc_mpi::{Cluster, ClusterConfig, ReduceOp};

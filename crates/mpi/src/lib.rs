@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
 pub mod cluster;
 pub mod comm;
 pub(crate) mod des;
@@ -55,7 +54,6 @@ pub mod reduce;
 pub mod router;
 pub mod trace;
 
-pub use batch::default_jobs;
 pub use cluster::{
     BackendStats, Cluster, ClusterConfig, GearSelection, RankResult, RunResult, RuntimeBackend,
 };

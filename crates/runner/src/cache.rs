@@ -56,9 +56,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Cache traffic counters, either for one [`RunCache`] instance
-/// ([`RunCache::stats`]) or accumulated across every instance in the
-/// process ([`RunCache::process_stats`]).
+/// Cache traffic counters of one [`RunCache`] instance
+/// ([`RunCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache (memory or disk) or deduplicated
@@ -95,29 +94,6 @@ impl CacheStats {
         }
     }
 }
-
-/// Process-lifetime accumulators, bumped alongside every instance's own
-/// counters. A fresh [`RunCache`] (a new engine built by a figure
-/// binary, say) starts its *instance* counters at zero, but these keep
-/// counting — so "how much did this process actually simulate?" has an
-/// answer that survives engine churn.
-struct ProcessCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    disk_hits: AtomicU64,
-    shared_hits: AtomicU64,
-    inflight_joins: AtomicU64,
-    disk_corrupt: AtomicU64,
-}
-
-static PROCESS: ProcessCounters = ProcessCounters {
-    hits: AtomicU64::new(0),
-    misses: AtomicU64::new(0),
-    disk_hits: AtomicU64::new(0),
-    shared_hits: AtomicU64::new(0),
-    inflight_joins: AtomicU64::new(0),
-    disk_corrupt: AtomicU64::new(0),
-};
 
 /// A memoization table for [`RunResult`]s, optionally backed by disk.
 #[derive(Debug)]
@@ -211,7 +187,6 @@ impl RunCache {
     pub fn lookup(&self, key: u64) -> Option<Arc<RunResult>> {
         if let Some(run) = self.mem.lock().unwrap().get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            PROCESS.hits.fetch_add(1, Ordering::Relaxed);
             self.with_hooks(|h| h.on_lookup("mem_hit"));
             return Some(run);
         }
@@ -221,20 +196,16 @@ impl RunCache {
                 self.mem.lock().unwrap().insert(key, Arc::clone(&run));
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                PROCESS.hits.fetch_add(1, Ordering::Relaxed);
-                PROCESS.disk_hits.fetch_add(1, Ordering::Relaxed);
                 self.with_hooks(|h| h.on_lookup("disk_hit"));
                 return Some(run);
             }
             DiskEntry::Corrupt => {
                 self.disk_corrupt.fetch_add(1, Ordering::Relaxed);
-                PROCESS.disk_corrupt.fetch_add(1, Ordering::Relaxed);
                 self.with_hooks(|h| h.on_corrupt());
             }
             DiskEntry::Absent => {}
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        PROCESS.misses.fetch_add(1, Ordering::Relaxed);
         self.with_hooks(|h| h.on_lookup("miss"));
         None
     }
@@ -251,8 +222,6 @@ impl RunCache {
     pub(crate) fn note_shared_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.shared_hits.fetch_add(1, Ordering::Relaxed);
-        PROCESS.hits.fetch_add(1, Ordering::Relaxed);
-        PROCESS.shared_hits.fetch_add(1, Ordering::Relaxed);
         self.with_hooks(|h| h.on_dedup_join());
     }
 
@@ -264,8 +233,6 @@ impl RunCache {
     pub(crate) fn note_inflight_join(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.inflight_joins.fetch_add(1, Ordering::Relaxed);
-        PROCESS.hits.fetch_add(1, Ordering::Relaxed);
-        PROCESS.inflight_joins.fetch_add(1, Ordering::Relaxed);
         self.with_hooks(|h| h.on_inflight_join());
     }
 
@@ -282,8 +249,7 @@ impl RunCache {
         }
     }
 
-    /// Zero this instance's traffic counters (process-lifetime
-    /// accumulators are unaffected; the cached entries stay).
+    /// Zero this instance's traffic counters (the cached entries stay).
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -291,31 +257,6 @@ impl RunCache {
         self.shared_hits.store(0, Ordering::Relaxed);
         self.inflight_joins.store(0, Ordering::Relaxed);
         self.disk_corrupt.store(0, Ordering::Relaxed);
-    }
-
-    /// Traffic accumulated by **every** `RunCache` instance in this
-    /// process since start (or since [`RunCache::reset_process_stats`]).
-    /// Instance counters vanish when an engine is dropped or rebuilt;
-    /// these do not.
-    pub fn process_stats() -> CacheStats {
-        CacheStats {
-            hits: PROCESS.hits.load(Ordering::Relaxed),
-            misses: PROCESS.misses.load(Ordering::Relaxed),
-            disk_hits: PROCESS.disk_hits.load(Ordering::Relaxed),
-            shared_hits: PROCESS.shared_hits.load(Ordering::Relaxed),
-            inflight_joins: PROCESS.inflight_joins.load(Ordering::Relaxed),
-            disk_corrupt: PROCESS.disk_corrupt.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero the process-lifetime accumulators (test isolation).
-    pub fn reset_process_stats() {
-        PROCESS.hits.store(0, Ordering::Relaxed);
-        PROCESS.misses.store(0, Ordering::Relaxed);
-        PROCESS.disk_hits.store(0, Ordering::Relaxed);
-        PROCESS.shared_hits.store(0, Ordering::Relaxed);
-        PROCESS.inflight_joins.store(0, Ordering::Relaxed);
-        PROCESS.disk_corrupt.store(0, Ordering::Relaxed);
     }
 
     /// The shard subdirectory of a key: its top byte, as two hex
@@ -527,34 +468,6 @@ mod tests {
         assert!(reader.lookup(key).is_some());
         assert_eq!(reader.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Regression (PR 6): stats used to vanish whenever an engine was
-    /// rebuilt (each fresh `RunCache` starts at zero), so "how much did
-    /// this process simulate?" silently reset. Process-lifetime
-    /// accumulators must keep counting across instances, and resetting
-    /// an instance must not disturb them.
-    #[test]
-    fn process_stats_survive_instance_churn_and_reset() {
-        let before = RunCache::process_stats();
-
-        let first = RunCache::in_memory();
-        first.insert(1, some_run());
-        assert!(first.lookup(1).is_some()); // hit
-        assert!(first.lookup(2).is_none()); // miss
-        first.note_shared_hit();
-        drop(first); // instance counters die with the instance…
-
-        let second = RunCache::in_memory();
-        assert!(second.lookup(3).is_none()); // miss on a fresh instance
-        assert_eq!(second.stats().misses, 1, "fresh instance starts at zero");
-
-        // …but the process view kept counting across both instances.
-        // (Other tests run concurrently, so assert growth, not equality.)
-        let after = RunCache::process_stats();
-        assert!(after.hits >= before.hits + 2, "hit + shared hit accumulated");
-        assert!(after.misses >= before.misses + 2, "misses from both instances");
-        assert!(after.shared_hits >= before.shared_hits + 1);
     }
 
     #[test]

@@ -1,13 +1,27 @@
-//! The sweep engine: bounded-parallel, memoized plan execution.
+//! The sweep engine: bounded-parallel, memoized plan execution — the
+//! workspace's one fan-out over independent runs.
 
 use crate::cache::{fnv1a64, CacheStats, RunCache, CACHE_SCHEMA};
 use crate::metrics::EngineMetrics;
 use crate::plan::{RunPlan, RunSpec};
 use psc_faults::FaultPlan;
-use psc_mpi::{default_jobs, BackendStats, Cluster, GearSelection, RunResult};
+use psc_mpi::{BackendStats, Cluster, GearSelection, RunResult};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+/// The worker count used when the caller does not pin one: the
+/// `PSC_JOBS` environment variable if set to a positive integer,
+/// otherwise the host's available parallelism. Results are
+/// bit-identical at any worker count, so this read configures only
+/// host-side scheduling, never what a run computes.
+pub fn default_jobs() -> usize {
+    // psc-analyze: allow(D003) worker-pool sizing, not run semantics
+    match std::env::var("PSC_JOBS").ok().and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+    }
+}
 
 /// Executes [`RunPlan`]s on a [`Cluster`] with a worker pool and a
 /// [`RunCache`].
@@ -34,11 +48,11 @@ pub struct Engine {
     cache: RunCache,
     faults: Option<FaultPlan>,
     metrics: Arc<EngineMetrics>,
-    /// Keys currently being simulated by some caller of [`Engine::run`].
-    /// A second caller asking for a key in this table blocks on the
-    /// owner's slot instead of simulating again — the third dedup layer
-    /// (after memory and disk), and the one that makes the engine safe
-    /// to share across the job server's concurrent lanes.
+    /// Keys currently being simulated by some caller of [`Engine::run`]
+    /// or [`Engine::execute`]. A second caller asking for a key in this
+    /// table blocks on the owner's slot instead of simulating again —
+    /// the third dedup layer (after memory and disk), and the one that
+    /// makes the engine safe to share across concurrent callers.
     inflight: Mutex<BTreeMap<u64, Arc<InflightSlot>>>,
 }
 
@@ -93,7 +107,7 @@ impl RunOutcome {
     }
 }
 
-/// How [`Engine::run`] claimed a key.
+/// How a caller claimed a key.
 enum Claim {
     /// The cache already had it.
     Cached(Arc<RunResult>),
@@ -239,10 +253,9 @@ impl Engine {
     }
 
     /// Zero this engine's cache traffic counters (the cached entries
-    /// stay, and the process-lifetime accumulators
-    /// [`RunCache::process_stats`] keep counting). The job server calls
-    /// this between observation windows; its own cumulative counters
-    /// live in the metrics registry and are unaffected.
+    /// stay). The job server calls this between observation windows;
+    /// its own cumulative counters live in the metrics registry and are
+    /// unaffected.
     pub fn reset_cache_stats(&self) {
         self.cache.reset();
     }
@@ -304,6 +317,59 @@ impl Engine {
         Claim::Own(slot)
     }
 
+    /// Resolve one key — the only way the engine obtains a result:
+    /// claim it, then return the cached run, share another caller's
+    /// in-flight run, or simulate it here, store it and publish it.
+    ///
+    /// `lane` and `queue_wait_s` are what an owner reports about
+    /// itself to [`EngineMetrics`]. `on_miss` is called once the cache
+    /// could not answer, before this thread blocks on a simulation (its
+    /// own or another caller's) — [`Engine::execute`] opens its helper
+    /// lanes there, so plans the cache answers never spawn a thread.
+    fn resolve(
+        &self,
+        spec: &RunSpec,
+        key: u64,
+        lane: u64,
+        queue_wait_s: f64,
+        on_miss: &mut dyn FnMut(),
+    ) -> (Arc<RunResult>, RunOutcome) {
+        loop {
+            let slot = match self.claim(key) {
+                Claim::Cached(run) => return (run, RunOutcome::CacheHit),
+                Claim::Join(slot) => {
+                    on_miss();
+                    if let Some(run) = slot.wait() {
+                        self.cache.note_inflight_join();
+                        return (run, RunOutcome::InflightJoin);
+                    }
+                    // The owner aborted without publishing; retry (the
+                    // key has left the table, so some retrier owns it).
+                    continue;
+                }
+                Claim::Own(slot) => slot,
+            };
+            let guard = OwnerGuard { inflight: &self.inflight, key, slot };
+            on_miss();
+            let sw = self.metrics.stopwatch();
+            let (run, backend) = self.execute_spec(spec);
+            let run = Arc::new(run);
+            if let Some(sw) = sw {
+                self.metrics.on_run_executed(
+                    spec.bench.name(),
+                    &Self::gear_label(spec),
+                    lane,
+                    queue_wait_s,
+                    backend,
+                    &sw,
+                );
+            }
+            self.cache.insert(key, Arc::clone(&run));
+            guard.publish(Arc::clone(&run));
+            return (run, RunOutcome::Executed);
+        }
+    }
+
     /// Run a single spec through the cache and the in-flight table.
     ///
     /// Safe to call from many threads at once (the job server's worker
@@ -316,134 +382,107 @@ impl Engine {
         self.run_traced(spec).0
     }
 
-    /// [`Engine::run`], plus *how* the result was obtained. The outcome
-    /// is host-traffic bookkeeping (which layer answered first), never
-    /// part of the result.
-    pub fn run_traced(&self, spec: &RunSpec) -> (Arc<RunResult>, RunOutcome) {
+    /// [`Engine::run`], plus *how* the result was obtained and the
+    /// spec's [`Engine::cache_key`] (computed once, here). Outcome and
+    /// key are host-traffic bookkeeping, never part of the result.
+    pub fn run_traced(&self, spec: &RunSpec) -> (Arc<RunResult>, RunOutcome, u64) {
         let key = self.cache_key(spec);
-        loop {
-            let slot = match self.claim(key) {
-                Claim::Cached(run) => return (run, RunOutcome::CacheHit),
-                Claim::Join(slot) => {
-                    if let Some(run) = slot.wait() {
-                        self.cache.note_inflight_join();
-                        return (run, RunOutcome::InflightJoin);
-                    }
-                    // The owner aborted without publishing; retry (the
-                    // key has left the table, so some retrier owns it).
-                    continue;
-                }
-                Claim::Own(slot) => slot,
-            };
-            let guard = OwnerGuard { inflight: &self.inflight, key, slot: Arc::clone(&slot) };
-            let sw = self.metrics.stopwatch();
-            let (run, backend) = self.execute_spec(spec);
-            let run = Arc::new(run);
-            if let Some(sw) = sw {
-                self.metrics.on_run_executed(
-                    spec.bench.name(),
-                    &Self::gear_label(spec),
-                    0,
-                    0.0,
-                    backend,
-                    &sw,
-                );
-            }
-            self.cache.insert(key, Arc::clone(&run));
-            guard.publish(Arc::clone(&run));
-            return (run, RunOutcome::Executed);
-        }
+        let (run, outcome) = self.resolve(spec, key, 0, 0.0, &mut || {});
+        (run, outcome, key)
     }
 
-    /// Execute a plan: cached results are reused, distinct uncached
-    /// specs fan out across the worker pool, and results return in plan
-    /// order. Bit-identical to running every spec serially.
+    /// Execute a plan: each distinct key is resolved exactly as
+    /// [`Engine::run`] resolves it — through the cache and the in-flight
+    /// table, so overlapping plans on a shared engine still simulate
+    /// every key once — and results return in plan order. Bit-identical
+    /// to running every spec serially.
+    ///
+    /// The calling thread is worker lane 1. The first key the cache
+    /// cannot answer opens up to `jobs − 1` scoped helper lanes for the
+    /// keys still queued, so a replayed plan, a one-key plan and any
+    /// `jobs = 1` plan run entirely on the caller's thread.
     ///
     /// Accounting invariant: over one call, `hits + misses` grows by
-    /// exactly `plan.len()` — duplicates of an uncached spec count as
-    /// hits (they share the first occurrence's run).
+    /// exactly `plan.len()` — duplicates inside the plan count as
+    /// shared hits (they reuse the first occurrence's result).
     pub fn execute(&self, plan: &RunPlan) -> Vec<Arc<RunResult>> {
         self.metrics.on_plan(plan.len());
-        let resolve_sw = self.metrics.stopwatch();
 
-        // Pass 1: resolve each *distinct* key against the cache once;
-        // collect the keys that need an actual run. Ordered map (D004):
-        // nothing result-shaping may iterate in hash order.
-        let keys: Vec<u64> = plan.specs.iter().map(|s| self.cache_key(s)).collect();
-        let mut resolved: BTreeMap<u64, Arc<RunResult>> = BTreeMap::new();
-        let mut to_run: Vec<(u64, &RunSpec)> = Vec::new();
-        for (spec, &key) in plan.specs.iter().zip(&keys) {
-            if resolved.contains_key(&key) || to_run.iter().any(|(k, _)| *k == key) {
-                // Duplicate inside this plan: shares whatever the first
-                // occurrence resolves to.
-                self.cache.note_shared_hit();
-                continue;
-            }
-            match self.cache.lookup(key) {
-                Some(run) => {
-                    resolved.insert(key, run);
-                }
-                None => to_run.push((key, spec)),
-            }
-        }
-        if let Some(sw) = &resolve_sw {
-            self.metrics.on_resolve(sw, plan.len(), to_run.len());
-        }
+        // Key every spec once; `order` maps plan position to the slot of
+        // the key's first occurrence. Ordered map (D004): nothing
+        // result-shaping may iterate in hash order.
+        let mut slot_of: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut distinct: Vec<(u64, &RunSpec)> = Vec::new();
+        let order: Vec<usize> = plan
+            .specs
+            .iter()
+            .map(|spec| {
+                let key = self.cache_key(spec);
+                *slot_of.entry(key).and_modify(|_| self.cache.note_shared_hit()).or_insert_with(
+                    || {
+                        distinct.push((key, spec));
+                        distinct.len() - 1
+                    },
+                )
+            })
+            .collect();
 
-        // Pass 2: the worker pool drains the miss list. Each run is
-        // inserted into the cache as soon as it completes, so a
-        // concurrently executing plan in this process can reuse it.
-        let slots: Vec<OnceLock<Arc<RunResult>>> = to_run.iter().map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<Arc<RunResult>>> =
+            distinct.iter().map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(to_run.len().max(1));
         let pool_sw = self.metrics.stopwatch();
-        let busy_total_s = Mutex::new(0.0f64);
-        std::thread::scope(|scope| {
-            let (to_run, slots, next) = (&to_run, &slots, &next);
-            let (pool_sw, busy_total_s) = (&pool_sw, &busy_total_s);
-            for lane in 1..=workers as u64 {
-                scope.spawn(move || {
-                    let mut busy_s = 0.0f64;
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= to_run.len() {
-                            break;
-                        }
-                        let (key, spec) = to_run[k];
-                        let sw = self.metrics.stopwatch();
-                        let (run, backend) = self.execute_spec(spec);
-                        let run = Arc::new(run);
-                        if let (Some(sw), Some(pool)) = (sw, pool_sw.as_ref()) {
-                            // Queue wait: how long this item sat between
-                            // the pool opening and its execution starting.
-                            let wait_s = (sw.started_us() - pool.started_us()) / 1e6;
-                            busy_s += sw.elapsed_s();
-                            self.metrics.on_run_executed(
-                                spec.bench.name(),
-                                &Self::gear_label(spec),
-                                lane,
-                                wait_s.max(0.0),
-                                backend,
-                                &sw,
-                            );
-                        }
-                        self.cache.insert(key, Arc::clone(&run));
-                        let _ = slots[k].set(run);
-                    }
-                    if busy_s > 0.0 {
-                        *busy_total_s.lock().unwrap() += busy_s;
-                    }
-                });
+        // (busy seconds, simulations) summed over the lanes.
+        let tally = Mutex::new((0.0f64, 0usize));
+        let drain = |lane: u64, on_miss: &mut dyn FnMut()| {
+            let (mut busy_s, mut simulated) = (0.0f64, 0usize);
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(key, spec)) = distinct.get(k) else { break };
+                let sw = self.metrics.stopwatch();
+                // Queue wait: how long this key sat between the pool
+                // opening and a lane picking it up.
+                let wait_s = match (&sw, &pool_sw) {
+                    (Some(sw), Some(pool)) => (sw.started_us() - pool.started_us()) / 1e6,
+                    _ => 0.0,
+                };
+                let (run, outcome) = self.resolve(spec, key, lane, wait_s.max(0.0), on_miss);
+                if outcome == RunOutcome::Executed {
+                    simulated += 1;
+                    busy_s += sw.map_or(0.0, |sw| sw.elapsed_s());
+                }
+                let _ = slots[k].set(run);
             }
+            if simulated > 0 {
+                let mut t = tally.lock().unwrap();
+                t.0 += busy_s;
+                t.1 += simulated;
+            }
+        };
+        // Helper lanes the caller spawned, once it has met a miss.
+        let mut helpers = None;
+        std::thread::scope(|scope| {
+            let drain = &drain;
+            let mut open_helpers = || {
+                helpers.get_or_insert_with(|| {
+                    let queued = distinct.len().saturating_sub(next.load(Ordering::Relaxed));
+                    let helpers = (self.jobs - 1).min(queued);
+                    for lane in 2..helpers as u64 + 2 {
+                        scope.spawn(move || drain(lane, &mut || {}));
+                    }
+                    helpers
+                });
+            };
+            drain(1, &mut open_helpers);
         });
         if let Some(sw) = &pool_sw {
-            self.metrics.on_pool_closed(workers, *busy_total_s.lock().unwrap(), sw);
-        }
-        for ((key, _), slot) in to_run.iter().zip(slots) {
-            resolved.insert(*key, slot.into_inner().expect("pool filled every slot"));
+            let (busy_s, simulated) = *tally.lock().unwrap();
+            self.metrics.on_pool_closed(1 + helpers.unwrap_or(0), simulated, busy_s, sw);
         }
 
-        keys.iter().map(|k| Arc::clone(&resolved[k])).collect()
+        order
+            .into_iter()
+            .map(|k| Arc::clone(slots[k].get().expect("the drain filled every slot")))
+            .collect()
     }
 
     /// Execute a spec on the cluster. Returns the result plus the
@@ -503,6 +542,46 @@ mod tests {
         for (a, b) in first.iter().zip(&again) {
             assert!(Arc::ptr_eq(a, b), "replay must reuse cached results");
         }
+    }
+
+    /// Lanes opened per `execute`, oldest first: the caller plus the
+    /// helper threads it spawned (the `pool` span's `workers` argument).
+    fn lanes_opened(e: &Engine) -> Vec<String> {
+        let pools = e.metrics().spans().into_iter().filter(|s| s.name == "pool");
+        pools.map(|s| s.args[0].1.clone()).collect()
+    }
+
+    #[test]
+    fn helpers_open_only_for_misses_with_jobs_to_spare() {
+        let plan = small_plan(); // 4 distinct keys
+        let pooled = engine(); // jobs = 4
+        pooled.execute(&plan);
+        pooled.execute(&plan);
+        assert_eq!(
+            lanes_opened(&pooled),
+            ["4", "1"],
+            "cold plan fans out; the replay spawns nothing"
+        );
+
+        let single = engine().with_jobs(1);
+        single.execute(&plan);
+        assert_eq!(lanes_opened(&single), ["1"], "jobs = 1 never leaves the caller's thread");
+
+        let one_key = engine();
+        one_key.execute(&RunPlan { specs: plan.specs[..1].to_vec() });
+        assert_eq!(lanes_opened(&one_key), ["1"], "nothing queued behind the only miss");
+    }
+
+    #[test]
+    fn default_jobs_honors_env() {
+        // Serialize against other tests reading the var is unnecessary:
+        // this test only sets and unsets its own value.
+        std::env::set_var("PSC_JOBS", "3");
+        assert_eq!(default_jobs(), 3);
+        std::env::set_var("PSC_JOBS", "not-a-number");
+        assert!(default_jobs() >= 1);
+        std::env::remove_var("PSC_JOBS");
+        assert!(default_jobs() >= 1);
     }
 
     #[test]
@@ -570,9 +649,8 @@ mod tests {
         let u = crate::metrics::PoolUtilization::from_snapshot(&snap);
         assert!(u.pool_wall_s > 0.0);
         assert!(u.busy_s <= u.slot_s + 1e-9);
-        // Spans cover both passes and every executed run.
+        // Spans cover the pool and every executed run.
         let spans = on.metrics().spans();
-        assert!(spans.iter().any(|s| s.name == "resolve"));
         assert!(spans.iter().any(|s| s.name == "pool"));
         assert_eq!(spans.iter().filter(|s| s.name == "run").count(), 4);
     }

@@ -27,7 +27,7 @@
 //!
 //! Environment knobs:
 //!
-//! * `PSC_JOBS=N` — default worker count ([`psc_mpi::default_jobs`]).
+//! * `PSC_JOBS=N` — default worker count ([`default_jobs`]).
 //! * `PSC_CACHE_DIR=path` — disk cache location (default
 //!   `target/psc-run-cache`).
 //! * `PSC_CACHE=0` — disable the disk layer (memory-only memoization).
@@ -46,6 +46,6 @@ pub mod metrics;
 pub mod plan;
 
 pub use cache::{CacheStats, RunCache};
-pub use engine::{Engine, RunOutcome};
+pub use engine::{default_jobs, Engine, RunOutcome};
 pub use metrics::{EngineMetrics, PoolUtilization};
 pub use plan::{RunPlan, RunSpec};

@@ -25,8 +25,8 @@
 //! | `engine_cache_serialize_seconds_total` | counter (f64) | — | time serializing results for disk |
 //! | `engine_cache_disk_read_seconds_total` | counter (f64) | — | time reading + parsing disk entries |
 //! | `engine_cache_disk_write_seconds_total` | counter (f64) | — | time in the atomic write + rename |
-//! | `engine_queue_depth` | gauge | — | high-water mark of the miss queue |
-//! | `engine_queue_wait_seconds` | histogram | — | enqueue → start latency per executed run |
+//! | `engine_queue_depth` | gauge | — | high-water mark of the miss queue (most keys one plan simulated) |
+//! | `engine_queue_wait_seconds` | histogram | — | enqueue → start latency per executed run (0 for `run`, which has no queue) |
 //! | `engine_worker_busy_seconds_total` | counter (f64) | — | summed per-worker execution time |
 //! | `engine_pool_wall_seconds_total` | counter (f64) | — | wall time the pool was open |
 //! | `engine_pool_slot_seconds_total` | counter (f64) | — | `workers × pool wall` (capacity) |
@@ -107,23 +107,6 @@ impl EngineMetrics {
             .add(specs as u64);
     }
 
-    /// Pass 1 (cache resolution) finished.
-    pub(crate) fn on_resolve(&self, sw: &Stopwatch, specs: usize, misses: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.registry
-            .gauge("engine_queue_depth", "High-water mark of the miss queue.", &[])
-            .record_max(misses as f64);
-        self.profiler.record(
-            "resolve",
-            "engine",
-            0,
-            sw,
-            &[("specs", specs.to_string()), ("misses", misses.to_string())],
-        );
-    }
-
     /// A per-spec outcome was decided (`executed`, `mem_hit`,
     /// `disk_hit`, or `dedup_join`).
     pub(crate) fn on_outcome(&self, outcome: &str) {
@@ -200,12 +183,22 @@ impl EngineMetrics {
         );
     }
 
-    /// The worker pool closed: `workers` lanes were open for the
-    /// stopwatch's interval and spent `busy_s` host seconds executing.
-    pub(crate) fn on_pool_closed(&self, workers: usize, busy_s: f64, sw: &Stopwatch) {
+    /// A plan's pool closed: `workers` lanes were open for the
+    /// stopwatch's interval, simulated `misses` of the plan's keys and
+    /// spent `busy_s` host seconds doing so.
+    pub(crate) fn on_pool_closed(
+        &self,
+        workers: usize,
+        misses: usize,
+        busy_s: f64,
+        sw: &Stopwatch,
+    ) {
         if !self.enabled {
             return;
         }
+        self.registry
+            .gauge("engine_queue_depth", "High-water mark of the miss queue.", &[])
+            .record_max(misses as f64);
         let wall = sw.elapsed_s();
         self.float("engine_pool_wall_seconds_total", "Wall time the worker pool was open.", wall);
         self.float(
@@ -422,7 +415,7 @@ mod tests {
     fn utilization_is_busy_over_capacity() {
         let m = EngineMetrics::new();
         let sw = m.stopwatch().unwrap();
-        m.on_pool_closed(4, 1.0, &sw);
+        m.on_pool_closed(4, 0, 1.0, &sw);
         let mut u = PoolUtilization::from_snapshot(&m.snapshot());
         assert!(u.slot_s >= 4.0 * u.pool_wall_s - 1e-9);
         u.busy_s = u.slot_s / 2.0;

@@ -4,11 +4,14 @@
 //!
 //! This is the property the job server (psc-serve) leans on: its worker
 //! lanes all call `Engine::run` on one shared engine, so cross-request
-//! dedup lives here, not in the server.
+//! dedup lives here, not in the server. It holds on every entry point:
+//! `Engine::execute` resolves its keys through the same in-flight
+//! table, so overlapping plans — and plans racing single runs — still
+//! simulate each key once.
 
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_mpi::Cluster;
-use psc_runner::{Engine, RunCache, RunSpec};
+use psc_runner::{Engine, RunCache, RunPlan, RunSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Barrier};
 
@@ -45,10 +48,14 @@ fn engine() -> Engine {
     Engine::serial(Cluster::athlon_fast_ethernet()).with_cache(RunCache::in_memory())
 }
 
+/// Even-numbered clients submit their picks as one plan through
+/// `Engine::execute` (in-plan duplicates included), odd-numbered ones
+/// loop over `Engine::run` — so plans overlap plans, plans race single
+/// runs, and runs race runs, all on one in-flight table.
 #[test]
 fn concurrent_overlapping_clients_simulate_each_key_once() {
     let universe = universe();
-    let shared = Arc::new(engine());
+    let shared = Arc::new(engine().with_jobs(2));
 
     const CLIENTS: usize = 8;
     const REQUESTS_PER_CLIENT: usize = 24;
@@ -69,14 +76,22 @@ fn concurrent_overlapping_clients_simulate_each_key_once() {
     std::thread::scope(|scope| {
         let handles: Vec<_> = picks
             .iter()
-            .map(|client_picks| {
+            .enumerate()
+            .map(|(c, client_picks)| {
                 let (shared, barrier) = (Arc::clone(&shared), Arc::clone(&barrier));
-                let universe = &universe;
+                let specs: Vec<RunSpec> =
+                    client_picks.iter().map(|&i| universe[i].clone()).collect();
                 scope.spawn(move || {
                     barrier.wait();
+                    let runs = if c % 2 == 0 {
+                        shared.execute(&RunPlan { specs })
+                    } else {
+                        specs.iter().map(|s| shared.run(s)).collect()
+                    };
                     client_picks
                         .iter()
-                        .map(|&i| (i, serde::json::to_string(&*shared.run(&universe[i]))))
+                        .zip(&runs)
+                        .map(|(&i, run)| (i, serde::json::to_string(&**run)))
                         .collect::<Vec<_>>()
                 })
             })

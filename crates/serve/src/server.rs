@@ -25,7 +25,7 @@
 use crate::proto::{self, Command, Lane, ProtoLimits};
 use crate::queue::JobQueue;
 use psc_metrics::Stopwatch;
-use psc_runner::{Engine, RunCache, RunOutcome};
+use psc_runner::{Engine, RunOutcome};
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -68,9 +68,12 @@ struct ClientWriter {
 }
 
 impl ClientWriter {
+    /// One reply line is one `write`: a line split across two small
+    /// writes on a socket stalls on Nagle + delayed ACK (~40 ms).
     fn send(&self, line: &str) {
+        let buf = format!("{line}\n");
         let mut w = self.sink.lock().expect("writer lock");
-        let _ = writeln!(w, "{line}");
+        let _ = w.write_all(buf.as_bytes());
         let _ = w.flush();
     }
 }
@@ -235,6 +238,8 @@ impl Server {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                // Replies are latency-bound single lines; never batch them.
+                let _ = stream.set_nodelay(true);
                 let Ok(read_half) = stream.try_clone() else { continue };
                 scope.spawn(move || {
                     let end = self.session(BufReader::new(read_half), Box::new(stream));
@@ -260,14 +265,16 @@ impl Server {
 
     /// The cumulative service stats object used by the `stats` command
     /// (and by `powerscale stats` via the registry): per-lane request /
-    /// spec / outcome counters plus process-wide cache counters. All of
-    /// it survives [`Engine::reset_cache_stats`], which only clears the
-    /// engine-instance window.
+    /// spec / outcome counters plus the engine's cumulative cache
+    /// counters. All of it is read from the engine's metrics registry,
+    /// so it survives [`Engine::reset_cache_stats`], which only clears
+    /// the engine-instance window.
     pub fn stats_value(&self) -> Value {
         let snap = self.inner.engine.metrics().snapshot();
-        let counter = |name: &str, labels: &[(&str, &str)]| -> Value {
-            Value::U64(snap.get(name, labels).map_or(0, |s| s.scalar() as u64))
+        let count = |name: &str, labels: &[(&str, &str)]| -> u64 {
+            snap.get(name, labels).map_or(0, |s| s.scalar() as u64)
         };
+        let counter = |name: &str, labels: &[(&str, &str)]| Value::U64(count(name, labels));
         let lane_stats = |lane: Lane| -> Value {
             let l = lane.label();
             Value::Map(vec![
@@ -288,7 +295,10 @@ impl Server {
                 ("queue_depth".into(), Value::U64(self.inner.queue.depth(lane) as u64)),
             ])
         };
-        let process = RunCache::process_stats();
+        let lookups = |result: &str| count("engine_cache_lookups_total", &[("result", result)]);
+        let joins = |outcome: &str| count("engine_runs_total", &[("outcome", outcome)]);
+        let (mem_hits, disk_hits) = (lookups("mem_hit"), lookups("disk_hit"));
+        let (shared_hits, inflight_joins) = (joins("dedup_join"), joins("inflight_join"));
         Value::Map(vec![
             (
                 "lanes".into(),
@@ -300,12 +310,15 @@ impl Server {
             (
                 "process_cache".into(),
                 Value::Map(vec![
-                    ("hits".into(), Value::U64(process.hits)),
-                    ("misses".into(), Value::U64(process.misses)),
-                    ("disk_hits".into(), Value::U64(process.disk_hits)),
-                    ("shared_hits".into(), Value::U64(process.shared_hits)),
-                    ("inflight_joins".into(), Value::U64(process.inflight_joins)),
-                    ("disk_corrupt".into(), Value::U64(process.disk_corrupt)),
+                    (
+                        "hits".into(),
+                        Value::U64(mem_hits + disk_hits + shared_hits + inflight_joins),
+                    ),
+                    ("misses".into(), Value::U64(lookups("miss"))),
+                    ("disk_hits".into(), Value::U64(disk_hits)),
+                    ("shared_hits".into(), Value::U64(shared_hits)),
+                    ("inflight_joins".into(), Value::U64(inflight_joins)),
+                    ("disk_corrupt".into(), counter("engine_cache_corrupt_total", &[])),
                 ]),
             ),
             ("errors".into(), counter("serve_errors_total", &[])),
@@ -325,8 +338,7 @@ fn worker_loop(inner: &ServerInner) {
             )
             .observe(job.enqueued.elapsed_s());
 
-        let key = inner.engine.cache_key(&job.spec);
-        let (run, outcome) = inner.engine.run_traced(&job.spec);
+        let (run, outcome, key) = inner.engine.run_traced(&job.spec);
         registry
             .counter(
                 "serve_results_total",
@@ -361,5 +373,39 @@ fn worker_loop(inner: &ServerInner) {
                 )
                 .observe(state.sw.elapsed_s());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts `write` calls and keeps the bytes.
+    struct CountingSink(Arc<Mutex<(usize, Vec<u8>)>>);
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut seen = self.0.lock().unwrap();
+            seen.0 += 1;
+            seen.1.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_reply_line_is_exactly_one_write() {
+        let seen = Arc::new(Mutex::new((0, Vec::new())));
+        let writer = ClientWriter { sink: Mutex::new(Box::new(CountingSink(Arc::clone(&seen)))) };
+        writer.send(&proto::pong_line("p1"));
+        writer.send(&proto::error_line(None, "bad frame"));
+        let (writes, bytes) = &*seen.lock().unwrap();
+        assert_eq!(*writes, 2, "two lines, two writes");
+        let text = String::from_utf8(bytes.clone()).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.ends_with('\n'));
     }
 }

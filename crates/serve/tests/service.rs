@@ -61,7 +61,7 @@ impl Write for Capture {
     }
 }
 
-/// The satellite fix regression: lane stats and process-wide cache
+/// The satellite fix regression: lane stats and the `process_cache`
 /// counters are *cumulative* — an engine-window reset
 /// (`Engine::reset_cache_stats`, as `powerscale stats --reset`-style
 /// tooling uses between observation windows) must not erase what the
@@ -70,15 +70,14 @@ impl Write for Capture {
 fn cumulative_stats_survive_engine_window_reset() {
     let engine = Arc::new(make_engine().with_cache(RunCache::in_memory()));
     let srv = Server::new(Arc::clone(&engine), ServerConfig::default());
-    let process_before = RunCache::process_stats();
 
     let batch = "{\"id\":\"w1\",\"cmd\":\"run\",\"lane\":\"interactive\",\"specs\":[{\"bench\":\"EP\",\"gears\":1},{\"bench\":\"EP\",\"gears\":1},{\"bench\":\"EP\",\"gears\":2}]}\n";
     let out = Capture::default();
     srv.session(Cursor::new(batch.as_bytes()), Box::new(out.clone()));
-    // Wait for the window's work without tearing the pool down.
-    while engine.metrics().snapshot().get("engine_runs_simulated", &[]).map_or(0.0, |s| s.scalar())
-        < 2.0
-    {
+    // Wait for the window's work without tearing the pool down: a
+    // reply is counted after its lookup, so three replies mean the
+    // cache has accounted all three specs.
+    while engine.metrics().snapshot().family_total("serve_results_total") < 3.0 {
         std::thread::yield_now();
     }
 
@@ -89,8 +88,8 @@ fn cumulative_stats_survive_engine_window_reset() {
     engine.reset_cache_stats();
     assert_eq!(engine.cache_stats().lookups(), 0);
 
-    // ...while the service's cumulative views are untouched: registry
-    // counters, per-lane stats, and process-wide cache counters.
+    // ...while the service's cumulative views are untouched: they all
+    // read the registry, which the reset never touches.
     let stats = srv.stats_value();
     let lane = stats.get("lanes").and_then(|l| l.get("interactive")).expect("interactive lane");
     assert_eq!(lane.get("specs").and_then(Value::as_u64), Some(3));
@@ -101,11 +100,12 @@ fn cumulative_stats_survive_engine_window_reset() {
         3,
         "every spec answered, visible after reset: {stats:?}"
     );
-    let process_after = RunCache::process_stats();
-    assert!(
-        process_after.lookups() >= process_before.lookups() + 3,
-        "process counters are cumulative across resets"
-    );
+    let cache = stats.get("process_cache").expect("process_cache block");
+    let field = |name: &str| cache.get(name).and_then(Value::as_u64).expect(name);
+    assert_eq!(field("hits") + field("misses"), 3, "the window's lookups outlive the reset");
+    assert_eq!(field("misses"), 2, "two distinct specs simulated");
+    assert_eq!(field("misses"), window.misses);
+    assert_eq!(field("hits"), window.hits);
 
     // A second window accumulates on top rather than starting a new
     // service history.

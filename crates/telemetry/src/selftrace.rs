@@ -3,7 +3,7 @@
 //!
 //! Where [`crate::chrome`] makes the *simulated* ranks visible, this
 //! module makes the *host machinery* visible: the sweep engine's
-//! resolve pass, worker-pool lanes, per-run execution spans, and a
+//! worker-pool lanes, per-run execution spans, and a
 //! metrics summary — everything `psc_metrics::Profiler` recorded. The
 //! export uses the same Trace Event Format, so the same Perfetto tab
 //! that renders a rank trace renders the engine flamegraph: `pid` 0 is
