@@ -190,12 +190,16 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         sources.push((rel, src));
     }
 
-    // Interprocedural phase: one IR + call graph, two rule families.
+    // Interprocedural phase: one IR + call graph, the R (+ K001) and X
+    // rule families.
     let allows: std::collections::BTreeMap<&str, Allows> =
         sources.iter().map(|(p, s)| (p.as_str(), Allows::parse(s))).collect();
     let ir = modres::WorkspaceIr::build(root)?;
     let graph = callgraph::CallGraph::build(&ir);
-    let inter = reach::check(&ir, &graph).into_iter().chain(suspend::check(&ir, &graph));
+    let inter = reach::check(&ir, &graph)
+        .into_iter()
+        .chain(reach::check_kernel_blindness(&ir, &graph))
+        .chain(suspend::check(&ir, &graph));
     findings.extend(inter.filter(|f| allows.get(f.file.as_str()).is_none_or(|a| !a.covers(f))));
 
     // C and M families: structural checks over specific files.

@@ -40,6 +40,22 @@
 //! that is harmless; for R005 — where half the workspace has a method
 //! named `get` or `set` — sink matching uses path-precise edges only,
 //! and the M001 token rule covers the method-shaped remainder.
+//!
+//! ## K001 — kernels are gear- and clock-blind
+//!
+//! The same reachability pass carries one more invariant. The engine
+//! answers every spec of a `(kernel, class, nodes)` tuple after the
+//! first by re-timing the kernel's recorded skeleton under other gears,
+//! policies and fault plans (DESIGN.md, "Skeleton replay tier"); that
+//! is exact only if a kernel's control flow cannot observe any of them.
+//! So no function reachable from `crates/kernels/` may call
+//! `Comm::{gear, now_s, counters, node, set_gear}` — everything on a
+//! `Comm` that reads the gear, the clock or the hardware model, plus
+//! the one call that would make a gear *request* conditional on them.
+//! The walk does not expand through `psc-mpi` (the runtime reads its
+//! own gear on the kernel's behalf in every `compute`); method edges
+//! are name-resolved, so a kernel-side `.gear()` on any receiver fires —
+//! the right default for this rule.
 
 use crate::callgraph::{CallGraph, Target};
 use crate::modres::{FnId, WorkspaceIr};
@@ -212,16 +228,68 @@ pub fn check(ir: &WorkspaceIr, graph: &CallGraph) -> Vec<Finding> {
     out
 }
 
+/// `Comm` methods a kernel may not reach (K001).
+pub const KERNEL_BLIND_TO: &[&str] = &["gear", "now_s", "counters", "node", "set_gear"];
+
+/// K001: no function reachable from a `psc-kernels` function — without
+/// walking through the `psc-mpi` runtime itself — calls a `Comm` method
+/// that reads or sets the gear, the clock or the hardware model.
+pub fn check_kernel_blindness(ir: &WorkspaceIr, graph: &CallGraph) -> Vec<Finding> {
+    let crate_of = |id: &FnId| ir.item(id).map(|(f, _)| f.crate_dir.as_str());
+    let roots: Vec<FnId> =
+        ir.fns.keys().filter(|id| crate_of(id) == Some("kernels")).cloned().collect();
+    let in_runtime = |id: &FnId| crate_of(id) == Some("mpi");
+    let parent = graph.reach(roots.iter(), |id| in_runtime(id) || is_chokepoint(ir, id));
+    let mut out = Vec::new();
+    let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
+    for (id, _) in parent.iter().filter(|(id, _)| !in_runtime(id)) {
+        for e in graph.edges.get(id).into_iter().flatten() {
+            let Target::Fn(callee) = &e.target else { continue };
+            let Some(method) = callee.strip_prefix("psc_mpi::comm::Comm::") else { continue };
+            if !KERNEL_BLIND_TO.contains(&method) || !seen.insert((e.file.clone(), e.line)) {
+                continue;
+            }
+            let chain = CallGraph::chain(&parent, id);
+            out.push(Finding::new(
+                "K001",
+                Severity::Error,
+                &e.file,
+                e.line,
+                format!(
+                    "`Comm::{method}` reachable from kernel `{}` — kernels must be blind to the \
+                     gear, the clock and the hardware model: skeleton replay re-times their \
+                     recorded program under other gears, policies and fault plans; call chain: \
+                     {} → `{callee}`",
+                    chain.first().cloned().unwrap_or_default(),
+                    CallGraph::render_chain(&chain),
+                ),
+            ));
+        }
+    }
+    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run(files: &[(&str, &str)]) -> Vec<Finding> {
+    fn graph_of(files: &[(&str, &str)]) -> (WorkspaceIr, CallGraph) {
         let owned: Vec<(String, String)> =
             files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
         let ir = WorkspaceIr::from_sources(&owned);
         let graph = CallGraph::build(&ir);
+        (ir, graph)
+    }
+
+    fn run(files: &[(&str, &str)]) -> Vec<Finding> {
+        let (ir, graph) = graph_of(files);
         check(&ir, &graph)
+    }
+
+    fn run_k(files: &[(&str, &str)]) -> Vec<Finding> {
+        let (ir, graph) = graph_of(files);
+        check_kernel_blindness(&ir, &graph)
     }
 
     #[test]
@@ -265,6 +333,51 @@ mod tests {
         let f = run(&[
             ("crates/kernels/src/ep.rs", "pub fn run_ep() { pure_math(); }\nfn pure_math() {}"),
             ("crates/cli/src/main.rs", "fn host_only() { let t = Instant::now(); }"),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    const COMM: (&str, &str) = (
+        "crates/mpi/src/comm.rs",
+        "pub struct Comm;\nimpl Comm {\n    pub fn gear(&self) -> usize { 1 }\n    \
+         pub fn now_s(&self) -> f64 { 0.0 }\n    pub fn rank(&self) -> usize { 0 }\n    \
+         pub fn compute(&mut self) { let _g = self.gear(); }\n}",
+    );
+
+    #[test]
+    fn kernel_reading_the_gear_fires_directly_and_through_a_helper() {
+        let f = run_k(&[
+            COMM,
+            (
+                "crates/kernels/src/cg.rs",
+                "pub fn run_cg(comm: &mut Comm) {\n    comm.compute();\n    \
+                 if comm.gear() > 3 { return; }\n    psc_machine::tune::late(comm);\n}",
+            ),
+            (
+                "crates/machine/src/tune.rs",
+                "pub fn late(comm: &Comm) -> bool { comm.now_s() > 1.0 }",
+            ),
+        ]);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.rule == "K001"));
+        assert_eq!((f[0].file.as_str(), f[0].line), ("crates/kernels/src/cg.rs", 3));
+        assert_eq!(f[1].file, "crates/machine/src/tune.rs");
+        assert!(
+            f[1].message.contains("psc_kernels::cg::run_cg → psc_machine::tune::late"),
+            "{}",
+            f[1].message
+        );
+    }
+
+    #[test]
+    fn the_runtime_reading_its_own_gear_and_non_kernel_callers_stay_silent() {
+        let f = run_k(&[
+            COMM,
+            (
+                "crates/kernels/src/ep.rs",
+                "pub fn run_ep(comm: &mut Comm) { comm.compute(); let _r = comm.rank(); }",
+            ),
+            ("crates/policy/src/lib.rs", "pub fn observe(comm: &Comm) -> usize { comm.gear() }"),
         ]);
         assert!(f.is_empty(), "{f:?}");
     }

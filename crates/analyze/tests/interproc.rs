@@ -11,6 +11,10 @@
 //!   clean file by file, visible only to the call-graph rules; the
 //!   clean twin reaches a host clock solely through the sanctioned
 //!   timing chokepoint.
+//! * `k_firing` / `k_clean` — kernel blindness (K001, riding the R
+//!   pass): a kernel branching on `Comm::gear` directly and on
+//!   `Comm::now_s` through a helper crate, vs. a kernel that only
+//!   computes while the runtime and the policy crate read the gear.
 //! * `x_firing` / `x_clean` — suspension safety (X001/X002/X003): a
 //!   guard held across `Yielder::suspend` / `arch::switch`, vs. scoped
 //!   and explicitly dropped guards.
@@ -78,6 +82,50 @@ fn r_firing_reports_each_laundered_sink_with_its_chain() {
 fn r_clean_chokepoint_absorbs_the_host_clock() {
     let f = findings("r_clean");
     assert!(f.is_empty(), "{f:?}");
+}
+
+// ----------------------------------------------------------------
+// K001 — kernels are gear- and clock-blind
+// ----------------------------------------------------------------
+
+#[test]
+fn k_firing_reports_the_direct_and_the_laundered_read() {
+    let f = findings("k_firing");
+    assert_eq!(rules(&f), vec!["K001", "K001"], "{f:?}");
+
+    let direct = f.iter().find(|f| f.file == "crates/kernels/src/cg.rs").unwrap();
+    assert!(direct.message.contains("`Comm::gear`"), "{}", direct.message);
+
+    let laundered = f.iter().find(|f| f.file == "crates/machine/src/tune.rs").unwrap();
+    assert!(
+        laundered.message.contains(
+            "psc_kernels::cg::run_cg → psc_machine::tune::running_late → \
+             `psc_mpi::comm::Comm::now_s`"
+        ),
+        "the finding must carry the chain back to the kernel: {}",
+        laundered.message
+    );
+}
+
+#[test]
+fn k_clean_runtime_and_policy_reads_are_not_the_kernels() {
+    let f = findings("k_clean");
+    assert!(f.is_empty(), "{f:?}");
+}
+
+/// The invariant itself, on the real workspace: replay is exact only
+/// while this stays empty.
+#[test]
+fn real_kernels_are_gear_and_clock_blind() {
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
+    let ir = WorkspaceIr::build(&root).expect("build workspace IR");
+    let f = psc_analyze::reach::check_kernel_blindness(&ir, &CallGraph::build(&ir));
+    assert!(f.is_empty(), "{f:?}");
+    // The sinks the rule names must exist, or it guards nothing.
+    for method in psc_analyze::reach::KERNEL_BLIND_TO {
+        let id = format!("psc_mpi::comm::Comm::{method}");
+        assert!(ir.fns.contains_key(&id), "{id} is gone — update reach::KERNEL_BLIND_TO");
+    }
 }
 
 // ----------------------------------------------------------------
@@ -190,7 +238,7 @@ fn real_workspace_call_graph_covers_every_crate() {
 
 #[test]
 fn golden_json_reports_are_byte_stable() {
-    for name in ["r_firing", "x_firing", "w_firing"] {
+    for name in ["r_firing", "k_firing", "x_firing", "w_firing"] {
         let rendered = Report::against(findings(name), &Baseline::default()).render_json();
         let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("fixtures/golden")

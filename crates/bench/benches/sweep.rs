@@ -190,7 +190,7 @@ struct MetricsSummary {
     io_disk_read_s: f64,
     /// Time in the atomic disk write + rename.
     io_disk_write_s: f64,
-    /// Executed-run wall digests, pooled across gears per kernel.
+    /// Executed-run wall digests, pooled across gears per `kernel/tier`.
     run_wall_by_kernel: BTreeMap<String, KernelWall>,
 }
 
@@ -219,10 +219,12 @@ impl MetricsSummary {
             let (Some(bench), SampleValue::Histogram(h)) = (s.label("bench"), &s.value) else {
                 continue;
             };
-            match run_wall_by_kernel.get_mut(bench) {
+            // Full runs and skeleton replays are different populations.
+            let key = format!("{bench}/{}", s.label("tier").unwrap_or("full"));
+            match run_wall_by_kernel.get_mut(&key) {
                 Some(acc) => *acc = acc.merged(h),
                 None => {
-                    run_wall_by_kernel.insert(bench.to_string(), h.clone());
+                    run_wall_by_kernel.insert(key, h.clone());
                 }
             }
         }

@@ -29,17 +29,19 @@ fn outcome(snap: &Snapshot, which: &str) -> f64 {
 }
 
 /// Per-kernel wall-time rows: `engine_run_wall_seconds` series pooled
-/// across gears, keyed by benchmark name.
-fn per_kernel_walls(snap: &Snapshot) -> BTreeMap<String, HistogramSnapshot> {
-    let mut pooled: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
+/// across gears, keyed by `(benchmark, tier)` — a skeleton replay costs
+/// a fraction of a full run, so the two populations get a row each.
+fn per_kernel_walls(snap: &Snapshot) -> BTreeMap<(String, String), HistogramSnapshot> {
+    let mut pooled: BTreeMap<(String, String), HistogramSnapshot> = BTreeMap::new();
     for s in snap.family("engine_run_wall_seconds") {
         let (Some(bench), SampleValue::Histogram(h)) = (s.label("bench"), &s.value) else {
             continue;
         };
-        match pooled.get_mut(bench) {
+        let key = (bench.to_string(), s.label("tier").unwrap_or("full").to_string());
+        match pooled.get_mut(&key) {
             Some(acc) => *acc = acc.merged(h),
             None => {
-                pooled.insert(bench.to_string(), h.clone());
+                pooled.insert(key, h.clone());
             }
         }
     }
@@ -80,6 +82,18 @@ pub fn render_stats(snap: &Snapshot) -> String {
         cache_line.push_str(&format!(", {corrupt:.0} corrupt entr(ies) healed"));
     }
     push(&mut out, cache_line);
+    let skeletons = snap.family_total("engine_skeletons");
+    if skeletons > 0.0 {
+        push(
+            &mut out,
+            format!(
+                "  skeleton replay: {:.0} of {executed:.0} executed run(s) re-timed from \
+                 {skeletons:.0} recorded skeleton(s) ({:.1} KiB)",
+                snap.family_total("engine_runs_replayed_total"),
+                snap.family_total("engine_skeleton_bytes") / 1024.0
+            ),
+        );
+    }
 
     // -- per-kernel wall-time histograms ------------------------------
     let kernels = per_kernel_walls(snap);
@@ -88,16 +102,17 @@ pub fn render_stats(snap: &Snapshot) -> String {
         push(
             &mut out,
             format!(
-                "run wall-clock by kernel (executed runs only)\n  {:<10} {:>6} {:>12} {:>12} {:>12} {:>12}",
-                "kernel", "runs", "p50", "p95", "max", "mean"
+                "run wall-clock by kernel and tier (executed runs only)\n  {:<10} {:<6} {:>6} {:>12} {:>12} {:>12} {:>12}",
+                "kernel", "tier", "runs", "p50", "p95", "max", "mean"
             ),
         );
-        for (bench, h) in &kernels {
+        for ((bench, tier), h) in &kernels {
             push(
                 &mut out,
                 format!(
-                    "  {:<10} {:>6} {:>12} {:>12} {:>12} {:>12}",
+                    "  {:<10} {:<6} {:>6} {:>12} {:>12} {:>12} {:>12}",
                     bench,
+                    tier,
                     h.count,
                     fmt_s(h.quantile(0.50)),
                     fmt_s(h.quantile(0.95)),
@@ -224,12 +239,17 @@ mod tests {
         reg.counter("engine_cache_lookups_total", "h", &[("result", "mem_hit")]).add(5);
         reg.counter("engine_cache_lookups_total", "h", &[("result", "disk_hit")]).inc();
         reg.counter("engine_cache_lookups_total", "h", &[("result", "miss")]).add(6);
-        for (gear, v) in [("1", 0.010), ("2", 0.020), ("3", 0.040)] {
-            reg.time_histogram("engine_run_wall_seconds", "h", &[("bench", "CG"), ("gear", gear)])
-                .observe(v);
+        for (gear, tier, v) in
+            [("1", "full", 0.040), ("2", "replay", 0.002), ("3", "replay", 0.004)]
+        {
+            let labels = [("bench", "CG"), ("gear", gear), ("tier", tier)];
+            reg.time_histogram("engine_run_wall_seconds", "h", &labels).observe(v);
         }
         reg.time_histogram("engine_run_wall_seconds", "h", &[("bench", "EP"), ("gear", "1")])
             .observe(0.002);
+        reg.counter("engine_runs_replayed_total", "h", &[]).add(2);
+        reg.gauge("engine_skeletons", "h", &[]).set(1.0);
+        reg.gauge("engine_skeleton_bytes", "h", &[]).set(2048.0);
         reg.time_histogram("engine_queue_wait_seconds", "h", &[]).observe(0.001);
         reg.gauge("engine_queue_depth", "h", &[]).record_max(6.0);
         reg.float_counter("engine_pool_wall_seconds_total", "h", &[]).add(0.1);
@@ -240,12 +260,14 @@ mod tests {
     }
 
     #[test]
-    fn report_pools_gears_into_kernel_rows() {
+    fn report_pools_gears_into_kernel_rows_split_by_tier() {
         let kernels = per_kernel_walls(&sample_snapshot());
-        assert_eq!(kernels.keys().collect::<Vec<_>>(), vec!["CG", "EP"]);
-        assert_eq!(kernels["CG"].count, 3);
-        assert_eq!(kernels["CG"].max, 0.040);
-        assert_eq!(kernels["EP"].count, 1);
+        let row = |bench: &str, tier: &str| &kernels[&(bench.to_string(), tier.to_string())];
+        assert_eq!(kernels.len(), 3);
+        assert_eq!(row("CG", "full").count, 1);
+        assert_eq!(row("CG", "replay").count, 2, "replays pool across gears, apart from full runs");
+        assert_eq!(row("CG", "replay").max, 0.004);
+        assert_eq!(row("EP", "full").count, 1, "a series without the label reads as a full run");
     }
 
     #[test]
@@ -253,6 +275,10 @@ mod tests {
         let text = render_stats(&sample_snapshot());
         assert!(text.contains("cache hit rate 50.0% (6 hit(s) / 12 lookup(s))"), "{text}");
         assert!(text.contains("run wall-clock by kernel"), "{text}");
+        assert!(
+            text.contains("skeleton replay: 2 of 6 executed run(s) re-timed from 1 recorded"),
+            "{text}"
+        );
         assert!(text.contains("CG"), "{text}");
         assert!(text.contains("utilization 75.0%"), "{text}");
         assert!(text.contains("queue: depth high-water 6"), "{text}");

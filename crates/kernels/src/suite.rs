@@ -5,7 +5,7 @@ use psc_mpi::Comm;
 use serde::{Deserialize, Serialize};
 
 /// Problem size class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ProblemClass {
     /// Tiny problems for unit and property tests.
     Test,
@@ -43,7 +43,7 @@ pub struct KernelOutput {
 }
 
 /// One of the paper's applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Benchmark {
     /// NAS conjugate gradient.
     Cg,

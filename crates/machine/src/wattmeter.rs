@@ -118,6 +118,13 @@ impl PowerTrace {
         self.segments.truncate(if self.segments.is_empty() { 0 } else { out + 1 });
     }
 
+    /// Release the segment buffer's unused capacity (see
+    /// [`PowerTrace::with_capacity`]: finished traces are kept, their
+    /// pre-sizing slack need not be).
+    pub fn shrink_to_fit(&mut self) {
+        self.segments.shrink_to_fit();
+    }
+
     /// Whether `b` directly continues `a` at the same power level.
     #[inline]
     fn mergeable(a: &Segment, b: &Segment) -> bool {

@@ -9,12 +9,13 @@
 use crate::comm::{Comm, Fabric};
 use crate::des;
 use crate::network::NetworkModel;
-use crate::policyhook::ClusterPolicy;
+use crate::policyhook::{ClusterPolicy, RankPolicy};
 use crate::router::{MatchBuffer, Router};
+use crate::skeleton::{RankSkeleton, Skeleton};
 use crate::trace::RankTrace;
-use psc_faults::FaultPlan;
+use psc_faults::{FaultPlan, RankFaults};
 use psc_machine::wattmeter::cluster_energy_j;
-use psc_machine::{Counters, NodeSpec, PowerTrace, Wattmeter};
+use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, Wattmeter};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -83,10 +84,61 @@ pub struct BackendStats {
     pub stack_high_water_bytes: u64,
 }
 
-/// Everything a finished rank hands back to the driver, in rank order
-/// after collection: `(rank, program output, counters, trace, power,
-/// end time, final gear)`.
-type RankProducts<R> = (usize, R, Counters, RankTrace, PowerTrace, f64, usize);
+/// Everything a finished rank hands back to the driver.
+struct RankProducts<R> {
+    rank: usize,
+    /// The program's return value.
+    out: R,
+    counters: Counters,
+    trace: RankTrace,
+    power: PowerTrace,
+    end_s: f64,
+    final_gear: usize,
+    /// The rank's recorded program, when the run was recording.
+    skeleton: Option<RankSkeleton>,
+}
+
+/// What every rank needs before its program starts, resolved on the
+/// driver thread (a `ClusterPolicy` need not be `Sync`).
+struct RankSetup {
+    rank: usize,
+    gear: Gear,
+    /// The configured gear, when the fault plan pinned another one.
+    forced_from: Option<usize>,
+    faults: Option<RankFaults>,
+    policy: Option<Box<dyn RankPolicy>>,
+    record: bool,
+}
+
+impl RankSetup {
+    /// Run `program` as this rank over `fabric`: arm faults, policy and
+    /// (when recording) the skeleton recorder, run, finalize, dismantle.
+    /// The one rank body both drivers execute.
+    fn run<R>(
+        self,
+        size: usize,
+        node: Arc<NodeSpec>,
+        network: NetworkModel,
+        fabric: Fabric,
+        program: &impl Fn(&mut Comm) -> R,
+    ) -> RankProducts<R> {
+        let mut comm = Comm::new(self.rank, size, self.gear, node, network, fabric);
+        comm.set_faults(self.faults, self.forced_from);
+        if let Some(hook) = self.policy {
+            comm.set_policy(hook);
+        }
+        if self.record {
+            comm.start_recording();
+        }
+        let out = program(&mut comm);
+        // Recording stops here: finalize is the runtime's, not the
+        // program's, and a replayed run performs it itself.
+        let skeleton = comm.take_skeleton();
+        comm.finalize();
+        let (counters, trace, power, end_s, final_gear) = comm.into_results();
+        RankProducts { rank: self.rank, out, counters, trace, power, end_s, final_gear, skeleton }
+    }
+}
 
 /// Which gear each rank runs at.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -348,6 +400,45 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
+        let (run, outputs, stats, _) = self.run_inner(cfg, faults, policy, false, program);
+        (run, outputs, stats)
+    }
+
+    /// [`Cluster::run_with_policy_stats`] that also records the
+    /// program's [`Skeleton`] — the per-rank sequence of work blocks,
+    /// message shapes and span marks it issued, which is the same under
+    /// every gear selection, fault plan and policy. Handed back
+    /// *beside* the result, like [`BackendStats`]: recording never
+    /// changes what the run computes. Feed it to [`Comm::replay`] to
+    /// re-time the program under another configuration without running
+    /// its arithmetic.
+    pub fn run_recorded<R, F>(
+        &self,
+        cfg: &ClusterConfig,
+        faults: Option<&FaultPlan>,
+        policy: Option<&dyn ClusterPolicy>,
+        program: F,
+    ) -> (RunResult, Vec<R>, BackendStats, Skeleton)
+    where
+        R: Send,
+        F: Fn(&mut Comm) -> R + Sync,
+    {
+        let (run, outputs, stats, skeleton) = self.run_inner(cfg, faults, policy, true, program);
+        (run, outputs, stats, skeleton.expect("a recording run returns every rank's skeleton"))
+    }
+
+    fn run_inner<R, F>(
+        &self,
+        cfg: &ClusterConfig,
+        faults: Option<&FaultPlan>,
+        policy: Option<&dyn ClusterPolicy>,
+        record: bool,
+        program: F,
+    ) -> (RunResult, Vec<R>, BackendStats, Option<Skeleton>)
+    where
+        R: Send,
+        F: Fn(&mut Comm) -> R + Sync,
+    {
         assert!(cfg.nodes >= 1, "cluster run needs at least one node");
         if let GearSelection::PerRank(v) = &cfg.gears {
             assert_eq!(v.len(), cfg.nodes, "per-rank gear list length must equal node count");
@@ -357,84 +448,66 @@ impl Cluster {
                 panic!("invalid fault plan: {e}");
             }
         }
-        // The gear a rank would start at absent faults: the configured
-        // selection, unless a policy overrides it.
-        let base_gear = |rank: usize| {
-            let configured = cfg.gears.gear_for(rank);
-            policy.map_or(configured, |p| p.initial_gear(rank, cfg.nodes, configured, &self.node))
-        };
-        // The gear each rank actually runs at: a straggler entry in the
-        // plan overrides everything (it models pinned hardware).
-        let effective_gear = |rank: usize| {
-            faults.and_then(|p| p.forced_gear(rank)).unwrap_or_else(|| base_gear(rank))
-        };
-        // Validate gear indices up front (gear() panics with context).
-        for rank in 0..cfg.nodes {
-            let _ = self.node.gear(effective_gear(rank));
-        }
+        let setups: Vec<RankSetup> = (0..cfg.nodes)
+            .map(|rank| {
+                // The gear a rank would start at absent faults: the
+                // configured selection, unless a policy overrides it.
+                let configured = cfg.gears.gear_for(rank);
+                let base = policy.map_or(configured, |p| {
+                    p.initial_gear(rank, cfg.nodes, configured, &self.node)
+                });
+                // The gear it actually runs at: a straggler entry in
+                // the plan overrides everything (it models pinned
+                // hardware). `gear()` panics with context on a bad index.
+                let effective = faults.and_then(|p| p.forced_gear(rank)).unwrap_or(base);
+                RankSetup {
+                    rank,
+                    gear: self.node.gear(effective),
+                    forced_from: (effective != base).then_some(base),
+                    faults: faults.map(|p| p.rank_faults(rank)),
+                    policy: policy.map(|p| p.rank_policy(rank, cfg.nodes, &self.node)),
+                    record,
+                }
+            })
+            .collect();
 
         let (per_rank, stats) = match self.backend.effective() {
-            RuntimeBackend::Threaded => (
-                self.drive_threaded(cfg, faults, policy, &program, &effective_gear, &base_gear),
-                BackendStats::default(),
-            ),
-            RuntimeBackend::Des => {
-                self.drive_des(cfg, faults, policy, &program, &effective_gear, &base_gear)
+            RuntimeBackend::Threaded => {
+                (self.drive_threaded(setups, &program), BackendStats::default())
             }
+            RuntimeBackend::Des => self.drive_des(setups, &program),
         };
 
-        let (run, outputs) = self.assemble(cfg, faults, per_rank);
-        (run, outputs, stats)
+        let (run, outputs, skeleton) = self.assemble(faults, per_rank);
+        (run, outputs, stats, skeleton)
     }
 
     /// The thread-per-rank driver: each rank on its own OS thread,
     /// blocked receives parked on crossbeam channels.
-    fn drive_threaded<R, F>(
-        &self,
-        cfg: &ClusterConfig,
-        faults: Option<&FaultPlan>,
-        policy: Option<&dyn ClusterPolicy>,
-        program: &F,
-        effective_gear: &dyn Fn(usize) -> usize,
-        base_gear: &dyn Fn(usize) -> usize,
-    ) -> Vec<RankProducts<R>>
+    fn drive_threaded<R, F>(&self, setups: Vec<RankSetup>, program: &F) -> Vec<RankProducts<R>>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        let (router, outlets) = Router::new(cfg.nodes);
+        let n = setups.len();
+        let (router, outlets) = Router::new(n);
         let router = Arc::new(router);
         let node = Arc::new(self.node.clone());
 
         let mut per_rank: Vec<RankProducts<R>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(cfg.nodes);
-            for (rank, inbox) in outlets.into_iter().enumerate() {
-                let gear_index = effective_gear(rank);
-                let gear = self.node.gear(gear_index);
-                let forced_from = (gear_index != base_gear(rank)).then(|| base_gear(rank));
-                let rank_faults = faults.map(|p| p.rank_faults(rank));
-                // Built on the driver thread (ClusterPolicy need not be
-                // Sync); the Box moves onto the rank's thread.
-                let rank_policy = policy.map(|p| p.rank_policy(rank, cfg.nodes, &self.node));
+            let mut handles = Vec::with_capacity(n);
+            for (setup, inbox) in setups.into_iter().zip(outlets) {
                 let router = Arc::clone(&router);
                 let node = Arc::clone(&node);
                 let network = self.network;
                 handles.push(scope.spawn(move || {
                     let fabric = Fabric::Threaded { router, inbox, buffer: MatchBuffer::new() };
-                    let mut comm = Comm::new(rank, cfg.nodes, gear, node, network, fabric);
-                    comm.set_faults(rank_faults, forced_from);
-                    if let Some(hook) = rank_policy {
-                        comm.set_policy(hook);
-                    }
-                    let out = program(&mut comm);
-                    comm.finalize();
-                    let (counters, trace, power, end_s, final_gear) = comm.into_results();
-                    (rank, out, counters, trace, power, end_s, final_gear)
+                    setup.run(n, node, network, fabric, program)
                 }));
             }
             handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
         });
-        per_rank.sort_by_key(|t| t.0);
+        per_rank.sort_by_key(|p| p.rank);
         per_rank
     }
 
@@ -442,12 +515,8 @@ impl Cluster {
     /// thread, dispatched by the virtual-clock scheduler in `des`.
     fn drive_des<R, F>(
         &self,
-        cfg: &ClusterConfig,
-        faults: Option<&FaultPlan>,
-        policy: Option<&dyn ClusterPolicy>,
+        setups: Vec<RankSetup>,
         program: &F,
-        effective_gear: &dyn Fn(usize) -> usize,
-        base_gear: &dyn Fn(usize) -> usize,
     ) -> (Vec<RankProducts<R>>, BackendStats)
     where
         R: Send,
@@ -456,18 +525,14 @@ impl Cluster {
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        let n = cfg.nodes;
+        let n = setups.len();
         let state = des::DesState::new(n);
         let results: Rc<RefCell<Vec<Option<RankProducts<R>>>>> =
             Rc::new(RefCell::new((0..n).map(|_| None).collect()));
         let node = Arc::new(self.node.clone());
         let mut coros = Vec::with_capacity(n);
-        for rank in 0..n {
-            let gear_index = effective_gear(rank);
-            let gear = self.node.gear(gear_index);
-            let forced_from = (gear_index != base_gear(rank)).then(|| base_gear(rank));
-            let rank_faults = faults.map(|p| p.rank_faults(rank));
-            let rank_policy = policy.map(|p| p.rank_policy(rank, n, &self.node));
+        for setup in setups {
+            let rank = setup.rank;
             let state = Rc::clone(&state);
             let results = Rc::clone(&results);
             let node = Arc::clone(&node);
@@ -478,16 +543,8 @@ impl Cluster {
                 label,
                 move |yielder| {
                     let fabric = Fabric::Des(des::DesEndpoint::new(rank, state, yielder.clone()));
-                    let mut comm = Comm::new(rank, n, gear, node, network, fabric);
-                    comm.set_faults(rank_faults, forced_from);
-                    if let Some(hook) = rank_policy {
-                        comm.set_policy(hook);
-                    }
-                    let out = program(&mut comm);
-                    comm.finalize();
-                    let (counters, trace, power, end_s, final_gear) = comm.into_results();
-                    results.borrow_mut()[rank] =
-                        Some((rank, out, counters, trace, power, end_s, final_gear));
+                    let products = setup.run(n, node, network, fabric, program);
+                    results.borrow_mut()[rank] = Some(products);
                 },
             ));
         }
@@ -514,25 +571,34 @@ impl Cluster {
     /// is decided.
     fn assemble<R>(
         &self,
-        cfg: &ClusterConfig,
         faults: Option<&FaultPlan>,
-        per_rank: Vec<RankProducts<R>>,
-    ) -> (RunResult, Vec<R>) {
-        let time_s = per_rank.iter().map(|t| t.5).fold(0.0, f64::max);
-        let mut ranks = Vec::with_capacity(cfg.nodes);
-        let mut outputs = Vec::with_capacity(cfg.nodes);
-        for (rank, out, counters, trace, mut power, _end, final_gear) in per_rank {
+        mut per_rank: Vec<RankProducts<R>>,
+    ) -> (RunResult, Vec<R>, Option<Skeleton>) {
+        let time_s = per_rank.iter().map(|p| p.end_s).fold(0.0, f64::max);
+        let skeleton = per_rank
+            .iter_mut()
+            .map(|p| p.skeleton.take())
+            .collect::<Option<Vec<_>>>()
+            .map(|ranks| Skeleton { ranks });
+        let mut ranks = Vec::with_capacity(per_rank.len());
+        let mut outputs = Vec::with_capacity(per_rank.len());
+        for p in per_rank {
+            let (mut trace, mut power) = (p.trace, p.power);
             // Ranks that finish early idle at I_g until the last rank is
             // done — their nodes are still plugged in. A rank that
             // switched gears mid-run idles at its *final* gear.
-            let gear_index = final_gear;
+            let gear_index = p.final_gear;
             let idle_w = self.node.idle_power_w(self.node.gear(gear_index));
             if power.end_s() < time_s {
                 power.push(time_s, idle_w);
             }
             power.compact();
-            ranks.push(RankResult { rank, gear_index, counters, trace, power });
-            outputs.push(out);
+            // Results outlive the run in the cache: give back the
+            // pre-sized buffers' slack.
+            power.shrink_to_fit();
+            trace.shrink_to_fit();
+            ranks.push(RankResult { rank: p.rank, gear_index, counters: p.counters, trace, power });
+            outputs.push(p.out);
         }
 
         let energy_j = cluster_energy_j(ranks.iter().map(|r| &r.power));
@@ -545,7 +611,7 @@ impl Cluster {
             None => ranks.iter().map(|r| self.wattmeter.measure_energy_j(&r.power)).sum(),
         };
 
-        (RunResult { time_s, energy_j, measured_energy_j, ranks }, outputs)
+        (RunResult { time_s, energy_j, measured_energy_j, ranks }, outputs, skeleton)
     }
 }
 
@@ -1336,6 +1402,70 @@ mod policy_tests {
         // The straggler is pinned; the policy's initial gear lost.
         let evs = run.ranks[1].trace.fault_events();
         assert!(evs.iter().any(|f| f.kind == crate::trace::FaultKind::StragglerGear));
+    }
+}
+
+#[cfg(test)]
+mod replay_tests {
+    use super::*;
+    use crate::reduce::ReduceOp;
+    use crate::skeleton::SkelOp;
+    use crate::trace::MpiOp;
+    use psc_machine::WorkBlock;
+
+    fn program(comm: &mut Comm) {
+        comm.set_wire_scale(50.0);
+        for _ in 0..3 {
+            comm.span("sweep", |c| c.compute(&WorkBlock::with_upm(4.0e8, 70.0)));
+            comm.allreduce(vec![comm.rank() as f64; 64], ReduceOp::Sum);
+        }
+    }
+
+    fn replay_of(skeleton: &Skeleton) -> impl Fn(&mut Comm) + Sync + '_ {
+        |comm| comm.replay(skeleton.rank(comm.rank()))
+    }
+
+    #[test]
+    fn a_recorded_program_replays_bit_identically_at_another_gear() {
+        for backend in [RuntimeBackend::Des, RuntimeBackend::Threaded] {
+            let c = Cluster::athlon_fast_ethernet().with_backend(backend);
+            let (recorded, _, _, skeleton) =
+                c.run_recorded(&ClusterConfig::uniform(4, 1), None, None, program);
+            // Recording is invisible in the result...
+            assert_eq!(recorded, c.run(&ClusterConfig::uniform(4, 1), program).0);
+            // ...and the skeleton re-times exactly under other gears.
+            let cfg = ClusterConfig { nodes: 4, gears: GearSelection::PerRank(vec![2, 6, 1, 4]) };
+            assert_eq!(c.run(&cfg, replay_of(&skeleton)).0, c.run(&cfg, program).0);
+            // Interning keeps it small: one block, one span name, and
+            // the shapes of one allreduce per rank.
+            assert!(skeleton.ranks.iter().all(|r| r.blocks.len() == 1 && r.names.len() == 1));
+            assert!(skeleton.heap_bytes() < 4 * 1024, "{} B", skeleton.heap_bytes());
+        }
+    }
+
+    /// The trap `WireScale` exists for: finalize's barrier is not in
+    /// the skeleton, and it is priced at the program's last wire scale.
+    #[test]
+    fn a_skeleton_without_its_wire_scale_misprices_exactly_the_finalize_barrier() {
+        let c = Cluster::athlon_fast_ethernet();
+        let cfg = ClusterConfig::uniform(4, 3);
+        let (full, _, _, skeleton) = c.run_recorded(&cfg, None, None, program);
+        let mut stripped = skeleton.clone();
+        for r in &mut stripped.ranks {
+            r.ops.retain(|op| !matches!(op, SkelOp::WireScale(_)));
+        }
+        assert_eq!(c.run(&cfg, replay_of(&skeleton)).0, full);
+        let (wrong, _) = c.run(&cfg, replay_of(&stripped));
+        for (w, f) in wrong.ranks.iter().zip(&full.ranks) {
+            let (we, fe) = (w.trace.events(), f.trace.events());
+            let last = fe.len() - 1;
+            assert_eq!(fe[last].op, MpiOp::Finalize);
+            // Recorded sends carry their wire bytes, so everything up
+            // to finalize still agrees...
+            assert_eq!(we[..last], fe[..last]);
+            // ...and finalize's own 8-byte control messages do not.
+            assert_eq!(fe[last].bytes, 50 * we[last].bytes);
+        }
     }
 }
 

@@ -24,12 +24,14 @@ use crate::payload::Payload;
 use crate::policyhook::{Observation, PolicyEvent, RankPolicy};
 use crate::reduce::ReduceOp;
 use crate::router::{Envelope, MatchBuffer, Router};
+use crate::skeleton::{RankSkeleton, Recorder, SkelOp, NO_PEER};
 use crate::trace::{
     FaultEvent, FaultKind, GearShift, MpiOp, PhaseSpan, PolicyDecision, RankTrace, TraceEvent,
 };
 use crossbeam::channel::Receiver;
 use psc_faults::RankFaults;
 use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, WorkBlock};
+use std::any::Any;
 use std::sync::Arc;
 
 /// The message transport behind a [`Comm`], chosen by the cluster
@@ -144,6 +146,8 @@ pub struct Comm {
     span_stack: Vec<(String, f64)>,
     faults: Option<RankFaults>,
     policy: Option<PolicyCtx>,
+    /// Set while the driver records this rank's skeleton.
+    recorder: Option<Recorder>,
 }
 
 impl Comm {
@@ -174,6 +178,7 @@ impl Comm {
             span_stack: Vec::new(),
             faults: None,
             policy: None,
+            recorder: None,
         }
     }
 
@@ -209,6 +214,19 @@ impl Comm {
         });
     }
 
+    /// Start recording this rank's skeleton. Called by the cluster
+    /// driver before the program runs.
+    pub(crate) fn start_recording(&mut self) {
+        self.recorder = Some(Recorder::default());
+    }
+
+    /// Stop recording and hand the skeleton back. Called by the driver
+    /// *before* [`Comm::finalize`], which every run — full or replayed
+    /// — performs itself.
+    pub(crate) fn take_skeleton(&mut self) -> Option<RankSkeleton> {
+        self.recorder.take().map(|r| r.finish(self.coll_seq))
+    }
+
     /// Set the wire-size scale factor applied to every payload.
     ///
     /// Kernels in `psc-kernels` run their *real* arithmetic on problems
@@ -220,6 +238,9 @@ impl Comm {
     /// default) charges payloads at their actual size.
     pub fn set_wire_scale(&mut self, scale: f64) {
         assert!(scale > 0.0 && scale.is_finite(), "wire scale must be positive");
+        if let Some(r) = self.recorder.as_mut() {
+            r.wire_scale(scale);
+        }
         self.wire_scale = scale;
     }
 
@@ -270,6 +291,14 @@ impl Comm {
     /// ramps; that time is charged at idle power. Switching to the
     /// current gear is a no-op.
     pub fn set_gear(&mut self, gear_index: usize) {
+        if let Some(r) = self.recorder.as_mut() {
+            r.set_gear(gear_index);
+        }
+        self.shift_gear(gear_index);
+    }
+
+    /// The gear change behind [`Comm::set_gear`] and the policy hook.
+    fn shift_gear(&mut self, gear_index: usize) {
         let new = self.node.gear(gear_index);
         if new.index == self.gear.index {
             return;
@@ -325,6 +354,9 @@ impl Comm {
     /// with a [`Comm::span_end`]; spans left open are closed at
     /// finalize time.
     pub fn span_begin(&mut self, name: &str) {
+        if let Some(r) = self.recorder.as_mut() {
+            r.span_begin(name);
+        }
         self.span_stack.push((name.to_string(), self.clock_s));
         if self.policy.is_some() {
             let depth = self.span_stack.len() - 1;
@@ -341,6 +373,9 @@ impl Comm {
     ///
     /// Panics if no span is open.
     pub fn span_end(&mut self) {
+        if let Some(r) = self.recorder.as_mut() {
+            r.span_end();
+        }
         let (name, t_start_s) = self.span_stack.pop().expect("span_end called with no open span");
         let depth = self.span_stack.len();
         let t_end_s = self.clock_s;
@@ -374,6 +409,9 @@ impl Comm {
     /// so the same block is hit identically at every gear — which is
     /// what keeps the paper's slowdown bound intact under noise.
     pub fn compute(&mut self, work: &WorkBlock) {
+        if let Some(r) = self.recorder.as_mut() {
+            r.compute(work);
+        }
         let mut work = *work;
         let mut time_scale = 1.0;
         if let Some(p) = self.faults.as_mut().map(RankFaults::next_compute) {
@@ -699,6 +737,49 @@ impl Comm {
         mine
     }
 
+    // ------------------------------------------------------------------
+    // Skeleton replay
+    // ------------------------------------------------------------------
+
+    /// Re-issue a recorded rank program: the same work blocks, message
+    /// shapes, span marks and gear requests through the same clock,
+    /// fabric, fault, policy and trace paths a full run takes, with
+    /// empty payloads and no kernel arithmetic. An ordinary rank
+    /// program — pass `|comm| comm.replay(skeleton.rank(comm.rank()))`
+    /// to any `Cluster::run*` at the recorded node count and the
+    /// `RunResult` is bit-identical to the recorded program's under the
+    /// same gears, faults and policy.
+    pub fn replay(&mut self, skel: &RankSkeleton) {
+        // Entry time and byte count of the traced operation the
+        // primitives since the last non-primitive op belong to.
+        let (mut t0, mut bytes) = (self.clock_s, 0u64);
+        for op in &skel.ops {
+            match *op {
+                SkelOp::Send { shape, tag } => {
+                    let (dst, wire) = skel.shapes[shape as usize];
+                    self.send_wire(dst as usize, tag, wire, Box::new(()));
+                    bytes += wire;
+                    continue;
+                }
+                SkelOp::Recv { src, tag } => {
+                    bytes += self.recv_wire(src as usize, tag).bytes;
+                    continue;
+                }
+                SkelOp::Compute(i) => self.compute(&skel.blocks[i as usize]),
+                SkelOp::End { op, peer } => {
+                    let peer = (peer != NO_PEER).then_some(peer as usize);
+                    self.finish_op(op, t0, bytes, peer);
+                }
+                SkelOp::SpanBegin(i) => self.span_begin(&skel.names[i as usize]),
+                SkelOp::SpanEnd => self.span_end(),
+                SkelOp::WireScale(scale) => self.set_wire_scale(scale),
+                SkelOp::SetGear(g) => self.set_gear(g as usize),
+            }
+            (t0, bytes) = (self.clock_s, 0);
+        }
+        self.coll_seq = skel.coll_seq;
+    }
+
     /// Finalize the rank's program: a trailing barrier (like
     /// `MPI_Finalize`) and trace closing. Called by the cluster driver.
     pub(crate) fn finalize(&mut self) {
@@ -735,8 +816,16 @@ impl Comm {
         s
     }
 
-    /// Untraced send: advances the clock by the injection cost and
-    /// delivers the envelope. Returns bytes sent.
+    /// Untraced send: prices the payload at the current wire scale and
+    /// hands it to [`Comm::send_wire`]. Returns bytes sent.
+    fn raw_send<T: Payload>(&mut self, dst: usize, tag: u64, data: T) -> u64 {
+        let bytes = ((data.byte_size() as f64 * self.wire_scale).round() as u64).max(8);
+        self.send_wire(dst, tag, bytes, Box::new(data));
+        bytes
+    }
+
+    /// Send `data` as `bytes` on the wire: advances the clock by the
+    /// injection cost and delivers the envelope.
     ///
     /// Under an active fault plan the transmission may be perturbed,
     /// keyed by the rank's message index: dropped attempts cost the
@@ -744,10 +833,12 @@ impl Comm {
     /// retry, and a latency spike delays the delivery. Both costs are
     /// frequency-independent network time, so they shrink — never
     /// violate — the gear-relative slowdown bound.
-    fn raw_send<T: Payload>(&mut self, dst: usize, tag: u64, data: T) -> u64 {
+    fn send_wire(&mut self, dst: usize, tag: u64, bytes: u64, data: Box<dyn Any + Send>) {
         assert!(dst < self.size, "send to rank {dst} out of range (size {})", self.size);
         assert_ne!(dst, self.rank, "send to self would deadlock a matching recv");
-        let bytes = ((data.byte_size() as f64 * self.wire_scale).round() as u64).max(8);
+        if let Some(r) = self.recorder.as_mut() {
+            r.send(dst, tag, bytes);
+        }
         let inject_s = self.network.send_time_s_at(bytes, self.size);
         self.clock_s += inject_s;
         let mut extra_latency_s = 0.0;
@@ -772,34 +863,41 @@ impl Comm {
             }
         }
         let arrival = self.clock_s + self.network.wire_time_s() + extra_latency_s;
-        self.fabric.deliver(
-            dst,
-            Envelope { src: self.rank, tag, arrival_s: arrival, bytes, data: Box::new(data) },
-        );
+        self.fabric.deliver(dst, Envelope { src: self.rank, tag, arrival_s: arrival, bytes, data });
         self.counters.record_mpi_op(bytes);
-        bytes
     }
 
-    /// Untraced receive: blocks the rank (its OS thread or its
-    /// coroutine, per backend) until a matching message is available,
-    /// then advances the clock to `max(now, arrival) + recv_overhead`.
-    /// Returns `(data, bytes)`.
+    /// Untraced receive: takes the matching envelope off the wire and
+    /// downcasts its payload. Returns `(data, bytes)`.
     fn raw_recv<T: Payload>(&mut self, src: usize, tag: u64) -> (T, u64) {
-        assert!(src < self.size, "recv from rank {src} out of range (size {})", self.size);
-        assert_ne!(src, self.rank, "recv from self would deadlock");
-        let env = self.fabric.recv_matching(src, tag);
-        self.clock_s = self.clock_s.max(env.arrival_s) + self.network.recv_overhead_s;
-        let bytes = env.bytes;
+        let env = self.recv_wire(src, tag);
         let data = env
             .data
             .downcast::<T>()
             .unwrap_or_else(|_| panic!("type mismatch receiving from rank {src} tag {tag}"));
-        (*data, bytes)
+        (*data, env.bytes)
+    }
+
+    /// Block the rank (its OS thread or its coroutine, per backend)
+    /// until a message matching `(src, tag)` is available, then advance
+    /// the clock to `max(now, arrival) + recv_overhead`.
+    fn recv_wire(&mut self, src: usize, tag: u64) -> Envelope {
+        assert!(src < self.size, "recv from rank {src} out of range (size {})", self.size);
+        assert_ne!(src, self.rank, "recv from self would deadlock");
+        if let Some(r) = self.recorder.as_mut() {
+            r.recv(src, tag);
+        }
+        let env = self.fabric.recv_matching(src, tag);
+        self.clock_s = self.clock_s.max(env.arrival_s) + self.network.recv_overhead_s;
+        env
     }
 
     /// Close out a traced MPI operation that began at `t0`: extend the
     /// power profile at idle power, account idle time, record the event.
     fn finish_op(&mut self, op: MpiOp, t0: f64, bytes: u64, peer: Option<usize>) {
+        if let Some(r) = self.recorder.as_mut() {
+            r.end(op, peer);
+        }
         let idle_w = self.node.idle_power_w(self.gear);
         self.power.push(self.clock_s, idle_w);
         self.counters.record_idle(self.clock_s - t0);
@@ -823,7 +921,7 @@ impl Comm {
     /// [`Observation`] (rolling window unless `span_window` supplies the
     /// enclosing span's), let the policy decide, advance the window
     /// marks, and apply an effective decision through the ordinary
-    /// [`Comm::set_gear`] path (recording it in the decision log first).
+    /// gear-shift path (recording it in the decision log first).
     /// A request for the current gear is discarded unrecorded.
     fn policy_step(&mut self, span_window: Option<(Counters, f64)>, event: PolicyEvent<'_>) {
         let Some(mut ctx) = self.policy.take() else { return };
@@ -855,7 +953,7 @@ impl Comm {
                     from_gear: self.gear.index,
                     to_gear,
                 });
-                self.set_gear(to_gear);
+                self.shift_gear(to_gear);
             }
         }
     }

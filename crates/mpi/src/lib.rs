@@ -39,6 +39,13 @@
 //! Execution is deterministic: receives name their source and tag, there
 //! are no wildcard receives, and the virtual-time arithmetic does not
 //! depend on thread scheduling.
+//!
+//! It is also *re-timable*: what a program asks of its `Comm` does not
+//! depend on the gear, the policy or the fault plan, so
+//! [`cluster::Cluster::run_recorded`] hands back the program's
+//! [`skeleton::Skeleton`] and [`comm::Comm::replay`] runs it again under
+//! any other configuration — bit-identically, without the program's
+//! arithmetic (DESIGN.md §12).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -52,6 +59,7 @@ pub mod payload;
 pub mod policyhook;
 pub mod reduce;
 pub mod router;
+pub mod skeleton;
 pub mod trace;
 
 pub use cluster::{
@@ -64,6 +72,7 @@ pub use des::coro::STACK_BYTES as DES_STACK_BYTES;
 pub use network::NetworkModel;
 pub use policyhook::{ClusterPolicy, InertRankPolicy, Observation, PolicyEvent, RankPolicy};
 pub use reduce::ReduceOp;
+pub use skeleton::{RankSkeleton, Skeleton};
 pub use trace::{
     FaultEvent, FaultKind, GearShift, MpiOp, PhaseSpan, PolicyDecision, RankTrace, TraceEvent,
 };

@@ -214,6 +214,17 @@ impl RankTrace {
         }
     }
 
+    /// Release the buffers' unused capacity. The cluster driver calls
+    /// this once a run is assembled: results live on in the run cache,
+    /// where pre-sizing slack would be held forever.
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+        self.spans.shrink_to_fit();
+        self.gear_shifts.shrink_to_fit();
+        self.faults.shrink_to_fit();
+        self.decisions.shrink_to_fit();
+    }
+
     /// Append an event. Events must be appended in time order.
     pub fn record(&mut self, ev: TraceEvent) {
         debug_assert!(

@@ -5,7 +5,8 @@ use crate::cache::{fnv1a64, CacheStats, RunCache, CACHE_SCHEMA};
 use crate::metrics::EngineMetrics;
 use crate::plan::{RunPlan, RunSpec};
 use psc_faults::FaultPlan;
-use psc_mpi::{BackendStats, Cluster, GearSelection, RunResult};
+use psc_kernels::{Benchmark, ProblemClass};
+use psc_mpi::{BackendStats, Cluster, GearSelection, RunResult, Skeleton};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -54,6 +55,33 @@ pub struct Engine {
     /// the third dedup layer (after memory and disk), and the one that
     /// makes the engine safe to share across concurrent callers.
     inflight: Mutex<BTreeMap<u64, Arc<InflightSlot>>>,
+    /// The recorded program of every `(kernel, class, nodes)` tuple
+    /// this engine has simulated in full. A skeleton is independent of
+    /// gears, policy and faults, so every later spec of its tuple is
+    /// re-timed from it instead of re-running the kernel (DESIGN.md,
+    /// "Skeleton replay tier"). Memory-only; the first insert wins.
+    skeletons: Mutex<BTreeMap<SkeletonKey, Arc<Skeleton>>>,
+}
+
+/// Everything a rank program's control flow can depend on.
+type SkeletonKey = (Benchmark, ProblemClass, usize);
+
+/// Which tier answered a cache miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// The kernel ran (and its skeleton was recorded).
+    Full,
+    /// A recorded skeleton was re-timed.
+    Replay,
+}
+
+impl Tier {
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Tier::Full => "full",
+            Tier::Replay => "replay",
+        }
+    }
 }
 
 /// One in-flight simulation: the owner publishes its result here and
@@ -156,6 +184,7 @@ impl Engine {
             faults: None,
             metrics: EngineMetrics::new(),
             inflight: Mutex::new(BTreeMap::new()),
+            skeletons: Mutex::new(BTreeMap::new()),
         }
         .rewire_metrics()
     }
@@ -170,6 +199,7 @@ impl Engine {
             faults: None,
             metrics: EngineMetrics::new(),
             inflight: Mutex::new(BTreeMap::new()),
+            skeletons: Mutex::new(BTreeMap::new()),
         }
         .rewire_metrics()
     }
@@ -352,17 +382,22 @@ impl Engine {
             let guard = OwnerGuard { inflight: &self.inflight, key, slot };
             on_miss();
             let sw = self.metrics.stopwatch();
-            let (run, backend) = self.execute_spec(spec);
+            let (run, backend, tier) = self.execute_spec(spec);
             let run = Arc::new(run);
             if let Some(sw) = sw {
                 self.metrics.on_run_executed(
                     spec.bench.name(),
                     &Self::gear_label(spec),
+                    tier,
                     lane,
                     queue_wait_s,
                     backend,
                     &sw,
                 );
+                if tier == Tier::Full {
+                    let (count, bytes) = self.skeleton_footprint();
+                    self.metrics.on_skeletons(count, bytes);
+                }
             }
             self.cache.insert(key, Arc::clone(&run));
             guard.publish(Arc::clone(&run));
@@ -486,18 +521,47 @@ impl Engine {
     }
 
     /// Execute a spec on the cluster. Returns the result plus the
-    /// backend's execution statistics — carried *beside* the result
-    /// (never in it) so the instrumentation around this function can
-    /// observe DES throughput without touching what a run computes.
-    fn execute_spec(&self, spec: &RunSpec) -> (RunResult, BackendStats) {
+    /// backend's execution statistics and the tier that produced it —
+    /// carried *beside* the result (never in it) so the instrumentation
+    /// around this function can observe DES throughput without touching
+    /// what a run computes.
+    ///
+    /// The first spec of a `(kernel, class, nodes)` tuple runs the
+    /// kernel and records its skeleton; every later one — any gears,
+    /// policy or fault plan — replays that skeleton through the same
+    /// cluster path and is bit-identical to a full run
+    /// (`tests/replay_identity.rs`). Two callers racing on a fresh
+    /// tuple both run in full; nobody waits for a skeleton.
+    fn execute_spec(&self, spec: &RunSpec) -> (RunResult, BackendStats, Tier) {
+        let cfg = spec.config();
+        let faults = self.effective_faults(spec);
         let policy = spec.policy.as_ref().map(|p| p as &dyn psc_mpi::ClusterPolicy);
-        let (run, _outputs, backend) = self.cluster.run_with_policy_stats(
-            &spec.config(),
-            self.effective_faults(spec),
-            policy,
-            |comm| spec.bench.run(comm, spec.class),
-        );
-        (run, backend)
+        let tuple: SkeletonKey = (spec.bench, spec.class, spec.nodes);
+        let known = self.skeletons.lock().expect("skeleton store poisoned").get(&tuple).cloned();
+        let replay = |skeleton: &Skeleton| {
+            self.cluster.run_with_policy_stats(&cfg, faults, policy, |comm| {
+                comm.replay(skeleton.rank(comm.rank()))
+            })
+        };
+        if let Some(skeleton) = known {
+            let (run, _, backend) = replay(&skeleton);
+            return (run, backend, Tier::Replay);
+        }
+        let (run, _outputs, backend, skeleton) =
+            self.cluster
+                .run_recorded(&cfg, faults, policy, |comm| spec.bench.run(comm, spec.class));
+        // Debug builds turn every recording into a replay oracle.
+        #[cfg(debug_assertions)]
+        assert_eq!(replay(&skeleton).0, run, "replay diverged from the full run of {spec:?}");
+        let mut store = self.skeletons.lock().expect("skeleton store poisoned");
+        store.entry(tuple).or_insert_with(|| Arc::new(skeleton));
+        (run, backend, Tier::Full)
+    }
+
+    /// `(skeletons held, their heap bytes)`, for the metrics gauges.
+    fn skeleton_footprint(&self) -> (usize, usize) {
+        let store = self.skeletons.lock().expect("skeleton store poisoned");
+        (store.len(), store.values().map(|s| s.heap_bytes()).sum())
     }
 }
 
@@ -644,7 +708,12 @@ mod tests {
         // Per-run wall-time histograms carry bench/gear labels and saw
         // every executed run exactly once.
         assert_eq!(snap.family_total("engine_run_wall_seconds"), 4.0);
-        assert!(snap.get("engine_run_wall_seconds", &[("bench", "EP"), ("gear", "1")]).is_some());
+        // (Which tier ran EP n=1 g=1 depends on which lane got there
+        // first, so the tier label is not pinned here.)
+        assert!(snap
+            .family("engine_run_wall_seconds")
+            .iter()
+            .any(|s| s.label("bench") == Some("EP") && s.label("gear") == Some("1")));
         // The pool accounting is coherent: busy time fits in capacity.
         let u = crate::metrics::PoolUtilization::from_snapshot(&snap);
         assert!(u.pool_wall_s > 0.0);

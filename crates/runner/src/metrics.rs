@@ -17,7 +17,10 @@
 //! | `engine_specs_total` | counter | — | specs across all plans |
 //! | `engine_runs_total` | counter | `outcome` | per-spec outcome: `executed`, `mem_hit`, `disk_hit`, `dedup_join`, `inflight_join` |
 //! | `engine_runs_simulated` | counter | — | simulations actually executed — under in-flight dedup, exactly one per unique cache key |
-//! | `engine_run_wall_seconds` | histogram | `bench`, `gear` | host wall-clock per *executed* run |
+//! | `engine_runs_replayed_total` | counter | — | the simulations among those that re-timed a recorded skeleton instead of running the kernel |
+//! | `engine_skeletons` | gauge | — | `(kernel, class, nodes)` tuples whose skeleton the engine holds |
+//! | `engine_skeleton_bytes` | gauge | — | heap bytes of those skeletons |
+//! | `engine_run_wall_seconds` | histogram | `bench`, `gear`, `tier` | host wall-clock per *executed* run; `tier` is `full` (kernel ran) or `replay` |
 //! | `engine_des_events_total` | counter | — | DES scheduler dispatches across executed runs (0 under the threaded backend) |
 //! | `engine_des_stack_high_water_bytes` | gauge | — | peak rank-coroutine stack usage across executed runs (0 under the threaded backend) |
 //! | `engine_cache_lookups_total` | counter | `result` | cache layer answers: `mem_hit`, `disk_hit`, `miss` |
@@ -35,6 +38,7 @@
 //! `busy` is exactly the idle time BENCH_sweep.json's `speedup` field
 //! used to hide.
 
+use crate::engine::Tier;
 use psc_metrics::{Counter, FloatCounter, Profiler, Registry, Snapshot, SpanRecord, Stopwatch};
 use std::sync::Arc;
 
@@ -118,14 +122,17 @@ impl EngineMetrics {
             .inc();
     }
 
-    /// One run actually executed on a worker lane. `backend` carries
+    /// One run actually executed on a worker lane, by running the
+    /// kernel or by replaying its skeleton (`tier`). `backend` carries
     /// the DES scheduler's dispatch count and stack high-water mark for
     /// the run (both 0 under the threaded backend, which has no event
     /// queue and runs ranks on OS-thread stacks).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_run_executed(
         &self,
         bench: &str,
         gear: &str,
+        tier: Tier,
         lane: u64,
         queue_wait_s: f64,
         backend: psc_mpi::BackendStats,
@@ -138,9 +145,18 @@ impl EngineMetrics {
             .time_histogram(
                 "engine_run_wall_seconds",
                 "Host wall-clock per executed run.",
-                &[("bench", bench), ("gear", gear)],
+                &[("bench", bench), ("gear", gear), ("tier", tier.label())],
             )
             .observe(sw.elapsed_s());
+        if tier == Tier::Replay {
+            self.registry
+                .counter(
+                    "engine_runs_replayed_total",
+                    "Simulations answered by re-timing a recorded skeleton.",
+                    &[],
+                )
+                .inc();
+        }
         if backend.events_processed > 0 {
             self.registry
                 .counter(
@@ -181,6 +197,19 @@ impl EngineMetrics {
             sw,
             &[("bench", bench.to_string()), ("gear", gear.to_string())],
         );
+    }
+
+    /// The skeleton store now holds `count` skeletons in `bytes` of heap.
+    pub(crate) fn on_skeletons(&self, count: usize, bytes: usize) {
+        if !self.enabled {
+            return;
+        }
+        self.registry
+            .gauge("engine_skeletons", "Kernel/class/nodes tuples with a recorded skeleton.", &[])
+            .set(count as f64);
+        self.registry
+            .gauge("engine_skeleton_bytes", "Heap bytes held by recorded skeletons.", &[])
+            .set(bytes as f64);
     }
 
     /// A plan's pool closed: `workers` lanes were open for the
