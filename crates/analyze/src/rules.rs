@@ -613,7 +613,7 @@ mod tests {
         let s001: Vec<_> = f.iter().filter(|f| f.rule == "S001").collect();
         assert_eq!(s001.len(), 4, "Cluster (twice) and both raw entry points fire: {f:?}");
         // Identical tokens outside the serve path are S001-clean — the
-        // CLI and bench crates are where the cluster gets built.
+        // CLI crate is where the cluster gets built.
         let elsewhere = rules_on(src, "crates/cli/src/main.rs", "cli");
         assert!(elsewhere.iter().all(|f| f.rule != "S001"));
         // The job server as written honours its own boundary.

@@ -2,7 +2,7 @@
 //!
 //! The reproduction harness: one binary per table/figure in the paper,
 //! all built on a shared measurement library so the test suite and the
-//! Criterion benches exercise the exact same code paths.
+//! benchmark ledger exercise the exact same code paths.
 //!
 //! | binary      | paper artifact | what it does |
 //! |-------------|----------------|--------------|

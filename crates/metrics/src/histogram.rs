@@ -192,8 +192,8 @@ impl Histogram {
 
 /// A frozen, serializable copy of a [`Histogram`]'s state. This is what
 /// crosses crate boundaries: the registry snapshot embeds one per
-/// histogram series, the Prometheus renderer and the sweep bench read
-/// from it, and `powerscale stats` computes its p50/p95 columns on it.
+/// histogram series, the Prometheus renderer reads from it, and
+/// `powerscale stats` computes its p50/p95 columns on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Finite upper bucket bounds (`le` semantics), ascending.

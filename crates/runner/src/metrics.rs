@@ -35,8 +35,8 @@
 //! | `engine_pool_slot_seconds_total` | counter (f64) | — | `workers × pool wall` (capacity) |
 //!
 //! Worker utilization is `busy / slot`; the gap between `slot` and
-//! `busy` is exactly the idle time BENCH_sweep.json's `speedup` field
-//! used to hide.
+//! `busy` is exactly the idle time a bare wall-clock speedup figure
+//! hides.
 
 use crate::engine::Tier;
 use psc_metrics::{Counter, FloatCounter, Profiler, Registry, Snapshot, SpanRecord, Stopwatch};
@@ -44,8 +44,9 @@ use std::sync::Arc;
 
 /// Self-observability state shared by an [`crate::Engine`] and its
 /// [`crate::RunCache`]. Cheap to clone behind an [`Arc`]; a disabled
-/// instance turns every hook into a no-op (used by the overhead gate
-/// and by callers that want a guaranteed-untouched engine).
+/// instance turns every hook into a no-op (used by the ledger's
+/// `metrics.engine_overhead_frac`, by `tests/metrics_identity.rs`, and
+/// by callers that want a guaranteed-untouched engine).
 #[derive(Debug)]
 pub struct EngineMetrics {
     enabled: bool,
@@ -368,7 +369,7 @@ impl CacheHooks {
 }
 
 /// Derived utilization view over a metrics [`Snapshot`] — the numbers
-/// `powerscale stats` and the sweep bench report.
+/// `powerscale stats` reports.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PoolUtilization {
     /// Summed per-worker execution seconds.

@@ -35,13 +35,25 @@ fn curve_csv(plan: &RunPlan, runs: &[Arc<RunResult>]) -> String {
 }
 
 /// All nine kernels, every valid node count up to 4, every gear — so
-/// every adjacent gear pair (1–2, 2–3, … 5–6) appears for each kernel.
+/// every adjacent gear pair (1–2, 2–3, … 5–6) appears for each kernel —
+/// plus rank-heavy gear sweeps, where the two drivers differ most (32
+/// OS threads vs 32 coroutines on one scheduler).
 fn nine_kernel_plan() -> RunPlan {
+    use Benchmark::{Cg, Is, Jacobi, Lu, Mg, Sp};
     let mut plan = RunPlan::new();
     for bench in Benchmark::ALL {
         for nodes in bench.valid_nodes(4) {
             plan.extend(RunPlan::gear_sweep(bench, ProblemClass::Test, nodes, 6));
         }
+    }
+    #[rustfmt::skip]
+    let rank_heavy = [
+        (Cg, 8), (Lu, 8), (Mg, 8), (Sp, 9),
+        (Cg, 16), (Jacobi, 16), (Is, 16),
+        (Cg, 32), (Jacobi, 32), (Is, 32),
+    ];
+    for (bench, nodes) in rank_heavy {
+        plan.extend(RunPlan::gear_sweep(bench, ProblemClass::Test, nodes, 6));
     }
     plan
 }
