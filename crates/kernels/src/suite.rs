@@ -372,6 +372,7 @@ mod timing_probe {
 
     #[test]
     #[ignore]
+    #[allow(clippy::disallowed_methods)] // prints host time per kernel; nothing is computed from it
     fn probe() {
         let c = Cluster::athlon_fast_ethernet();
         for b in Benchmark::ALL {

@@ -10,6 +10,7 @@
 //! together with the active/idle time decomposition used by the model.
 
 use crate::cpu::WorkBlock;
+use crate::wire::{Reader, WireError, Writer};
 use serde::{Deserialize, Serialize};
 
 /// Accumulated per-rank execution statistics for one run.
@@ -94,6 +95,30 @@ impl Counters {
             bytes_sent: self.bytes_sent - mark.bytes_sent,
             mpi_calls: self.mpi_calls - mark.mpi_calls,
         }
+    }
+
+    /// Append the seven fields, in declaration order, one word each.
+    pub fn encode(&self, w: &mut Writer) {
+        w.f64(self.uops);
+        w.f64(self.l2_misses);
+        w.f64(self.active_cycles);
+        w.f64(self.active_s);
+        w.f64(self.idle_s);
+        w.u64(self.bytes_sent);
+        w.u64(self.mpi_calls);
+    }
+
+    /// Inverse of [`Counters::encode`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Counters {
+            uops: r.f64()?,
+            l2_misses: r.f64()?,
+            active_cycles: r.f64()?,
+            active_s: r.f64()?,
+            idle_s: r.f64()?,
+            bytes_sent: r.u64()?,
+            mpi_calls: r.u64()?,
+        })
     }
 
     /// Merge another rank's counters into this one (for cluster totals).

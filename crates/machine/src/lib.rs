@@ -17,6 +17,8 @@
 //!   power profiles, sampled integration, and exact integration.
 //! * [`counters`] — simulated hardware counters (µops, L2 misses, cycles)
 //!   from which the paper's UPM and UPC metrics are derived.
+//! * [`wire`] — the little-endian frame the run cache's disk entries use;
+//!   [`Counters`] and [`PowerTrace`] encode themselves into it.
 //! * [`node`] — a complete node specification tying the above together.
 //! * [`presets`] — calibrated machine presets: the paper's AMD Athlon-64
 //!   cluster, the Sun validation cluster, and a low-power comparison point.
@@ -39,6 +41,7 @@ pub mod power;
 pub mod presets;
 pub mod thermal;
 pub mod wattmeter;
+pub mod wire;
 
 pub use counters::Counters;
 pub use cpu::{CpuModel, WorkBlock};

@@ -12,6 +12,7 @@
 //! integrates the samples; [`PowerTrace::exact_energy_j`] provides the
 //! closed-form integral for cross-checking.
 
+use crate::wire::{Reader, WireError, Writer};
 use serde::{Deserialize, Serialize};
 
 /// A period of constant power draw `[t0_s, t1_s)` at `power_w`.
@@ -123,6 +124,24 @@ impl PowerTrace {
     /// pre-sizing slack need not be).
     pub fn shrink_to_fit(&mut self) {
         self.segments.shrink_to_fit();
+    }
+
+    /// Append the segment count, then `t0_s`, `t1_s`, `power_w` of each
+    /// segment by their bits.
+    pub fn encode(&self, w: &mut Writer) {
+        w.seq(&self.segments, |w, s| {
+            w.f64(s.t0_s);
+            w.f64(s.t1_s);
+            w.f64(s.power_w);
+        });
+    }
+
+    /// Inverse of [`PowerTrace::encode`]; the segment buffer comes back
+    /// with no spare capacity.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let segments =
+            r.seq(24, |r| Ok(Segment { t0_s: r.f64()?, t1_s: r.f64()?, power_w: r.f64()? }))?;
+        Ok(PowerTrace { segments })
     }
 
     /// Whether `b` directly continues `a` at the same power level.
@@ -489,6 +508,29 @@ mod tests {
         s.push(1.0, 50.0);
         s.compact();
         assert_eq!(s.segments().len(), 1);
+    }
+
+    #[test]
+    fn wire_round_trip_keeps_bits_gaps_and_no_spare_capacity() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_beef);
+        let mut t = PowerTrace::with_capacity(64);
+        t.segments.extend([
+            Segment { t0_s: -0.0, t1_s: f64::MIN_POSITIVE / 2.0, power_w: nan },
+            Segment { t0_s: 2.0, t1_s: 3.0, power_w: 100.0 }, // a gap before it
+        ]);
+        let mut w = Writer::new();
+        t.encode(&mut w);
+        PowerTrace::new().encode(&mut w);
+        let frame = w.finish();
+        let mut r = Reader::open(&frame).unwrap();
+        let (back, empty) = (PowerTrace::decode(&mut r).unwrap(), PowerTrace::decode(&mut r));
+        r.finish().unwrap();
+        let bits = |t: &PowerTrace| -> Vec<[u64; 3]> {
+            t.segments.iter().map(|s| [s.t0_s, s.t1_s, s.power_w].map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(&back), bits(&t));
+        assert_eq!((back.segments.capacity(), back.segments.len()), (2, 2));
+        assert_eq!(empty.unwrap().segments.capacity(), 0);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::skeleton::{RankSkeleton, Skeleton};
 use crate::trace::RankTrace;
 use psc_faults::{FaultPlan, RankFaults};
 use psc_machine::wattmeter::cluster_energy_j;
+use psc_machine::wire::{Reader, WireError, Writer};
 use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, Wattmeter};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -204,7 +205,61 @@ pub struct RunResult {
     pub ranks: Vec<RankResult>,
 }
 
+impl RankResult {
+    /// Rank, gear, seven counters, five trace lengths, `end_s`, one
+    /// segment count: the words of a rank that recorded nothing.
+    const MIN_WIRE_BYTES: usize = 16 * 8;
+
+    fn encode(&self, w: &mut Writer) {
+        w.usize(self.rank);
+        w.usize(self.gear_index);
+        self.counters.encode(w);
+        self.trace.encode(w);
+        self.power.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(RankResult {
+            rank: r.usize()?,
+            gear_index: r.usize()?,
+            counters: Counters::decode(r)?,
+            trace: RankTrace::decode(r)?,
+            power: PowerTrace::decode(r)?,
+        })
+    }
+}
+
 impl RunResult {
+    /// The result as one binary frame ([`psc_machine::wire`]): the three
+    /// headline floats, then every rank — rank, final gear, counters,
+    /// trace, power profile. Floats travel by their bits, so
+    /// `from_bytes(to_bytes(r))` is `r` bit for bit. The run cache's
+    /// disk format (DESIGN.md, "Disk entry format").
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.f64(self.time_s);
+        w.f64(self.energy_j);
+        w.f64(self.measured_energy_j);
+        w.seq(&self.ranks, |w, rank| rank.encode(w));
+        w.finish()
+    }
+
+    /// Decode a frame written by [`RunResult::to_bytes`]. The input may
+    /// be anything — a truncated, bit-flipped or foreign file: every
+    /// failure is a [`WireError`], nothing is allocated beyond the
+    /// frame's own size, and every decoded buffer has `capacity == len`.
+    pub fn from_bytes(frame: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader::open(frame)?;
+        let run = RunResult {
+            time_s: r.f64()?,
+            energy_j: r.f64()?,
+            measured_energy_j: r.f64()?,
+            ranks: r.seq(RankResult::MIN_WIRE_BYTES, RankResult::decode)?,
+        };
+        r.finish()?;
+        Ok(run)
+    }
+
     /// Maximum per-rank active (compute) time — the paper's `T^A(n)`
     /// ("the *maximum* computation time over all nodes"), seconds.
     pub fn active_max_s(&self) -> f64 {

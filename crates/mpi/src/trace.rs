@@ -16,6 +16,7 @@
 //! * the *critical/reducible* split used by the refined model: reducible
 //!   work is "computation between the last send and a blocking point".
 
+use psc_machine::wire::{Reader, WireError, Writer};
 use serde::{Deserialize, Serialize};
 
 /// The kind of message-passing operation an event records.
@@ -55,6 +56,49 @@ pub enum MpiOp {
 }
 
 impl MpiOp {
+    /// The op's byte on the wire (DESIGN.md, "Disk entry format"). The
+    /// numbers are the format: never renumber, only append.
+    fn tag(self) -> u8 {
+        match self {
+            MpiOp::Send => 0,
+            MpiOp::Recv => 1,
+            MpiOp::SendRecv => 2,
+            MpiOp::Irecv => 3,
+            MpiOp::Wait => 4,
+            MpiOp::Barrier => 5,
+            MpiOp::Bcast => 6,
+            MpiOp::Reduce => 7,
+            MpiOp::Allreduce => 8,
+            MpiOp::Allgather => 9,
+            MpiOp::Alltoall => 10,
+            MpiOp::Scan => 11,
+            MpiOp::Gather => 12,
+            MpiOp::Scatter => 13,
+            MpiOp::Finalize => 14,
+        }
+    }
+
+    fn from_tag(tag: u8) -> Result<Self, WireError> {
+        Ok(match tag {
+            0 => MpiOp::Send,
+            1 => MpiOp::Recv,
+            2 => MpiOp::SendRecv,
+            3 => MpiOp::Irecv,
+            4 => MpiOp::Wait,
+            5 => MpiOp::Barrier,
+            6 => MpiOp::Bcast,
+            7 => MpiOp::Reduce,
+            8 => MpiOp::Allreduce,
+            9 => MpiOp::Allgather,
+            10 => MpiOp::Alltoall,
+            11 => MpiOp::Scan,
+            12 => MpiOp::Gather,
+            13 => MpiOp::Scatter,
+            14 => MpiOp::Finalize,
+            _ => return Err(WireError::BadTag("MpiOp")),
+        })
+    }
+
     /// Whether this operation can block waiting on remote progress.
     /// Sends are asynchronous (the paper's assumption) and so is
     /// posting a nonblocking receive; everything else is a *blocking
@@ -87,7 +131,34 @@ pub struct TraceEvent {
     pub peer: Option<usize>,
 }
 
+/// Set in an event's tag byte when `peer` is `Some`; the peer word
+/// must be zero when it is clear, so every event has one encoding.
+const HAS_PEER: u8 = 0x80;
+
 impl TraceEvent {
+    /// Tag byte (op, [`HAS_PEER`]) + enter, exit, bytes, peer words.
+    const WIRE_BYTES: usize = 1 + 4 * 8;
+
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.op.tag() | if self.peer.is_some() { HAS_PEER } else { 0 });
+        w.f64(self.t_enter_s);
+        w.f64(self.t_exit_s);
+        w.u64(self.bytes);
+        w.usize(self.peer.unwrap_or(0));
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let tag = r.u8()?;
+        let op = MpiOp::from_tag(tag & !HAS_PEER)?;
+        let (t_enter_s, t_exit_s, bytes, peer) = (r.f64()?, r.f64()?, r.u64()?, r.usize()?);
+        let peer = match (tag & HAS_PEER != 0, peer) {
+            (true, peer) => Some(peer),
+            (false, 0) => None,
+            (false, _) => return Err(WireError::BadTag("TraceEvent.peer")),
+        };
+        Ok(TraceEvent { op, t_enter_s, t_exit_s, bytes, peer })
+    }
+
     /// Time spent inside the call, seconds.
     pub fn duration_s(&self) -> f64 {
         self.t_exit_s - self.t_enter_s
@@ -110,6 +181,25 @@ pub struct PhaseSpan {
 }
 
 impl PhaseSpan {
+    /// Name length, start, end and depth words around the name's bytes.
+    const MIN_WIRE_BYTES: usize = 4 * 8;
+
+    fn encode(&self, w: &mut Writer) {
+        w.str(&self.name);
+        w.f64(self.t_start_s);
+        w.f64(self.t_end_s);
+        w.usize(self.depth);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(PhaseSpan {
+            name: r.str()?.to_owned(),
+            t_start_s: r.f64()?,
+            t_end_s: r.f64()?,
+            depth: r.usize()?,
+        })
+    }
+
     /// Span length, seconds.
     pub fn duration_s(&self) -> f64 {
         self.t_end_s - self.t_start_s
@@ -136,6 +226,26 @@ pub struct GearShift {
     pub stall_s: f64,
 }
 
+impl GearShift {
+    const WIRE_BYTES: usize = 4 * 8;
+
+    fn encode(&self, w: &mut Writer) {
+        w.f64(self.t_s);
+        w.usize(self.from_gear);
+        w.usize(self.to_gear);
+        w.f64(self.stall_s);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(GearShift {
+            t_s: r.f64()?,
+            from_gear: r.usize()?,
+            to_gear: r.usize()?,
+            stall_s: r.f64()?,
+        })
+    }
+}
+
 /// One effective decision of an online gear policy
 /// ([`crate::policyhook::RankPolicy`]): the policy requested a gear
 /// different from the one the rank was running at. Recorded *before*
@@ -150,6 +260,20 @@ pub struct PolicyDecision {
     pub from_gear: usize,
     /// Gear index the policy requested (1-based).
     pub to_gear: usize,
+}
+
+impl PolicyDecision {
+    const WIRE_BYTES: usize = 3 * 8;
+
+    fn encode(&self, w: &mut Writer) {
+        w.f64(self.t_s);
+        w.usize(self.from_gear);
+        w.usize(self.to_gear);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(PolicyDecision { t_s: r.f64()?, from_gear: r.usize()?, to_gear: r.usize()? })
+    }
 }
 
 /// The class of an injected-fault activation.
@@ -169,6 +293,30 @@ pub enum FaultKind {
     MessageDrop,
 }
 
+impl FaultKind {
+    /// The kind's byte on the wire; never renumber, only append.
+    fn tag(self) -> u8 {
+        match self {
+            FaultKind::ClockJitter => 0,
+            FaultKind::MemoryBurst => 1,
+            FaultKind::StragglerGear => 2,
+            FaultKind::LatencySpike => 3,
+            FaultKind::MessageDrop => 4,
+        }
+    }
+
+    fn from_tag(tag: u8) -> Result<Self, WireError> {
+        Ok(match tag {
+            0 => FaultKind::ClockJitter,
+            1 => FaultKind::MemoryBurst,
+            2 => FaultKind::StragglerGear,
+            3 => FaultKind::LatencySpike,
+            4 => FaultKind::MessageDrop,
+            _ => return Err(WireError::BadTag("FaultKind")),
+        })
+    }
+}
+
 /// One fault-injection activation on one rank, recorded when a
 /// scheduled perturbation actually fired. Exported to Chrome traces as
 /// instant events so injected noise is visible next to the phases it
@@ -181,6 +329,21 @@ pub struct FaultEvent {
     pub kind: FaultKind,
     /// Kind-specific magnitude (see [`FaultKind`]).
     pub magnitude: f64,
+}
+
+impl FaultEvent {
+    const WIRE_BYTES: usize = 1 + 2 * 8;
+
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.kind.tag());
+        w.f64(self.t_s);
+        w.f64(self.magnitude);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let kind = FaultKind::from_tag(r.u8()?)?;
+        Ok(FaultEvent { kind, t_s: r.f64()?, magnitude: r.f64()? })
+    }
 }
 
 /// The full event log of one rank over one run.
@@ -223,6 +386,30 @@ impl RankTrace {
         self.gear_shifts.shrink_to_fit();
         self.faults.shrink_to_fit();
         self.decisions.shrink_to_fit();
+    }
+
+    /// Append the five logs in declaration order, each length-prefixed,
+    /// then `end_s`.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.seq(&self.events, |w, e| e.encode(w));
+        w.seq(&self.spans, |w, s| s.encode(w));
+        w.seq(&self.gear_shifts, |w, g| g.encode(w));
+        w.seq(&self.faults, |w, f| f.encode(w));
+        w.seq(&self.decisions, |w, d| d.encode(w));
+        w.f64(self.end_s);
+    }
+
+    /// Inverse of [`RankTrace::encode`]; every buffer comes back with
+    /// no spare capacity.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(RankTrace {
+            events: r.seq(TraceEvent::WIRE_BYTES, TraceEvent::decode)?,
+            spans: r.seq(PhaseSpan::MIN_WIRE_BYTES, PhaseSpan::decode)?,
+            gear_shifts: r.seq(GearShift::WIRE_BYTES, GearShift::decode)?,
+            faults: r.seq(FaultEvent::WIRE_BYTES, FaultEvent::decode)?,
+            decisions: r.seq(PolicyDecision::WIRE_BYTES, PolicyDecision::decode)?,
+            end_s: r.f64()?,
+        })
     }
 
     /// Append an event. Events must be appended in time order.
@@ -626,6 +813,322 @@ mod tests {
             MpiOp::Finalize,
         ] {
             assert!(op.is_blocking(), "{op:?} should be blocking");
+        }
+    }
+
+    /// The binary codec of [`crate::RunResult`] — this module's types
+    /// plus the counters and power profile — on hand-built and hostile
+    /// inputs. (Real runs of every kernel: `psc-runner`'s
+    /// `tests/codec.rs`.)
+    mod codec {
+        use super::*;
+        use crate::cluster::{RankResult, RunResult};
+        use proptest::prelude::*;
+        use psc_machine::wire::checksum;
+        use psc_machine::{Counters, PowerTrace};
+
+        const OPS: [MpiOp; 15] = [
+            MpiOp::Send,
+            MpiOp::Recv,
+            MpiOp::SendRecv,
+            MpiOp::Irecv,
+            MpiOp::Wait,
+            MpiOp::Barrier,
+            MpiOp::Bcast,
+            MpiOp::Reduce,
+            MpiOp::Allreduce,
+            MpiOp::Allgather,
+            MpiOp::Alltoall,
+            MpiOp::Scan,
+            MpiOp::Gather,
+            MpiOp::Scatter,
+            MpiOp::Finalize,
+        ];
+        const KINDS: [FaultKind; 5] = [
+            FaultKind::ClockJitter,
+            FaultKind::MemoryBurst,
+            FaultKind::StragglerGear,
+            FaultKind::LatencySpike,
+            FaultKind::MessageDrop,
+        ];
+        const NAMES: [&str; 4] = ["", "halo", "räumen-✓", "日本語 phase"];
+
+        #[test]
+        fn tags_are_dense_distinct_and_invertible() {
+            for (i, op) in OPS.iter().enumerate() {
+                assert_eq!(op.tag() as usize, i);
+                assert_eq!(MpiOp::from_tag(op.tag()), Ok(*op));
+            }
+            for (i, kind) in KINDS.iter().enumerate() {
+                assert_eq!(kind.tag() as usize, i);
+                assert_eq!(FaultKind::from_tag(kind.tag()), Ok(*kind));
+            }
+            assert!(MpiOp::from_tag(OPS.len() as u8).is_err());
+            assert!(FaultKind::from_tag(KINDS.len() as u8).is_err());
+        }
+
+        /// Any float at all, with the awkward ones over-represented.
+        fn any_f64() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                (0u64..u64::MAX).prop_map(f64::from_bits),
+                Just(f64::from_bits(0x7ff8_0000_dead_beef)), // NaN with a payload
+                Just(f64::from_bits(0xfff0_0000_0000_0001)), // signalling NaN, sign set
+                Just(-0.0),
+                Just(f64::MIN_POSITIVE / 8.0), // subnormal
+                Just(f64::INFINITY),
+                Just(1.25),
+            ]
+        }
+
+        /// A rank built field by field from `draw`, bypassing the
+        /// recorders' ordering checks. `len` sizes every log (0 = empty).
+        fn rank(draw: &mut impl FnMut() -> f64, len: usize) -> RankResult {
+            let word = |x: f64| x.to_bits();
+            let index = |x: f64| x.to_bits() as usize;
+            let trace = RankTrace {
+                events: (0..len)
+                    .map(|i| TraceEvent {
+                        op: OPS[i % OPS.len()],
+                        t_enter_s: draw(),
+                        t_exit_s: draw(),
+                        bytes: word(draw()),
+                        peer: [None, Some(0), Some(index(draw())), Some(usize::MAX)][i % 4],
+                    })
+                    .collect(),
+                spans: (0..len)
+                    .map(|i| PhaseSpan {
+                        name: NAMES[i % NAMES.len()].to_string(),
+                        t_start_s: draw(),
+                        t_end_s: draw(),
+                        depth: index(draw()),
+                    })
+                    .collect(),
+                gear_shifts: (0..len / 2)
+                    .map(|_| GearShift {
+                        t_s: draw(),
+                        from_gear: index(draw()),
+                        to_gear: index(draw()),
+                        stall_s: draw(),
+                    })
+                    .collect(),
+                faults: (0..len)
+                    .map(|i| FaultEvent {
+                        t_s: draw(),
+                        kind: KINDS[i % KINDS.len()],
+                        magnitude: draw(),
+                    })
+                    .collect(),
+                decisions: (0..len / 3)
+                    .map(|_| PolicyDecision {
+                        t_s: draw(),
+                        from_gear: index(draw()),
+                        to_gear: index(draw()),
+                    })
+                    .collect(),
+                end_s: draw(),
+            };
+            // `PowerTrace::push` refuses NaN; its decoder is the only
+            // way to a profile holding arbitrary bits.
+            let mut w = Writer::new();
+            w.seq(&vec![(); len], |w, ()| (0..3).for_each(|_| w.f64(draw())));
+            let frame = w.finish();
+            let power = PowerTrace::decode(&mut Reader::open(&frame).unwrap()).unwrap();
+            let counters = Counters {
+                uops: draw(),
+                l2_misses: draw(),
+                active_cycles: draw(),
+                active_s: draw(),
+                idle_s: draw(),
+                bytes_sent: word(draw()),
+                mpi_calls: word(draw()),
+            };
+            RankResult { rank: index(draw()), gear_index: index(draw()), counters, trace, power }
+        }
+
+        /// Every field of a result as raw bits, in an order of this
+        /// test's own (`==` on floats cannot tell NaNs or zeros apart).
+        fn bits(run: &RunResult) -> Vec<u64> {
+            let mut out = vec![
+                run.time_s.to_bits(),
+                run.energy_j.to_bits(),
+                run.measured_energy_j.to_bits(),
+                run.ranks.len() as u64,
+            ];
+            for r in &run.ranks {
+                let (c, t) = (&r.counters, &r.trace);
+                out.extend([r.rank as u64, r.gear_index as u64, c.bytes_sent, c.mpi_calls]);
+                out.extend(
+                    [c.uops, c.l2_misses, c.active_cycles, c.active_s, c.idle_s, t.end_s]
+                        .map(f64::to_bits),
+                );
+                for e in &t.events {
+                    let peer = e.peer.map_or([0, 0], |p| [1, p as u64]);
+                    out.extend([e.op.tag() as u64, e.bytes, peer[0], peer[1]]);
+                    out.extend([e.t_enter_s, e.t_exit_s].map(f64::to_bits));
+                }
+                for s in &t.spans {
+                    out.extend(s.name.bytes().map(u64::from));
+                    out.extend([s.t_start_s.to_bits(), s.t_end_s.to_bits(), s.depth as u64]);
+                }
+                for g in &t.gear_shifts {
+                    out.extend([g.from_gear as u64, g.to_gear as u64]);
+                    out.extend([g.t_s, g.stall_s].map(f64::to_bits));
+                }
+                for f in &t.faults {
+                    out.extend([f.kind.tag() as u64, f.t_s.to_bits(), f.magnitude.to_bits()]);
+                }
+                for d in &t.decisions {
+                    out.extend([d.t_s.to_bits(), d.from_gear as u64, d.to_gear as u64]);
+                }
+                for s in r.power.segments() {
+                    out.extend([s.t0_s, s.t1_s, s.power_w].map(f64::to_bits));
+                }
+                out.extend(
+                    [
+                        t.events.len(),
+                        t.spans.len(),
+                        t.gear_shifts.len(),
+                        t.faults.len(),
+                        t.decisions.len(),
+                        r.power.segments().len(),
+                    ]
+                    .map(|n| n as u64),
+                );
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+            /// `from_bytes(to_bytes(r))` is `r` bit for bit — NaN
+            /// payloads, `-0.0`, subnormals, `peer: None`, zero ranks,
+            /// empty logs, multi-byte span names — into buffers with no
+            /// spare capacity.
+            #[test]
+            fn hand_built_results_round_trip_by_bits(
+                floats in proptest::collection::vec(any_f64(), 1..40),
+                lens in proptest::collection::vec(0usize..7, 0..4),
+            ) {
+                let mut next = 0;
+                let mut draw = || {
+                    next += 1;
+                    floats[next % floats.len()]
+                };
+                let run = RunResult {
+                    time_s: draw(),
+                    energy_j: draw(),
+                    measured_energy_j: draw(),
+                    ranks: lens.iter().map(|&len| rank(&mut draw, len)).collect(),
+                };
+                let back = RunResult::from_bytes(&run.to_bytes()).unwrap();
+                prop_assert_eq!(bits(&back), bits(&run));
+                prop_assert_eq!(back.ranks.capacity(), back.ranks.len());
+                for r in &back.ranks {
+                    let t = &r.trace;
+                    prop_assert_eq!(t.events.capacity(), t.events.len());
+                    prop_assert_eq!(t.spans.capacity(), t.spans.len());
+                    prop_assert_eq!(t.gear_shifts.capacity(), t.gear_shifts.len());
+                    prop_assert_eq!(t.faults.capacity(), t.faults.len());
+                    prop_assert_eq!(t.decisions.capacity(), t.decisions.len());
+                    for s in &t.spans {
+                        prop_assert_eq!(s.name.capacity(), s.name.len());
+                    }
+                }
+            }
+        }
+
+        /// A small real-shaped result: two ranks, every log non-empty.
+        fn sample() -> RunResult {
+            let mut k = 0.0;
+            let mut draw = || {
+                k += 0.125;
+                k
+            };
+            RunResult {
+                time_s: 9.0,
+                energy_j: 1234.5,
+                measured_energy_j: 1233.0,
+                ranks: vec![rank(&mut draw, 4), rank(&mut draw, 3)],
+            }
+        }
+
+        /// `frame` with its checksum recomputed: damage the checksum
+        /// cannot catch, so the decoder's own checks face it.
+        fn resealed(mut frame: Vec<u8>) -> Vec<u8> {
+            let body = frame.len() - 8;
+            let sum = checksum(&frame[..body]);
+            frame[body..].copy_from_slice(&sum.to_le_bytes());
+            frame
+        }
+
+        #[test]
+        fn truncations_bit_flips_and_foreign_files_are_errors() {
+            let run = sample();
+            let frame = run.to_bytes();
+            assert_eq!(RunResult::from_bytes(&frame).as_ref().map(bits), Ok(bits(&run)));
+            for n in 0..frame.len() {
+                assert!(RunResult::from_bytes(&frame[..n]).is_err(), "cut at {n}");
+            }
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(RunResult::from_bytes(&flipped).is_err(), "bit {bit}");
+            }
+            let json = serde::json::to_string(&run);
+            assert_eq!(RunResult::from_bytes(json.as_bytes()), Err(WireError::BadHeader));
+            let longer = [&frame[..], b"\0"].concat();
+            assert_eq!(RunResult::from_bytes(&longer), Err(WireError::BadChecksum));
+        }
+
+        /// Damage under a *valid* checksum: every single-bit flip of the
+        /// body (each length word among them) and every truncated body
+        /// decodes to an error or to some result — never a panic, and
+        /// never an allocation beyond the frame (lengths are checked
+        /// against the bytes that remain before any buffer is sized).
+        #[test]
+        fn resealed_damage_never_panics_and_lengths_stay_bounded() {
+            let frame = sample().to_bytes();
+            let body_end = frame.len() - 8;
+            for bit in 8 * 8..body_end * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = RunResult::from_bytes(&resealed(flipped));
+            }
+            for n in 8..body_end {
+                let cut = resealed([&frame[..n], &[0; 8][..]].concat());
+                assert!(RunResult::from_bytes(&cut).is_err(), "resealed cut at {n}");
+            }
+            let trailing = resealed([&frame[..body_end], &[0; 9][..]].concat());
+            assert_eq!(RunResult::from_bytes(&trailing), Err(WireError::TrailingBytes));
+
+            // The rank count (after the header and three floats) and the
+            // first rank's event count (after rank, gear, seven counters).
+            for offset in [8 + 3 * 8, 8 + 3 * 8 + 8 + 9 * 8] {
+                for hostile in [u64::MAX, u64::MAX / 33, 1 << 40, frame.len() as u64] {
+                    let mut huge = frame.clone();
+                    huge[offset..offset + 8].copy_from_slice(&hostile.to_le_bytes());
+                    assert_eq!(
+                        RunResult::from_bytes(&resealed(huge)),
+                        Err(WireError::BadLength),
+                        "length {hostile:#x} at {offset}"
+                    );
+                }
+            }
+
+            // An event without the peer flag must carry a zero peer word.
+            let mut run = sample();
+            run.ranks.truncate(1);
+            run.ranks[0].trace.events.truncate(1);
+            run.ranks[0].trace.events[0].peer = None;
+            let mut frame = run.to_bytes();
+            let peer_word = 8 + 3 * 8 + 8 + 9 * 8 + 8 + 1 + 3 * 8;
+            assert_eq!(frame[peer_word..peer_word + 8], [0; 8]);
+            frame[peer_word] = 1;
+            assert_eq!(
+                RunResult::from_bytes(&resealed(frame)),
+                Err(WireError::BadTag("TraceEvent.peer"))
+            );
         }
     }
 }

@@ -1,20 +1,22 @@
 //! The content-addressed run cache.
 //!
 //! Results are keyed by an FNV-1a hash of a canonical description of
-//! everything that determines a run's outcome: the benchmark, problem
-//! class, node count, resolved per-rank gears, and the cluster's node
-//! spec, network model, and wattmeter (all serialized with exact
-//! float round-tripping). Two layers:
+//! everything that determines a run's outcome: the cluster's node spec,
+//! network model and wattmeter (serialized with exact float
+//! round-tripping), then the benchmark, problem class, node count,
+//! resolved per-rank gears and any fault plan or policy. Two layers:
 //!
 //! * a **memory** layer (`Mutex<BTreeMap>` of `Arc<RunResult>` — ordered
 //!   so no code path can ever observe hash-iteration order) shared by
 //!   every lookup in the process, and
-//! * an optional **disk** layer (one JSON file per key, written with an
-//!   atomic temp-file + rename), which lets separate processes — the
-//!   figure binaries, say — share results. Entries are sharded into 256
-//!   subdirectories by the key's top byte so concurrent writers (the
-//!   job server's worker lanes) never contend on one directory; entries
-//!   found at the pre-shard flat path are migrated on first read.
+//! * an optional **disk** layer — one binary frame per key
+//!   ([`RunResult::to_bytes`]: checksummed, floats by their bits),
+//!   written with an atomic temp-file + rename — which lets separate
+//!   processes, the figure binaries say, share results. Entries are
+//!   `<shard>/<key>.run`, sharded into 256 subdirectories by the key's
+//!   top byte so concurrent writers (the job server's worker lanes)
+//!   never contend on one directory. An entry that does not decode is
+//!   a counted miss, overwritten by the re-executed result.
 //!
 //! The cache is *memoization*, not verification: it assumes the kernel
 //! implementations have not changed since a result was written. Wipe
@@ -29,23 +31,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Version tag baked into every cache key; bump when the `RunResult`
-/// schema or the run semantics change so stale disk entries miss.
-/// v2: `RankTrace` gained fault-activation events (fault-injection
-/// layer), so v1 entries no longer deserialize.
-/// v3: `Segment.watts` renamed to `power_w` (unit-suffix discipline,
-/// analyzer rule U001), so v2 power traces no longer deserialize.
-/// v4: disk entries live in 256 key-prefix shard subdirectories so
-/// concurrent writers (the job server's lanes) stop contending on one
-/// directory. The `RunResult` bytes are unchanged; a lookup that misses
-/// its shard falls back to the legacy flat `<dir>/<key>.json` path and
-/// migrates a parseable entry into its shard atomically, so any
-/// pre-shard directory (same key space) heals in place instead of being
-/// wiped.
-/// v5: `RankTrace` gained the policy decision log (online DVFS policy
-/// layer), so v4 entries no longer deserialize; `RunSpec` gained the
-/// `policy` field, appended to the key as `|policy=<json>` when set
-/// (policy-free keys keep the plain shape, mirroring `|faults=`).
-pub const CACHE_SCHEMA: &str = "psc-run-cache-v5";
+/// schema, the key layout or the run semantics change so stale disk
+/// entries miss.
+/// v2: `RankTrace` gained fault-activation events.
+/// v3: `Segment.watts` renamed to `power_w` (analyzer rule U001).
+/// v4: entries moved into 256 key-prefix shard subdirectories.
+/// v5: `RankTrace` gained the policy decision log; `|policy=` key tail.
+/// v6: entries are binary frames at `<shard>/<key>.run` (no JSON reader
+/// remains); the key hashes the cluster first and the spec last, so an
+/// engine folds its cluster into the hash state once.
+pub const CACHE_SCHEMA: &str = "psc-run-cache-v6";
 
 /// Largest single `write` the disk layer issues. The kernel sizes the
 /// page-cache folios backing a file by the size of the write that
@@ -53,19 +48,21 @@ pub const CACHE_SCHEMA: &str = "psc-run-cache-v5";
 /// cut from its high-order free lists, and what those cost depends on
 /// what happened to that memory since it was last freed — on a guest
 /// with free-page reporting the host has dropped some of it, and the
-/// figure campaign's 147 MiB took 0.06 to 0.86 s to write from one pass
-/// to the next. Writes of this size are backed by small folios that
+/// figure campaign's 147 MiB (of v5 JSON) took 0.06 to 0.86 s to write
+/// from one pass to the next. Writes of this size are backed by small folios that
 /// recycle recently freed pages: 0.06 to 0.10 s on the same passes.
 const WRITE_CHUNK: usize = 128 * 1024;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Extend an FNV-1a `state` (a value [`fnv1a64`] or this function
+/// returned) by `bytes`: hashing a prefix and then its tail equals
+/// hashing the concatenation.
+pub fn fnv1a64_continue(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Cache traffic counters of one [`RunCache`] instance
@@ -147,8 +144,8 @@ impl RunCache {
         }
     }
 
-    /// A cache that also persists each entry as `<key>.json` in `dir`.
-    /// The directory is created on first write.
+    /// A cache that also persists each entry as `<shard>/<key>.run`
+    /// under `dir`. The directory is created on first write.
     pub fn with_disk(dir: impl Into<PathBuf>) -> Self {
         let mut c = RunCache::in_memory();
         c.disk = Some(dir.into());
@@ -278,73 +275,47 @@ impl RunCache {
         dir.join(format!("{:02x}", key >> 56))
     }
 
-    /// The v4 entry path: `<dir>/<shard>/<key>.json`.
+    /// The entry path: `<dir>/<shard>/<key>.run`.
     fn entry_path(dir: &Path, key: u64) -> PathBuf {
-        Self::shard_dir(dir, key).join(format!("{key:016x}.json"))
-    }
-
-    /// The pre-v4 flat path: `<dir>/<key>.json`. Read-only fallback;
-    /// nothing writes here anymore.
-    fn legacy_path(dir: &Path, key: u64) -> PathBuf {
-        dir.join(format!("{key:016x}.json"))
+        Self::shard_dir(dir, key).join(format!("{key:016x}.run"))
     }
 
     fn read_disk(&self, key: u64) -> DiskEntry {
         let Some(dir) = self.disk.as_ref() else { return DiskEntry::Absent };
         let sw = self.hooks.lock().unwrap().as_ref().and_then(|h| h.stopwatch());
-        let (text, legacy) = match std::fs::read_to_string(Self::entry_path(dir, key)) {
-            Ok(text) => (text, false),
-            // Shard miss: fall back to the unsharded (pre-v4) location.
-            Err(_) => match std::fs::read_to_string(Self::legacy_path(dir, key)) {
-                Ok(text) => (text, true),
-                Err(_) => return DiskEntry::Absent,
-            },
+        let Ok(frame) = std::fs::read(Self::entry_path(dir, key)) else {
+            return DiskEntry::Absent;
         };
-        // A corrupt or schema-stale entry is a miss; the fresh result
-        // will overwrite it.
-        let parsed = serde::json::from_str::<RunResult>(&text);
+        // A damaged or foreign entry is a miss; the fresh result will
+        // overwrite it.
+        let decoded = RunResult::from_bytes(&frame);
         self.with_hooks(|h| h.add_disk_read(sw));
-        match parsed {
-            Ok(run) => {
-                if legacy {
-                    // Migrate: publish into the shard atomically, then
-                    // retire the flat entry. Crash-safe at every step —
-                    // until the rename lands the flat entry still
-                    // serves, and a re-read after the remove hits the
-                    // shard.
-                    self.publish_entry(dir, key, &text);
-                    let _ = std::fs::remove_file(Self::legacy_path(dir, key));
-                }
-                DiskEntry::Ok(run)
-            }
-            Err(_) => {
-                if legacy {
-                    // A damaged flat entry can never heal in place (the
-                    // overwrite goes to the shard); retire it so it
-                    // stops shadowing nothing.
-                    let _ = std::fs::remove_file(Self::legacy_path(dir, key));
-                }
-                DiskEntry::Corrupt
-            }
-        }
+        decoded.map_or(DiskEntry::Corrupt, DiskEntry::Ok)
     }
 
-    /// Atomically land `text` at the sharded entry path: unique temp
-    /// name (pid + key) inside the shard, then rename, so concurrent
-    /// processes never observe a half-written entry.
-    fn publish_entry(&self, dir: &Path, key: u64, text: &str) {
+    /// Atomically land `frame` at the sharded entry path: a temp name
+    /// no other writer can share (pid for other processes, a
+    /// process-wide sequence number for other caches and threads in
+    /// this one) inside the shard, then rename, so nobody ever observes
+    /// a half-written entry. Best-effort: on any failure the temp file
+    /// is removed and memory still serves.
+    fn publish_entry(dir: &Path, key: u64, frame: &[u8]) {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let shard = Self::shard_dir(dir, key);
         if std::fs::create_dir_all(&shard).is_err() {
-            return; // Disk layer is best-effort; memory still serves.
+            return;
         }
-        let tmp = shard.join(format!(".tmp-{}-{key:016x}", std::process::id()));
-        if Self::write_bounded(&tmp, text.as_bytes()).is_ok() {
-            let _ = std::fs::rename(&tmp, Self::entry_path(dir, key));
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = shard.join(format!(".tmp-{}-{seq}-{key:016x}", std::process::id()));
+        let published = Self::write_bounded(&tmp, frame)
+            .and_then(|()| std::fs::rename(&tmp, Self::entry_path(dir, key)));
+        if published.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
     }
 
     /// Create `path` holding `bytes`, at most [`WRITE_CHUNK`] per `write`
-    /// call (a class-B entry averages 1.1 MB).
+    /// call (a class-B entry averages 0.39 MB).
     fn write_bounded(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         let mut file = std::fs::File::create(path)?;
         bytes.chunks(WRITE_CHUNK).try_for_each(|chunk| file.write_all(chunk))
@@ -353,12 +324,12 @@ impl RunCache {
     fn write_disk(&self, key: u64, run: &RunResult) {
         let Some(dir) = self.disk.as_ref() else { return };
         let sw = self.hooks.lock().unwrap().as_ref().and_then(|h| h.stopwatch());
-        let text = serde::json::to_string(run);
+        let frame = run.to_bytes();
         let sw = match self.hooks.lock().unwrap().as_ref() {
             Some(h) => h.add_serialize(sw),
             None => None,
         };
-        self.publish_entry(dir, key, &text);
+        Self::publish_entry(dir, key, &frame);
         self.with_hooks(|h| h.add_disk_write(sw));
     }
 }
@@ -378,12 +349,45 @@ mod tests {
         Arc::new(run)
     }
 
+    /// A fresh scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("psc-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Temp files of the atomic publish left anywhere under `dir`.
+    fn tmp_litter(dir: &Path) -> Vec<PathBuf> {
+        let mut litter = Vec::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(d) = stack.pop() {
+            for e in std::fs::read_dir(&d).unwrap().filter_map(|e| e.ok()) {
+                if e.path().is_dir() {
+                    stack.push(e.path());
+                } else if e.file_name().to_string_lossy().starts_with(".tmp-") {
+                    litter.push(e.path());
+                }
+            }
+        }
+        litter
+    }
+
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Standard FNV-1a 64 test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv1a_prefix_then_tail_equals_the_concatenation() {
+        let text = format!("{CACHE_SCHEMA}|node={{…}}|bench=CG|class=B|nodes=8|gears=[1, 2]");
+        let bytes = text.as_bytes();
+        for split in 0..=bytes.len() {
+            let (prefix, tail) = bytes.split_at(split);
+            assert_eq!(fnv1a64_continue(fnv1a64(prefix), tail), fnv1a64(bytes), "split {split}");
+        }
     }
 
     #[test]
@@ -400,9 +404,7 @@ mod tests {
 
     #[test]
     fn disk_cache_round_trips_bitwise_across_instances() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
+        let dir = scratch("roundtrip");
         let run = some_run();
         let writer = RunCache::with_disk(&dir);
         writer.insert(99, Arc::clone(&run));
@@ -413,7 +415,7 @@ mod tests {
         assert_eq!(got.time_s.to_bits(), run.time_s.to_bits());
         assert_eq!(got.energy_j.to_bits(), run.energy_j.to_bits());
         assert_eq!(got.measured_energy_j.to_bits(), run.measured_energy_j.to_bits());
-        assert_eq!(*got, *run, "full RunResult must round-trip through JSON");
+        assert_eq!(*got, *run, "full RunResult must round-trip through the disk entry");
         let s = reader.stats();
         assert_eq!((s.hits, s.misses, s.disk_hits), (1, 0, 1));
 
@@ -425,30 +427,14 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_disk_entry_is_a_miss() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::create_dir_all(RunCache::shard_dir(&dir, 5)).unwrap();
-        std::fs::write(RunCache::entry_path(&dir, 5), "not json").unwrap();
-
-        let cache = RunCache::with_disk(&dir);
-        assert!(cache.lookup(5).is_none());
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().disk_corrupt, 1, "damage must be visible in stats");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn entries_land_in_key_prefix_shards() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-shard-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("shard");
         let cache = RunCache::with_disk(&dir);
         let run = some_run();
         // Keys chosen so the top byte (= shard) differs.
         for key in [0x00aa_0000_0000_0001u64, 0xff00_0000_0000_0002, 0x4242_0000_0000_0003] {
             cache.insert(key, Arc::clone(&run));
-            let path = dir.join(format!("{:02x}", key >> 56)).join(format!("{key:016x}.json"));
+            let path = dir.join(format!("{:02x}", key >> 56)).join(format!("{key:016x}.run"));
             assert!(path.is_file(), "entry must land in its shard: {path:?}");
         }
         // No entry file sits directly in the top directory.
@@ -458,34 +444,6 @@ mod tests {
             .filter(|e| e.path().is_file())
             .collect();
         assert!(flat.is_empty(), "top directory holds shards only: {flat:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A warm pre-v4 directory (flat `<key>.json` entries) keeps
-    /// serving: the fallback read hits, and the entry is migrated into
-    /// its shard so the flat file disappears.
-    #[test]
-    fn legacy_flat_entries_migrate_into_shards_on_read() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-migrate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = some_run();
-        let key = 0xabcd_0000_0000_0007u64;
-        let flat = dir.join(format!("{key:016x}.json"));
-        std::fs::write(&flat, serde::json::to_string(&*run)).unwrap();
-
-        let cache = RunCache::with_disk(&dir);
-        let got = cache.lookup(key).expect("flat entry readable via fallback");
-        assert_eq!(*got, *run);
-        assert_eq!(cache.stats().disk_hits, 1, "fallback read is a disk hit");
-        assert!(!flat.exists(), "flat entry retired after migration");
-        let sharded = dir.join(format!("{:02x}", key >> 56)).join(format!("{key:016x}.json"));
-        assert!(sharded.is_file(), "entry now lives in its shard");
-
-        // A fresh instance (fresh memory layer) hits the shard directly.
-        let reader = RunCache::with_disk(&dir);
-        assert!(reader.lookup(key).is_some());
-        assert_eq!(reader.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -503,74 +461,98 @@ mod tests {
         assert_eq!(cache.stats().hits, 1, "counting restarts after reset");
     }
 
-    /// Every flavor of on-disk damage — truncated JSON, binary garbage,
-    /// an empty file, a wrong-but-valid JSON document, a stale entry
-    /// missing newer fields — must read as a miss, never a panic.
+    /// Every flavor of on-disk damage to a real entry — cut off at any
+    /// offset, any bit of the first 64 bytes flipped, bytes appended, a
+    /// v5 JSON document or trash at the v6 path — is a *counted* miss,
+    /// never a panic or a wrong answer, and the next insert atomically
+    /// replaces it with a readable entry.
     #[test]
-    fn damaged_disk_entries_never_panic() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-damage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn damaged_disk_entries_are_counted_misses_and_heal() {
+        let dir = scratch("damage");
+        let (key, run) = (77u64, some_run());
+        RunCache::with_disk(&dir).insert(key, Arc::clone(&run));
+        let path = RunCache::entry_path(&dir, key);
+        let valid = std::fs::read(&path).unwrap();
+        assert!(valid.len() > 64 + 8);
 
-        let run = some_run();
-        let valid = serde::json::to_string(&*run);
-        let damages: Vec<(u64, String)> = vec![
-            (1, valid[..valid.len() / 2].to_string()), // truncated mid-document
-            (2, "\u{0}\u{1}\u{2}binary trash".to_string()),
-            (3, String::new()),                        // empty file
-            (4, "{\"wrong\": \"shape\"}".to_string()), // valid JSON, wrong schema
-            (5, "[1, 2, 3]".to_string()),              // valid JSON, wrong type
-        ];
-        for (key, text) in &damages {
-            std::fs::write(dir.join(format!("{key:016x}.json")), text).unwrap();
-        }
+        let mut damages: Vec<Vec<u8>> = (0..valid.len()).map(|n| valid[..n].to_vec()).collect();
+        damages.extend((0..64 * 8).map(|bit| {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        }));
+        damages.push([&valid[..], b"\0"].concat());
+        damages.push([&valid[..], &valid[..]].concat());
+        damages.push(serde::json::to_string(&*run).into_bytes());
+        damages.push(b"\0\x01\x02binary trash".to_vec());
 
-        let cache = RunCache::with_disk(&dir);
-        for (key, _) in &damages {
-            assert!(cache.lookup(*key).is_none(), "damaged entry {key} must miss");
+        for (i, damage) in damages.iter().enumerate() {
+            std::fs::write(&path, damage).unwrap();
+            let cache = RunCache::with_disk(&dir);
+            assert!(cache.lookup(key).is_none(), "damage {i} must miss");
+            let s = cache.stats();
+            assert_eq!((s.misses, s.disk_corrupt), (1, 1), "damage {i} must be visible in stats");
+            cache.insert(key, Arc::clone(&run)); // the re-simulated result
+            let healed = RunCache::with_disk(&dir).lookup(key).expect("healed entry readable");
+            assert_eq!(*healed, *run, "damage {i} healed");
         }
-        assert_eq!(cache.stats().misses, damages.len() as u64);
+        assert!(tmp_litter(&dir).is_empty(), "temp files must not survive");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// After a corrupt entry misses, re-simulating and inserting must
-    /// atomically overwrite it with a readable entry (no temp litter).
-    /// The damage sits at the *legacy flat* path here, so this also
-    /// pins down that a corrupt pre-shard entry heals into the shard
-    /// and the flat file is retired.
+    /// Two caches on one directory in one process (serve plus a CLI
+    /// engine, or any two tests) inserting the same key at once: each
+    /// writes its own temp file, so whichever rename lands last, the
+    /// entry is one writer's whole frame. (The two write long frames
+    /// of different lengths here — real writers of one key write the
+    /// same bytes — so that a shared temp file shows as a mixture.)
     #[test]
-    fn corrupt_entry_is_overwritten_atomically_after_miss() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-heal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = 77u64;
-        let flat = dir.join(format!("{key:016x}.json"));
-        std::fs::write(&flat, "{ truncated garba").unwrap();
-
-        let cache = RunCache::with_disk(&dir);
-        assert!(cache.lookup(key).is_none(), "corrupt entry is a miss");
-        assert!(!flat.exists(), "corrupt flat entry is retired, not left to shadow");
-        let run = some_run();
-        cache.insert(key, Arc::clone(&run)); // the re-simulated result
-
-        // A fresh instance reads the healed entry from disk.
-        let reader = RunCache::with_disk(&dir);
-        let got = reader.lookup(key).expect("healed entry readable");
-        assert_eq!(*got, *run);
-        // No temp files left behind by the atomic publish — in the top
-        // directory or inside any shard.
-        let mut leftovers = Vec::new();
-        let mut stack = vec![dir.clone()];
-        while let Some(d) = stack.pop() {
-            for e in std::fs::read_dir(&d).unwrap().filter_map(|e| e.ok()) {
-                if e.path().is_dir() {
-                    stack.push(e.path());
-                } else if e.file_name().to_string_lossy().starts_with(".tmp-") {
-                    leftovers.push(e.path());
-                }
+    fn racing_caches_on_one_directory_publish_whole_entries() {
+        let dir = scratch("race");
+        let c = Cluster::athlon_fast_ethernet();
+        let runs = [5000, 6000].map(|barriers| {
+            let program = |comm: &mut psc_mpi::Comm| (0..barriers).for_each(|_| comm.barrier());
+            Arc::new(c.run(&ClusterConfig::uniform(2, 1), program).0)
+        });
+        assert!(runs[0].to_bytes().len() > 2 * WRITE_CHUNK, "each frame takes several writes");
+        let caches = [RunCache::with_disk(&dir), RunCache::with_disk(&dir)];
+        let barrier = std::sync::Barrier::new(caches.len());
+        const ROUNDS: u64 = 100;
+        std::thread::scope(|scope| {
+            for (cache, run) in caches.iter().zip(&runs) {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    for key in 0..ROUNDS {
+                        barrier.wait();
+                        cache.insert(key, Arc::clone(run));
+                    }
+                });
             }
+        });
+        let reader = RunCache::with_disk(&dir);
+        for key in 0..ROUNDS {
+            let got = reader.lookup(key).expect("entry decodes");
+            assert!(*got == *runs[0] || *got == *runs[1], "key {key} is neither writer's result");
         }
-        assert!(leftovers.is_empty(), "temp files must not survive: {leftovers:?}");
+        assert_eq!(reader.stats().disk_corrupt, 0);
+        assert!(tmp_litter(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A publish that fails after its temp file exists (here: a
+    /// directory squats on the entry path, so the rename fails; a full
+    /// disk fails the write before it the same way) removes the temp
+    /// file. Mode bits cannot stage this: root ignores a read-only
+    /// shard, and for anyone else the create fails before a temp exists.
+    #[test]
+    fn failed_publish_leaves_no_temp_file() {
+        let dir = scratch("unpublishable");
+        let key = 5u64;
+        std::fs::create_dir_all(RunCache::entry_path(&dir, key).join("squatter")).unwrap();
+        let cache = RunCache::with_disk(&dir);
+        cache.insert(key, some_run());
+        assert!(tmp_litter(&dir).is_empty(), "a failed publish must clean up after itself");
+        assert!(cache.lookup(key).is_some(), "memory still serves");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,13 +1,14 @@
 //! The sweep engine: bounded-parallel, memoized plan execution — the
 //! workspace's one fan-out over independent runs.
 
-use crate::cache::{fnv1a64, CacheStats, RunCache, CACHE_SCHEMA};
+use crate::cache::{fnv1a64, fnv1a64_continue, CacheStats, RunCache, CACHE_SCHEMA};
 use crate::metrics::EngineMetrics;
 use crate::plan::{RunPlan, RunSpec};
 use psc_faults::FaultPlan;
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_mpi::{BackendStats, Cluster, GearSelection, RunResult, Skeleton};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -48,6 +49,11 @@ pub struct Engine {
     jobs: usize,
     cache: RunCache,
     faults: Option<FaultPlan>,
+    /// `faults` as it enters a cache key, serialized once.
+    faults_json: Option<String>,
+    /// FNV-1a state after the part of every key that names the cluster
+    /// ([`Engine::key_prefix`]); a lookup hashes only the spec's tail.
+    key_prefix: u64,
     metrics: Arc<EngineMetrics>,
     /// Keys currently being simulated by some caller of [`Engine::run`]
     /// or [`Engine::execute`]. A second caller asking for a key in this
@@ -61,6 +67,23 @@ pub struct Engine {
     /// re-timed from it instead of re-running the kernel (DESIGN.md,
     /// "Skeleton replay tier"). Memory-only; the first insert wins.
     skeletons: Mutex<BTreeMap<SkeletonKey, Arc<Skeleton>>>,
+}
+
+/// FNV-1a as a `fmt::Write` sink: `write!` streams the pieces of a key
+/// into the hash without building the string.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn push(&mut self, s: &str) {
+        self.0 = fnv1a64_continue(self.0, s.as_bytes());
+    }
+}
+
+impl std::fmt::Write for KeyHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.push(s);
+        Ok(())
+    }
 }
 
 /// Everything a rank program's control flow can depend on.
@@ -178,10 +201,12 @@ impl Engine {
     /// [`EngineMetrics::disabled`] to switch them off.
     pub fn new(cluster: Cluster) -> Self {
         Engine {
+            key_prefix: Self::key_prefix(&cluster),
             cluster,
             jobs: default_jobs(),
             cache: RunCache::from_env(),
             faults: None,
+            faults_json: None,
             metrics: EngineMetrics::new(),
             inflight: Mutex::new(BTreeMap::new()),
             skeletons: Mutex::new(BTreeMap::new()),
@@ -193,10 +218,12 @@ impl Engine {
     /// reference configuration for determinism checks.
     pub fn serial(cluster: Cluster) -> Self {
         Engine {
+            key_prefix: Self::key_prefix(&cluster),
             cluster,
             jobs: 1,
             cache: RunCache::in_memory(),
             faults: None,
+            faults_json: None,
             metrics: EngineMetrics::new(),
             inflight: Mutex::new(BTreeMap::new()),
             skeletons: Mutex::new(BTreeMap::new()),
@@ -239,6 +266,7 @@ impl Engine {
     /// Set (or clear) the engine's default fault plan. Specs without
     /// their own plan run under this one; a spec-level plan wins.
     pub fn with_faults(mut self, faults: Option<FaultPlan>) -> Self {
+        self.faults_json = faults.as_ref().map(FaultPlan::to_json);
         self.faults = faults;
         self
     }
@@ -290,34 +318,55 @@ impl Engine {
         self.cache.reset();
     }
 
-    /// The content key of a spec on this engine's cluster: a hash of
-    /// the spec plus everything about the cluster that shapes the
-    /// result. Floats serialize with exact round-tripping, so the key
-    /// is stable across processes.
+    /// The hash state every key of an engine on `cluster` starts from:
+    /// the schema tag and the node, network and wattmeter models (floats
+    /// serialize with exact round-tripping, so it is stable across
+    /// processes). The backend is host-side only and never enters.
+    fn key_prefix(cluster: &Cluster) -> u64 {
+        fnv1a64(
+            format!(
+                "{CACHE_SCHEMA}|node={}|net={}|meter={}",
+                serde::json::to_string(&cluster.node),
+                serde::json::to_string(&cluster.network),
+                serde::json::to_string(&cluster.wattmeter),
+            )
+            .as_bytes(),
+        )
+    }
+
+    /// The content key of a spec on this engine's cluster: FNV-1a of
+    /// `<schema>|node=…|net=…|meter=…|bench=…|class=…|nodes=…|gears=…`
+    /// plus the optional `|faults=<json>` and `|policy=<json>` tails —
+    /// everything that shapes the result. The cluster part is hashed
+    /// once per engine; a lookup streams only the spec's part.
     pub fn cache_key(&self, spec: &RunSpec) -> u64 {
-        let mut desc = format!(
-            "{CACHE_SCHEMA}|bench={}|class={:?}|nodes={}|gears={:?}|node={}|net={}|meter={}",
+        let mut key = KeyHasher(self.key_prefix);
+        write!(
+            key,
+            "|bench={}|class={:?}|nodes={}|gears={:?}",
             spec.bench.name(),
             spec.class,
             spec.nodes,
             spec.resolved_gears(),
-            serde::json::to_string(&self.cluster.node),
-            serde::json::to_string(&self.cluster.network),
-            serde::json::to_string(&self.cluster.wattmeter),
-        );
-        // Fault-free runs keep the plain key, so an existing warm cache
-        // stays valid; a plan (even a quiet one) gets its own keyspace.
+        )
+        .expect("KeyHasher::write_str never fails");
+        // Fault-free runs keep the plain key; a plan (even a quiet one)
+        // gets its own keyspace. The engine's default plan was
+        // serialized when it was set, a spec's own is serialized here.
         if let Some(plan) = self.effective_faults(spec) {
-            desc.push_str("|faults=");
-            desc.push_str(&plan.to_json());
+            key.push("|faults=");
+            match (&spec.faults, &self.faults_json) {
+                (None, Some(json)) => key.push(json),
+                _ => key.push(&plan.to_json()),
+            }
         }
         // Same shape for policies: policy-free keys stay plain, any
         // policy (even Static) gets its own keyspace (analyzer P002).
         if let Some(policy) = &spec.policy {
-            desc.push_str("|policy=");
-            desc.push_str(&policy.to_json());
+            key.push("|policy=");
+            key.push(&policy.to_json());
         }
-        fnv1a64(desc.as_bytes())
+        key.0
     }
 
     /// A compact label for the spec's gear selection (`"3"` for a
@@ -672,6 +721,42 @@ mod tests {
         sun.network.latency_s *= 2.0;
         let e2 = Engine::serial(sun);
         assert_ne!(k(&base), e2.cache_key(&base));
+    }
+
+    /// The streamed key is FNV-1a of the documented description, tails
+    /// included, and an engine-default plan keys exactly like the same
+    /// plan on the spec.
+    #[test]
+    fn cache_key_is_the_hash_of_its_documented_description() {
+        use psc_faults::FaultPlan;
+        use psc_policy::PolicySpec;
+        let plan = FaultPlan::noise(9, 0.02);
+        let policy = PolicySpec::PhaseAdaptive { slowdown_limit: 1.05 };
+        let e = engine();
+        let c = e.cluster();
+        let bare = RunSpec {
+            gears: GearSelection::PerRank(vec![1, 3, 2, 6]),
+            ..RunSpec::uniform(Benchmark::Cg, ProblemClass::Test, 4, 1)
+        };
+        let described = |tails: &str| {
+            let json = |v: &dyn serde::Serialize| serde::json::to_string(v);
+            fnv1a64(
+                format!(
+                    "psc-run-cache-v6|node={}|net={}|meter={}\
+                     |bench=CG|class=Test|nodes=4|gears=[1, 3, 2, 6]{tails}",
+                    json(&c.node),
+                    json(&c.network),
+                    json(&c.wattmeter)
+                )
+                .as_bytes(),
+            )
+        };
+        assert_eq!(e.cache_key(&bare), described(""));
+        let faults = format!("|faults={}", plan.to_json());
+        assert_eq!(e.cache_key(&bare.clone().with_faults(plan.clone())), described(&faults));
+        assert_eq!(engine().with_faults(Some(plan.clone())).cache_key(&bare), described(&faults));
+        let both = format!("{faults}|policy={}", policy.to_json());
+        assert_eq!(e.cache_key(&bare.with_faults(plan).with_policy(policy)), described(&both));
     }
 
     /// Metrics are observation-only: identical results with metrics on

@@ -1,10 +1,8 @@
-//! Crash consistency of the sharded (v4) disk layout.
+//! Crash consistency of the sharded disk layout.
 //!
 //! The disk layer's contract: a reader never sees a half-written entry
-//! (atomic temp + rename inside the shard), every flavor of on-disk
-//! damage reads as a miss and heals atomically on the next insert, and
-//! a warm pre-shard (flat v3-layout) directory keeps serving while its
-//! entries migrate into their shards.
+//! (atomic temp + rename inside the shard), and every flavor of on-disk
+//! damage reads as a miss and heals atomically on the next insert.
 
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_mpi::{Cluster, RunResult};
@@ -28,7 +26,7 @@ const KEYS: [u64; 4] =
     [0x0100_0000_0000_0aaa, 0x7f00_0000_0000_0bbb, 0xc300_0000_0000_0ccc, 0xff00_0000_0000_0ddd];
 
 fn shard_path(dir: &Path, key: u64) -> PathBuf {
-    dir.join(format!("{:02x}", key >> 56)).join(format!("{key:016x}.json"))
+    dir.join(format!("{:02x}", key >> 56)).join(format!("{key:016x}.run"))
 }
 
 fn tmp_litter(dir: &Path) -> Vec<PathBuf> {
@@ -64,12 +62,13 @@ fn mid_write_damage_across_shards_misses_and_heals() {
     }
 
     // Damage each one differently, as a mid-write kill would leave it.
-    let valid = std::fs::read_to_string(shard_path(&dir, KEYS[0])).unwrap();
+    let valid = std::fs::read(shard_path(&dir, KEYS[0])).unwrap();
     std::fs::write(shard_path(&dir, KEYS[0]), &valid[..valid.len() / 2]).unwrap(); // truncated
     std::fs::write(shard_path(&dir, KEYS[1]), "").unwrap(); // zero-length
     std::fs::write(shard_path(&dir, KEYS[2]), "\u{0}\u{1}garbage").unwrap(); // binary trash
-                                                                             // A crash *before* the rename strands a temp file and leaves no
-                                                                             // entry at all: remove the entry, leave a temp beside it.
+
+    // A crash *before* the rename strands a temp file and leaves no
+    // entry at all: remove the entry, leave a temp beside it.
     std::fs::remove_file(shard_path(&dir, KEYS[3])).unwrap();
     std::fs::write(
         shard_path(&dir, KEYS[3]).parent().unwrap().join(".tmp-99999-dead"),
@@ -100,48 +99,6 @@ fn mid_write_damage_across_shards_misses_and_heals() {
     // our own pid's temps are ever renamed); no *new* litter appeared.
     let litter = tmp_litter(&dir);
     assert_eq!(litter.len(), 1, "only the simulated crash's temp remains: {litter:?}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Migration from the unsharded (pre-v4) layout: a directory of flat
-/// `<key>.json` entries — some valid, some corrupt — serves the valid
-/// ones via fallback, migrates them into shards, and retires the rest.
-#[test]
-fn flat_v3_layout_migrates_shard_by_shard() {
-    let dir = scratch("migrate");
-    std::fs::create_dir_all(&dir).unwrap();
-    let run = some_result();
-    let blob = serde::json::to_string(&*run);
-
-    // Two valid flat entries, one corrupt flat entry.
-    let flat = |key: u64| dir.join(format!("{key:016x}.json"));
-    std::fs::write(flat(KEYS[0]), &blob).unwrap();
-    std::fs::write(flat(KEYS[1]), &blob).unwrap();
-    std::fs::write(flat(KEYS[2]), &blob[..blob.len() / 2]).unwrap();
-
-    let cache = RunCache::with_disk(&dir);
-    assert!(cache.lookup(KEYS[0]).is_some());
-    assert!(cache.lookup(KEYS[1]).is_some());
-    assert!(cache.lookup(KEYS[2]).is_none(), "corrupt flat entry misses");
-    let stats = cache.stats();
-    assert_eq!((stats.disk_hits, stats.disk_corrupt), (2, 1));
-
-    // Valid entries moved into their shards; every flat file is gone.
-    assert!(shard_path(&dir, KEYS[0]).is_file());
-    assert!(shard_path(&dir, KEYS[1]).is_file());
-    for &key in &KEYS[..3] {
-        assert!(!flat(key).exists(), "flat entry {key:#x} must be retired");
-    }
-
-    // Migrated bytes are the original bytes (no re-serialization drift).
-    assert_eq!(std::fs::read_to_string(shard_path(&dir, KEYS[0])).unwrap(), blob);
-
-    // A fresh instance now reads migrated entries from their shards.
-    let reader = RunCache::with_disk(&dir);
-    assert!(reader.lookup(KEYS[0]).is_some());
-    assert_eq!(reader.stats().disk_hits, 1);
-    assert!(tmp_litter(&dir).is_empty(), "migration publishes atomically");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

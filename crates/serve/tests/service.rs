@@ -134,7 +134,7 @@ fn tcp_session_round_trips() {
 
         let stream = std::net::TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut send = |line: &str| {
+        let send = |line: &str| {
             let mut w = &stream;
             writeln!(w, "{line}").unwrap();
         };
