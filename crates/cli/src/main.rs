@@ -22,13 +22,12 @@ use psc_analysis::curve::{EnergyTimeCurve, EnergyTimePoint};
 use psc_analysis::pareto::{configs_of, fastest_under_power_cap, pareto_frontier};
 use psc_analysis::plot::ascii_plot;
 use psc_experiments::harness::{
-    backend_from_args, class_label, cluster, engine_from_args, faults_from_args, measure_curve,
-    model_for, predicted_curve,
+    class_label, cluster, engine_from_args, faults_from_args, measure_curve, model_for,
+    predicted_curve,
 };
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_model::autogear::{gear_for_delay_budget, min_energy_gear};
-use psc_mpi::ClusterConfig;
 use psc_runner::{Engine, RunSpec};
 use psc_telemetry::{write_chrome_trace, write_self_trace, RunManifest};
 use std::path::{Path, PathBuf};
@@ -88,7 +87,6 @@ powerscale — energy-time exploration on a simulated power-scalable cluster
 USAGE:
   powerscale run    --bench <NAME> [--nodes N] [--gear G] [--class b|test]
                     [--trace-out PATH] [--manifest-out PATH]
-                    [--backend threaded|des]
   powerscale sweep  --bench <NAME> [--nodes N] [--class b|test] [--jobs J]
                     [--trace-out PATH] [--metrics-out PATH]
                     [--self-trace-out PATH] [--events-out PATH]
@@ -104,7 +102,7 @@ USAGE:
   powerscale faults [--seed N] [--level FRAC] [--out PATH] | --inspect PATH
   powerscale policy list | describe <NAME>
   powerscale policy run --bench <NAME> --policy <SPEC> [--nodes N] [--gear G]
-                    [--class b|test] [--backend threaded|des]
+                    [--class b|test]
   powerscale serve  [--tcp ADDR] [--workers N] [--queue-cap N] [--max-batch N]
   powerscale replay [--clients N] [--requests N] [--batch N] [--seed N]
                     [--zipf S] [--interactive PCT] [--workers N]
@@ -130,8 +128,8 @@ USAGE:
   moves the gear at phase boundaries and MPI-call exits (shorthands:
   static:3, phase-adaptive:1.05, power-cap:400, oracle:0=2,3=5). The
   `run` and `trace` commands accept the same --policy <SPEC>. Decisions
-  are deterministic — identical results at any --jobs and on either
-  backend — and policy-driven runs occupy their own cache keyspace.
+  are deterministic — identical results at any --jobs — and
+  policy-driven runs occupy their own cache keyspace.
 
   Static analysis: `powerscale analyze` scans the workspace sources for
   determinism hazards (wall-clock reads, unseeded RNG, unordered
@@ -167,14 +165,7 @@ USAGE:
   (--jobs, or the PSC_JOBS environment variable; default = available
   parallelism) and memoize results in a content-addressed cache under
   target/psc-run-cache (PSC_CACHE_DIR overrides; PSC_CACHE=0 disables).
-  Results are bit-identical whatever the worker count.
-
-  Rank driver: every measuring command accepts --backend threaded|des
-  to select how ranks execute on the host. `des` (the default) runs all
-  ranks as coroutines of a single-threaded discrete-event scheduler;
-  `threaded` spawns one OS thread per rank (retained for differential
-  testing). The two produce byte-identical results — the backend is a
-  host-throughput knob, never a configuration axis or cache-key input.";
+  Results are bit-identical whatever the worker count.";
 
 /// Honour the metrics export flags shared by `sweep` and `stats`:
 /// `--metrics-out` (Prometheus text exposition), `--self-trace-out`
@@ -234,16 +225,6 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The testbed cluster with any `--backend` override applied — for the
-/// commands (`run`, `trace`) that drive the cluster directly rather
-/// than through an engine.
-fn cluster_from_args(args: &[String]) -> psc_mpi::Cluster {
-    match backend_from_args(args) {
-        Some(b) => cluster().with_backend(b),
-        None => cluster(),
-    }
-}
-
 fn parse_bench(args: &[String]) -> Result<Benchmark, String> {
     let name = flag(args, "--bench").ok_or("missing --bench <NAME>")?;
     Benchmark::parse(&name)
@@ -265,7 +246,12 @@ fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> R
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+/// The one configuration `run`, `trace` and `policy run` measure:
+/// `--bench`, `--class`, `--nodes`, `--gear` and `--policy`, parsed and
+/// validated against the testbed node once. The fault plan is not part
+/// of it: it is the engine's default (`engine_from_args`) wherever an
+/// engine runs the spec.
+fn single_run_spec(args: &[String]) -> Result<RunSpec, String> {
     let bench = parse_bench(args)?;
     let class = parse_class(args)?;
     let nodes: usize = parse_num(args, "--nodes", 1)?;
@@ -277,21 +263,34 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             bench.valid_nodes(32)
         ));
     }
-    let c = cluster_from_args(args);
-    if gear < 1 || gear > c.node.gears.len() {
-        return Err(format!("gear must be 1..={}", c.node.gears.len()));
+    let node = cluster().node;
+    if gear < 1 || gear > node.gears.len() {
+        return Err(format!("gear must be 1..={}", node.gears.len()));
     }
-    let cfg = ClusterConfig::uniform(nodes, gear);
+    let mut spec = RunSpec::uniform(bench, class, nodes, gear);
+    spec.policy =
+        flag(args, "--policy").map(|text| psc_policy::PolicySpec::parse(&text)).transpose()?;
+    if let Some(p) = &spec.policy {
+        p.validate(&node, nodes)?;
+    }
+    Ok(spec)
+}
+
+/// `powerscale run`: the one command that prints the kernel's own
+/// outputs (checksum, iterations, residual), which a `RunResult` does
+/// not carry — so it is the CLI's one direct cluster run; every other
+/// command asks the engine.
+fn cmd_run(args: &[String]) -> Result<(), String> {
+    let spec = single_run_spec(args)?;
+    let (bench, class, nodes, gear) = (spec.bench, spec.class, spec.nodes, spec.gears.gear_for(0));
+    let cfg = spec.config();
     let faults = faults_from_args(args);
-    let policy = policy_from_args(args)?;
-    if let Some(p) = &policy {
-        p.validate(&c.node, nodes)?;
-    }
-    let (run, outs) = c.run_with_policy(&cfg, faults.as_ref(), policy.as_ref().map(|p| p as _), {
+    let policy = spec.policy.as_ref();
+    let (run, outs) = cluster().run_with_policy(&cfg, faults.as_ref(), policy.map(|p| p as _), {
         move |comm: &mut psc_mpi::Comm| bench.run(comm, class)
     });
     let out = &outs[0];
-    match &policy {
+    match policy {
         Some(p) => println!("{} on {nodes} node(s) under {}:", bench.name(), p.shorthand()),
         None => println!("{} on {nodes} node(s) at gear {gear}:", bench.name()),
     }
@@ -333,27 +332,10 @@ fn path_with_gear(path: &Path, gear: usize) -> PathBuf {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let bench = parse_bench(args)?;
-    let class = parse_class(args)?;
-    let nodes: usize = parse_num(args, "--nodes", 1)?;
-    let gear: usize = parse_num(args, "--gear", 1)?;
-    if !bench.supports_nodes(nodes) {
-        return Err(format!("{} cannot run on {nodes} nodes", bench.name()));
-    }
-    let c = cluster_from_args(args);
-    if gear < 1 || gear > c.node.gears.len() {
-        return Err(format!("gear must be 1..={}", c.node.gears.len()));
-    }
-    let cfg = ClusterConfig::uniform(nodes, gear);
-    let faults = faults_from_args(args);
-    let policy = policy_from_args(args)?;
-    if let Some(p) = &policy {
-        p.validate(&c.node, nodes)?;
-    }
-    let (run, _) = c.run_with_policy(&cfg, faults.as_ref(), policy.as_ref().map(|p| p as _), {
-        move |comm: &mut psc_mpi::Comm| bench.run(comm, class)
-    });
-    let m = RunManifest::new(bench.name(), class_label(class), &cfg, &run);
+    let spec = single_run_spec(args)?;
+    let (bench, nodes, gear) = (spec.bench, spec.nodes, spec.gears.gear_for(0));
+    let run = engine_from_args(args).run(&spec);
+    let m = RunManifest::new(bench.name(), class_label(spec.class), &spec.config(), &run);
     println!(
         "{} on {nodes} node(s) at gear {gear}: {:.2} s, {:.0} J\n",
         bench.name(),
@@ -582,15 +564,6 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse and structurally check a `--policy <SPEC>` argument shared by
-/// `run`, `trace`, and `policy run`.
-fn policy_from_args(args: &[String]) -> Result<Option<psc_policy::PolicySpec>, String> {
-    match flag(args, "--policy") {
-        None => Ok(None),
-        Some(text) => psc_policy::PolicySpec::parse(&text).map(Some),
-    }
-}
-
 /// `powerscale policy`: list the online gear policies, describe one, or
 /// run a benchmark under one.
 fn cmd_policy(args: &[String]) -> Result<(), String> {
@@ -617,37 +590,18 @@ fn cmd_policy(args: &[String]) -> Result<(), String> {
                 )),
             }
         }
-        Some("run") => {
-            let spec = policy_from_args(args)?
-                .ok_or("missing --policy <SPEC> (try `powerscale policy list`)")?;
-            cmd_policy_run(args, spec)
-        }
+        Some("run") => cmd_policy_run(args),
         Some(other) => Err(format!("unknown policy subcommand '{other}' (list, describe, run)")),
         None => Err("missing policy subcommand (list, describe, run)".into()),
     }
 }
 
-fn cmd_policy_run(args: &[String], policy: psc_policy::PolicySpec) -> Result<(), String> {
-    let bench = parse_bench(args)?;
-    let class = parse_class(args)?;
-    let nodes: usize = parse_num(args, "--nodes", 1)?;
-    let gear: usize = parse_num(args, "--gear", 1)?;
-    if !bench.supports_nodes(nodes) {
-        return Err(format!(
-            "{} cannot run on {nodes} nodes (valid: {:?})",
-            bench.name(),
-            bench.valid_nodes(32)
-        ));
-    }
-    let c = cluster_from_args(args);
-    if gear < 1 || gear > c.node.gears.len() {
-        return Err(format!("gear must be 1..={}", c.node.gears.len()));
-    }
-    policy.validate(&c.node, nodes)?;
-    let cfg = ClusterConfig::uniform(nodes, gear);
-    let faults = faults_from_args(args);
-    let (run, _) =
-        c.run_with_policy(&cfg, faults.as_ref(), Some(&policy), move |comm| bench.run(comm, class));
+fn cmd_policy_run(args: &[String]) -> Result<(), String> {
+    let spec = single_run_spec(args)?;
+    let policy =
+        spec.policy.as_ref().ok_or("missing --policy <SPEC> (try `powerscale policy list`)")?;
+    let (bench, nodes) = (spec.bench, spec.nodes);
+    let run = engine_from_args(args).run(&spec);
     let decisions: usize = run.ranks.iter().map(|r| r.trace.decisions().len()).sum();
     let shifts: usize = run.ranks.iter().map(|r| r.trace.gear_shifts().len()).sum();
     println!("{} on {nodes} node(s) under {}:", bench.name(), policy.shorthand());

@@ -237,6 +237,47 @@ fn faulted_trace_exports_fault_category() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `trace` asks the engine, like `sweep --trace-out`: the first
+/// invocation leaves its run in the disk cache, the second is answered
+/// from it and writes the same bytes.
+#[test]
+fn trace_goes_through_the_engine_cache() {
+    let dir = std::env::temp_dir().join(format!("psc-cli-trace-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("cache");
+    let trace = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_powerscale"))
+            .args(["trace", "--bench", "CG", "--nodes", "2", "--class", "test"])
+            .env("PSC_CACHE_DIR", &cache)
+            .env_remove("PSC_CACHE")
+            .current_dir(&dir)
+            .output()
+            .expect("failed to launch powerscale");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let read = |name: &str| std::fs::read(dir.join("results").join(name)).unwrap();
+        (out.stdout, read("cg-n2-g1.trace.json"), read("cg-n2-g1.manifest.json"))
+    };
+    // Every file under the cache directory: `<shard>/<key>.run`.
+    let entries = || -> Vec<std::path::PathBuf> {
+        let shards = std::fs::read_dir(&cache).expect("the first trace creates the cache");
+        shards
+            .flat_map(|shard| std::fs::read_dir(shard.unwrap().path()).unwrap())
+            .map(|entry| entry.unwrap().path())
+            .collect()
+    };
+
+    let first = trace();
+    let after_first = entries();
+    assert_eq!(after_first.len(), 1, "one run, one entry: {after_first:?}");
+    assert_eq!(after_first[0].extension().and_then(|e| e.to_str()), Some("run"));
+
+    let second = trace();
+    assert!(first == second, "a trace served from the cache must write the same bytes");
+    assert_eq!(entries(), after_first, "the second trace is a disk hit, not a new entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn replay_quick_gates_pass_and_report_dedup() {
     let out = powerscale_hermetic(&["replay", "--quick", "--seed", "9", "--min-dedup", "0.3"]);

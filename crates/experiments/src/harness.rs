@@ -14,7 +14,7 @@ use psc_kernels::{Benchmark, ProblemClass};
 use psc_model::decompose::Decomposition;
 use psc_model::gears::GearProfile;
 use psc_model::predict::ClusterModel;
-use psc_mpi::{Cluster, NetworkModel, RuntimeBackend};
+use psc_mpi::{Cluster, NetworkModel};
 use psc_runner::{Engine, RunPlan, RunSpec};
 use psc_telemetry::{RunManifest, SweepManifest};
 use std::path::PathBuf;
@@ -32,8 +32,8 @@ pub fn sun_cluster() -> Cluster {
 /// The engine the figure binaries use: the paper's testbed cluster,
 /// `PSC_JOBS`/available-parallelism workers, and the environment's cache
 /// configuration (`PSC_CACHE`, `PSC_CACHE_DIR`), with optional
-/// `--jobs N`, `--backend threaded|des`, `--faults <plan.json>`, and
-/// `--fault-seed N` command-line overrides.
+/// `--jobs N`, `--faults <plan.json>`, and `--fault-seed N` command-line
+/// overrides.
 pub fn engine_from_args(args: &[String]) -> Engine {
     engine_for(cluster(), args)
 }
@@ -49,21 +49,7 @@ pub fn engine_for(c: Cluster, args: &[String]) -> Engine {
             .unwrap_or_else(|| panic!("--jobs needs a positive integer"));
         e = e.with_jobs(jobs);
     }
-    if let Some(b) = backend_from_args(args) {
-        e = e.with_backend(b);
-    }
     e
-}
-
-/// The `--backend threaded|des` override, if present. The backend only
-/// changes how ranks are driven on the host — results are byte-identical
-/// either way — so it is a throughput knob, not a configuration axis.
-pub fn backend_from_args(args: &[String]) -> Option<RuntimeBackend> {
-    args.iter().position(|a| a == "--backend").map(|i| {
-        let v = args.get(i + 1).cloned().unwrap_or_else(|| panic!("--backend needs a value"));
-        RuntimeBackend::parse(&v)
-            .unwrap_or_else(|| panic!("--backend must be 'threaded' or 'des', got '{v}'"))
-    })
 }
 
 /// The fault plan the command line asks for, if any:
@@ -333,27 +319,6 @@ mod tests {
         let args: Vec<String> = ["--test", "--jobs", "3"].iter().map(|s| s.to_string()).collect();
         assert_eq!(engine_for(cluster(), &args).jobs(), 3);
         assert!(engine_for(cluster(), &[]).jobs() >= 1);
-    }
-
-    #[test]
-    fn backend_args_select_the_rank_driver() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(backend_from_args(&to_args(&["--test"])).is_none());
-        assert_eq!(
-            backend_from_args(&to_args(&["--backend", "threaded"])),
-            Some(RuntimeBackend::Threaded)
-        );
-        let e = engine_for(cluster(), &to_args(&["--backend", "threaded"]));
-        assert_eq!(e.cluster().backend, RuntimeBackend::Threaded);
-        let e = engine_for(cluster(), &to_args(&["--backend", "des"]));
-        assert_eq!(e.cluster().backend, RuntimeBackend::Des);
-    }
-
-    #[test]
-    #[should_panic(expected = "--backend must be 'threaded' or 'des'")]
-    fn bad_backend_is_rejected() {
-        let args: Vec<String> = ["--backend", "fibers"].iter().map(|s| s.to_string()).collect();
-        let _ = backend_from_args(&args);
     }
 
     #[test]

@@ -54,13 +54,6 @@ impl NodeSpec {
         NodeSpec { name: name.into(), gears, cpu, power, dvfs_transition_s: 20e-6 }
     }
 
-    /// Override the DVFS transition stall (0 = free switching).
-    pub fn with_dvfs_transition(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0 && seconds.is_finite());
-        self.dvfs_transition_s = seconds;
-        self
-    }
-
     /// Whether the node supports more than one gear.
     pub fn is_power_scalable(&self) -> bool {
         self.gears.len() > 1

@@ -9,7 +9,6 @@
 //! what aggregate compute throughput does each choice of gear deliver?
 
 use crate::cpu::WorkBlock;
-use crate::gear::Gear;
 use crate::node::NodeSpec;
 use serde::{Deserialize, Serialize};
 
@@ -76,12 +75,6 @@ pub fn best_rack_option(
         .into_iter()
         .max_by(|a, b| a.throughput.partial_cmp(&b.throughput).unwrap().then(b.gear.cmp(&a.gear)))
         .expect("node has at least one gear")
-}
-
-/// Steady-state heat density of a node at a gear, W (identical to its
-/// power draw — all consumed power becomes heat).
-pub fn node_heat_w(node: &NodeSpec, workload: &WorkBlock, gear: Gear) -> f64 {
-    node.compute_power_w(workload, gear)
 }
 
 #[cfg(test)]

@@ -315,16 +315,6 @@ impl Wattmeter {
         }
         acc
     }
-
-    /// Measure average power of a trace, watts.
-    pub fn measure_average_w(&self, trace: &PowerTrace) -> f64 {
-        let d = trace.end_s();
-        if d == 0.0 {
-            0.0
-        } else {
-            self.measure_energy_j(trace) / d
-        }
-    }
 }
 
 /// Sum the exact energies of a set of node traces — the paper's

@@ -181,13 +181,6 @@ impl Histogram {
             atomic_f64_update(&self.max_bits, |m| m.max(omax));
         }
     }
-
-    /// A detached copy of the current state (same layout, non-shared).
-    pub fn snapshot_clone(&self) -> Histogram {
-        let h = Histogram::new(&self.bounds);
-        h.merge(self);
-        h
-    }
 }
 
 /// A frozen, serializable copy of a [`Histogram`]'s state. This is what

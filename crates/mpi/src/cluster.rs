@@ -25,12 +25,15 @@ use std::sync::Arc;
 /// Both backends run the *same* `Comm` layer over the same machine,
 /// network, and fault models; only the mechanics of "a rank blocks in a
 /// receive" differ. Results are byte-identical (enforced by
-/// `tests/backend_identity.rs`), so the backend choice is a host-side
-/// throughput knob — it participates in no cache key and no result.
+/// `tests/backend_identity.rs`), so the backend participates in no cache
+/// key and no result. Nobody chooses it at run time: the platform does
+/// ([`RuntimeBackend::effective`]), and [`Cluster::with_backend`] exists
+/// for the identity suites that compare the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeBackend {
-    /// One OS thread per rank, parked on a channel when blocked.
-    /// Retained for differential testing against [`RuntimeBackend::Des`].
+    /// One OS thread per rank, parked on a channel when blocked. The
+    /// driver on targets without a coroutine context switch, and the
+    /// differential reference for [`RuntimeBackend::Des`].
     Threaded,
     /// Single-threaded discrete-event scheduler: each rank is a
     /// coroutine suspended at blocking `Comm` operations, resumed in
@@ -41,23 +44,6 @@ pub enum RuntimeBackend {
 }
 
 impl RuntimeBackend {
-    /// Parse a CLI-style backend name (`"threaded"` or `"des"`).
-    pub fn parse(s: &str) -> Option<RuntimeBackend> {
-        match s {
-            "threaded" => Some(RuntimeBackend::Threaded),
-            "des" => Some(RuntimeBackend::Des),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeBackend::Threaded => "threaded",
-            RuntimeBackend::Des => "des",
-        }
-    }
-
     /// The backend that will actually drive a run: targets without a
     /// coroutine context switch fall back to the threaded driver (the
     /// results are bit-identical either way).
@@ -272,15 +258,6 @@ impl RunResult {
         (self.time_s - self.active_max_s()).max(0.0)
     }
 
-    /// Mean per-rank active time, seconds.
-    pub fn active_mean_s(&self) -> f64 {
-        if self.ranks.is_empty() {
-            0.0
-        } else {
-            self.ranks.iter().map(|r| r.trace.active_s()).sum::<f64>() / self.ranks.len() as f64
-        }
-    }
-
     /// Aggregate counters over all ranks.
     pub fn total_counters(&self) -> Counters {
         let mut c = Counters::default();
@@ -310,7 +287,7 @@ pub struct Cluster {
     /// The sampling wattmeter used for `measured_energy_j`.
     pub wattmeter: Wattmeter,
     /// The rank driver. Changes host throughput only, never a result.
-    pub backend: RuntimeBackend,
+    backend: RuntimeBackend,
 }
 
 impl Cluster {
@@ -329,7 +306,11 @@ impl Cluster {
         Cluster::new(psc_machine::presets::athlon64(), NetworkModel::fast_ethernet())
     }
 
-    /// The same cluster with another rank driver.
+    /// The same cluster with another rank driver — the hook the identity
+    /// suites (`tests/{backend,policy,replay}_identity.rs`,
+    /// `tests/fault_properties.rs`) use to cross the two drivers. No
+    /// binary calls it: on x86_64 every run is driven by
+    /// [`RuntimeBackend::Des`].
     pub fn with_backend(mut self, backend: RuntimeBackend) -> Self {
         self.backend = backend;
         self

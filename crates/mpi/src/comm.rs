@@ -519,11 +519,6 @@ impl Comm {
         data
     }
 
-    /// Complete a batch of nonblocking receives in order.
-    pub fn wait_all<T: Payload>(&mut self, reqs: Vec<RecvRequest<T>>) -> Vec<T> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-
     // ------------------------------------------------------------------
     // Collectives
     // ------------------------------------------------------------------

@@ -271,14 +271,6 @@ impl Engine {
         self
     }
 
-    /// Select the rank-execution backend (DES or threaded). The backend
-    /// affects host-side throughput only: it never enters a cache key,
-    /// and both backends produce byte-identical results.
-    pub fn with_backend(mut self, backend: psc_mpi::RuntimeBackend) -> Self {
-        self.cluster = self.cluster.with_backend(backend);
-        self
-    }
-
     /// The engine's default fault plan, if any.
     pub fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()

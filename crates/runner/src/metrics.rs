@@ -74,11 +74,6 @@ impl EngineMetrics {
         })
     }
 
-    /// Whether hooks record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The underlying registry (for export and for tests).
     pub fn registry(&self) -> &Registry {
         &self.registry

@@ -59,9 +59,8 @@ fn nine_kernel_plan() -> RunPlan {
 }
 
 fn engine(backend: RuntimeBackend) -> Engine {
-    Engine::serial(Cluster::athlon_fast_ethernet())
+    Engine::serial(Cluster::athlon_fast_ethernet().with_backend(backend))
         .with_cache(RunCache::in_memory())
-        .with_backend(backend)
 }
 
 #[test]

@@ -103,8 +103,8 @@ proptest! {
     fn faulted_runs_are_backend_invariant(seed in 0u64..u64::MAX, level in 0.001..0.20f64) {
         let spec = RunSpec::uniform(Benchmark::Lu, ProblemClass::Test, 2, 4)
             .with_faults(FaultPlan::noise(seed, level));
-        let des = engine(1).with_backend(RuntimeBackend::Des).run(&spec);
-        let threaded = engine(1).with_backend(RuntimeBackend::Threaded).run(&spec);
+        let on = |b| Engine::serial(Cluster::athlon_fast_ethernet().with_backend(b)).run(&spec);
+        let (des, threaded) = (on(RuntimeBackend::Des), on(RuntimeBackend::Threaded));
         prop_assert_eq!(des.time_s.to_bits(), threaded.time_s.to_bits());
         prop_assert_eq!(des.energy_j.to_bits(), threaded.energy_j.to_bits());
         let (a, b) = (serde::json::to_string(&*des), serde::json::to_string(&*threaded));

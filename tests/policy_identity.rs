@@ -67,9 +67,8 @@ fn static_plan() -> RunPlan {
 }
 
 fn engine(backend: RuntimeBackend, jobs: usize) -> Engine {
-    Engine::serial(Cluster::athlon_fast_ethernet())
+    Engine::serial(Cluster::athlon_fast_ethernet().with_backend(backend))
         .with_cache(RunCache::in_memory())
-        .with_backend(backend)
         .with_jobs(jobs)
 }
 
@@ -114,9 +113,12 @@ fn static_policy_is_identity_parallel_threaded() {
 
 #[test]
 fn static_policy_is_identity_under_faults() {
-    let faults = Some(FaultPlan::noise(11, DEFAULT_NOISE_LEVEL));
-    assert_static_identity(RuntimeBackend::Des, 8, faults.clone());
-    assert_static_identity(RuntimeBackend::Threaded, 1, faults);
+    // The seeds CI's policy matrix runs through the real CLI.
+    for seed in [11, 42, 1337] {
+        let faults = Some(FaultPlan::noise(seed, DEFAULT_NOISE_LEVEL));
+        assert_static_identity(RuntimeBackend::Des, 8, faults.clone());
+        assert_static_identity(RuntimeBackend::Threaded, 1, faults);
+    }
 }
 
 #[test]

@@ -112,10 +112,16 @@ fn spec(
 /// different periods, so all four combinations appear in every ring of
 /// four or more.
 fn engine(i: usize) -> Engine {
-    let backend =
-        if (i / 2).is_multiple_of(2) { RuntimeBackend::Des } else { RuntimeBackend::Threaded };
     let jobs = if i.is_multiple_of(2) { 1 } else { 8 };
-    Engine::serial(Cluster::athlon_fast_ethernet()).with_backend(backend).with_jobs(jobs)
+    Engine::serial(Cluster::athlon_fast_ethernet().with_backend(backend(i))).with_jobs(jobs)
+}
+
+fn backend(i: usize) -> RuntimeBackend {
+    if (i / 2).is_multiple_of(2) {
+        RuntimeBackend::Des
+    } else {
+        RuntimeBackend::Threaded
+    }
 }
 
 fn counter(e: &Engine, name: &str) -> f64 {
@@ -142,7 +148,7 @@ fn check_ring(specs: &[RunSpec]) {
                 specs[j],
                 specs[i],
                 e.jobs(),
-                e.cluster().backend,
+                backend(i),
             );
         }
         // The audit that makes the comparison mean something: those
