@@ -1,4 +1,3 @@
-//! psc-analyze: allow-file(D001)
 //! The sanctioned host-timing seam (chokepoint for the R family).
 pub fn host_now_s() -> f64 {
     let _t = Instant::now();

@@ -5,7 +5,6 @@ pub fn apply() {
 }
 
 fn configure() {
-    // psc-analyze: allow(D003) seeded for the R003 fixture expectation
     let _v = std::env::var("PSC_FIXTURE");
     std::thread::spawn(|| {});
 }

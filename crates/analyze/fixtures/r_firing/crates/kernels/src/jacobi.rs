@@ -1,10 +1,10 @@
-//! R-family firing fixture: the kernel itself is token-clean — every
-//! banned sink is laundered through a helper in another crate, which
-//! only the call-graph rules can see.
+//! R-family firing fixture: the host clock is laundered through a
+//! helper in another crate, which only the call-graph rules can see;
+//! the metrics call is direct (R005), and the crate's manifest
+//! declares `psc-metrics` (M001).
 use psc_machine::util::stamp;
 
 pub fn run_jacobi() {
     stamp();
-    // psc-analyze: allow(M001) seeded for the R005 fixture expectation
     psc_metrics::counter_inc();
 }

@@ -1,11 +1,10 @@
 //! The laundering helper: reads the host clock two frames below the
-//! kernel root. D001 is pragma-allowed so the corpus isolates the
-//! R-family (transitive) diagnostic.
+//! kernel root, where only the call graph (R001) sees it — fixtures are
+//! never compiled, so clippy's clock ban does not reach them.
 pub fn stamp() {
     helper_now();
 }
 
 fn helper_now() {
-    // psc-analyze: allow(D001) seeded for the R001 fixture expectation
     let _t = Instant::now();
 }

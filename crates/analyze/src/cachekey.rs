@@ -7,11 +7,12 @@
 //! that differ only in the new field.
 //!
 //! * **C001** — every field of `struct RunSpec` (in
-//!   `crates/runner/src/plan.rs`) must be *referenced* by the body of
-//!   `Engine::cache_key` (in `crates/runner/src/engine.rs`). A field is
-//!   referenced when some identifier in the body contains its name —
-//!   `spec.bench` directly, `resolved_gears()` for `gears`,
-//!   `effective_faults(spec)` for `faults`.
+//!   `crates/runner/src/plan.rs`), whatever its visibility, must be
+//!   *referenced* by the body of `Engine::cache_key` (in
+//!   `crates/runner/src/engine.rs`). A field is referenced when some
+//!   identifier in the body contains its name — `spec.bench` directly,
+//!   `resolved_gears()` for `gears`, `effective_faults(spec)` for
+//!   `faults`.
 //! * **C002** — the nested `FaultPlan` participates via its serde
 //!   serialization (`plan.to_json()` inside the key), so `FaultPlan`
 //!   must derive `Serialize` and no field may be `#[serde(skip)]`-ed
@@ -23,295 +24,81 @@
 //!   must derive `Serialize` and no variant field may be skipped —
 //!   two specs differing only in a skipped knob would alias one
 //!   cached result.
+//!
+//! All three read the struct, enum and method items the parser
+//! recovered into the workspace IR; nothing here re-reads a file.
 
+use crate::modres::WorkspaceIr;
 use crate::report::{Finding, Severity};
-use crate::scan::{tokenize, Tok};
 
-/// A struct field as parsed from source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Field {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the declaration.
-    pub line: u32,
-    /// Whether a `#[serde(skip…)]` attribute precedes the field.
-    pub serde_skipped: bool,
+/// Where `RunSpec` is declared.
+pub(crate) const PLAN: &str = "crates/runner/src/plan.rs";
+/// Where `Engine::cache_key` and `Engine::execute_spec` are declared.
+pub(crate) const ENGINE: &str = "crates/runner/src/engine.rs";
+
+/// A type that reaches the cache key through its serde encoding.
+struct Encoded {
+    rule: &'static str,
+    path: &'static str,
+    keyword: &'static str,
+    name: &'static str,
+    /// What one value is called in messages (`plan`), and several.
+    noun: &'static str,
+    plural: &'static str,
 }
 
-/// Parse the `pub` fields of `struct <name>` out of `src`. Returns
-/// `None` when the struct is not found.
-pub fn struct_fields(src: &str, name: &str) -> Option<Vec<Field>> {
-    let toks = tokenize(src);
-    let mut i = 0;
-    // Find `struct <name>` followed (eventually) by `{`.
-    let start = loop {
-        if i + 1 >= toks.len() {
-            return None;
-        }
-        if toks[i].text == "struct" && toks[i + 1].text == name {
-            break i + 2;
-        }
-        i += 1;
-    };
-    let mut i = start;
-    while i < toks.len() && toks[i].text != "{" {
-        if toks[i].text == ";" {
-            return Some(Vec::new()); // unit struct
-        }
-        i += 1;
+const ENCODED: &[Encoded] = &[
+    Encoded {
+        rule: "C002",
+        path: "crates/faults/src/plan.rs",
+        keyword: "struct",
+        name: "FaultPlan",
+        noun: "plan",
+        plural: "plans",
+    },
+    Encoded {
+        rule: "P002",
+        path: "crates/policy/src/lib.rs",
+        keyword: "enum",
+        name: "PolicySpec",
+        noun: "policy",
+        plural: "policies",
+    },
+];
+
+/// Run C001, C002 and P002.
+pub fn check(ir: &WorkspaceIr) -> Vec<Finding> {
+    let mut out = check_cache_key(ir);
+    for e in ENCODED {
+        out.extend(check_encoding(ir, e));
     }
-    i += 1; // past '{'
-    let mut depth = 1usize;
-    let mut fields = Vec::new();
-    let mut pending_skip = false;
-    while i < toks.len() && depth > 0 {
-        match toks[i].text.as_str() {
-            "{" | "(" | "[" | "<" => {
-                if toks[i].text == "{" {
-                    depth += 1;
-                }
-                i += 1;
-            }
-            "}" => {
-                depth -= 1;
-                i += 1;
-            }
-            // `#[serde(skip…)]` marks the *next* field as excluded.
-            "#" if depth == 1 => {
-                let attr_start = i;
-                i += 1;
-                if toks.get(i).is_some_and(|t| t.text == "[") {
-                    let mut adepth = 1;
-                    i += 1;
-                    let mut attr = Vec::new();
-                    while i < toks.len() && adepth > 0 {
-                        match toks[i].text.as_str() {
-                            "[" => adepth += 1,
-                            "]" => adepth -= 1,
-                            _ => attr.push(toks[i].text.clone()),
-                        }
-                        i += 1;
-                    }
-                    if attr.first().is_some_and(|t| t == "serde")
-                        && attr.iter().any(|t| t.starts_with("skip"))
-                    {
-                        pending_skip = true;
-                    }
-                } else {
-                    i = attr_start + 1;
-                }
-            }
-            "pub" if depth == 1 => {
-                // `pub name :` — collect the field.
-                if toks.get(i + 1).is_some_and(Tok::is_ident)
-                    && toks.get(i + 2).is_some_and(|t| t.text == ":")
-                {
-                    fields.push(Field {
-                        name: toks[i + 1].text.clone(),
-                        line: toks[i + 1].line,
-                        serde_skipped: pending_skip,
-                    });
-                    pending_skip = false;
-                }
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    Some(fields)
+    out
 }
 
-/// The tokens of `fn <name>`'s body, plus the line the function starts
-/// on. `None` when the function is not found.
-pub fn fn_body(src: &str, name: &str) -> Option<(Vec<Tok>, u32)> {
-    let toks = tokenize(src);
-    let mut i = 0;
-    let start = loop {
-        if i + 1 >= toks.len() {
-            return None;
-        }
-        if toks[i].text == "fn" && toks[i + 1].text == name {
-            break i;
-        }
-        i += 1;
-    };
-    let line = toks[start].line;
-    let mut i = start;
-    while i < toks.len() && toks[i].text != "{" {
-        i += 1;
-    }
-    i += 1;
-    let body_start = i;
-    let mut depth = 1usize;
-    while i < toks.len() && depth > 0 {
-        match toks[i].text.as_str() {
-            "{" => depth += 1,
-            "}" => depth -= 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    Some((toks[body_start..i.saturating_sub(1)].to_vec(), line))
-}
-
-/// Whether the `derive(...)` attribute list preceding `struct <name>`
-/// contains `trait_name`.
-pub fn struct_derives(src: &str, name: &str, trait_name: &str) -> bool {
-    item_derives(src, "struct", name, trait_name)
-}
-
-/// Whether the `derive(...)` attribute list preceding `enum <name>`
-/// contains `trait_name`.
-pub fn enum_derives(src: &str, name: &str, trait_name: &str) -> bool {
-    item_derives(src, "enum", name, trait_name)
-}
-
-fn item_derives(src: &str, keyword: &str, name: &str, trait_name: &str) -> bool {
-    let toks = tokenize(src);
-    let mut last_derive: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].text == "derive" && toks.get(i + 1).is_some_and(|t| t.text == "(") {
-            let mut depth = 1;
-            let mut j = i + 2;
-            last_derive.clear();
-            while j < toks.len() && depth > 0 {
-                match toks[j].text.as_str() {
-                    "(" => depth += 1,
-                    ")" => depth -= 1,
-                    _ => last_derive.push(toks[j].text.clone()),
-                }
-                j += 1;
-            }
-            i = j;
-            continue;
-        }
-        if toks[i].text == keyword && toks[i + 1].text == name {
-            return last_derive.iter().any(|t| t == trait_name);
-        }
-        // Any non-attribute item between a derive and the next item
-        // declaration invalidates the association.
-        if toks[i].text == "fn" || toks[i].text == "impl" {
-            last_derive.clear();
-        }
-        i += 1;
-    }
-    false
-}
-
-/// The named fields of every variant of `enum <name>`, flattened
-/// across variants (variant names themselves are not fields). Returns
-/// `None` when the enum is not found.
-pub fn enum_variant_fields(src: &str, name: &str) -> Option<Vec<Field>> {
-    let toks = tokenize(src);
-    let mut i = 0;
-    let start = loop {
-        if i + 1 >= toks.len() {
-            return None;
-        }
-        if toks[i].text == "enum" && toks[i + 1].text == name {
-            break i + 2;
-        }
-        i += 1;
-    };
-    let mut i = start;
-    while i < toks.len() && toks[i].text != "{" {
-        i += 1;
-    }
-    i += 1; // past the enum's '{'
-    let mut depth = 1usize;
-    let mut fields = Vec::new();
-    let mut pending_skip = false;
-    while i < toks.len() && depth > 0 {
-        match toks[i].text.as_str() {
-            "{" => {
-                depth += 1;
-                i += 1;
-            }
-            "}" => {
-                depth -= 1;
-                i += 1;
-            }
-            // `#[serde(skip…)]` marks the *next* field as excluded.
-            "#" => {
-                let attr_start = i;
-                i += 1;
-                if toks.get(i).is_some_and(|t| t.text == "[") {
-                    let mut adepth = 1;
-                    i += 1;
-                    let mut attr = Vec::new();
-                    while i < toks.len() && adepth > 0 {
-                        match toks[i].text.as_str() {
-                            "[" => adepth += 1,
-                            "]" => adepth -= 1,
-                            _ => attr.push(toks[i].text.clone()),
-                        }
-                        i += 1;
-                    }
-                    if attr.first().is_some_and(|t| t == "serde")
-                        && attr.iter().any(|t| t.starts_with("skip"))
-                    {
-                        pending_skip = true;
-                    }
-                } else {
-                    i = attr_start + 1;
-                }
-            }
-            // `name : Type` at depth 2 is a variant's named field
-            // (depth 1 idents are the variant names; `::` paths in
-            // types are excluded by the second-colon guard).
-            _ if depth == 2
-                && toks[i].is_ident()
-                && toks.get(i + 1).is_some_and(|t| t.text == ":")
-                && toks.get(i + 2).is_some_and(|t| t.text != ":") =>
-            {
-                fields.push(Field {
-                    name: toks[i].text.clone(),
-                    line: toks[i].line,
-                    serde_skipped: pending_skip,
-                });
-                pending_skip = false;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    Some(fields)
-}
-
-/// C001: check that every field of `RunSpec` (as declared in
-/// `plan_src`) is referenced by `Engine::cache_key` (in `engine_src`).
-pub fn check_cache_key(plan_src: &str, engine_src: &str) -> Vec<Finding> {
-    const PLAN: &str = "crates/runner/src/plan.rs";
-    const ENGINE: &str = "crates/runner/src/engine.rs";
-    let mut out = Vec::new();
-
-    let Some(fields) = struct_fields(plan_src, "RunSpec") else {
-        out.push(Finding::new(
-            "C001",
-            Severity::Error,
+/// C001: every field of `RunSpec` is referenced by `Engine::cache_key`.
+fn check_cache_key(ir: &WorkspaceIr) -> Vec<Finding> {
+    let c001 =
+        |path: &str, line: u32, msg: String| Finding::new("C001", Severity::Error, path, line, msg);
+    let Some(spec) = ir.type_item(PLAN, "struct", "RunSpec") else {
+        return vec![c001(
             PLAN,
             1,
-            "struct RunSpec not found — the cache-key completeness check cannot run",
-        ));
-        return out;
+            "struct RunSpec not found — the cache-key completeness check cannot run".into(),
+        )];
     };
-    let Some((body, fn_line)) = fn_body(engine_src, "cache_key") else {
-        out.push(Finding::new(
-            "C001",
-            Severity::Error,
+    let Some((body, fn_line)) = ir.method_body(ENGINE, "Engine", "cache_key") else {
+        return vec![c001(
             ENGINE,
             1,
-            "fn cache_key not found — every RunSpec field must be hashed into the run-cache key",
-        ));
-        return out;
+            "fn cache_key not found — every RunSpec field must be hashed into the run-cache key"
+                .into(),
+        )];
     };
-    for f in &fields {
-        let covered = body.iter().any(|t| t.is_ident() && t.text.contains(&f.name));
-        if !covered {
-            out.push(Finding::new(
-                "C001",
-                Severity::Error,
+    spec.fields
+        .iter()
+        .filter(|f| !body.iter().any(|t| t.is_ident() && t.text.contains(&f.name)))
+        .map(|f| {
+            c001(
                 ENGINE,
                 fn_line,
                 format!(
@@ -319,87 +106,41 @@ pub fn check_cache_key(plan_src: &str, engine_src: &str) -> Vec<Finding> {
                      differing only in `{}` would alias a stale cached result",
                     f.name, f.line, f.name
                 ),
-            ));
-        }
-    }
-    out
+            )
+        })
+        .collect()
 }
 
-/// C002: `FaultPlan` reaches the key through its serde encoding, so the
-/// encoding must cover every field.
-pub fn check_fault_plan_encoding(faults_plan_src: &str) -> Vec<Finding> {
-    const PATH: &str = "crates/faults/src/plan.rs";
-    let mut out = Vec::new();
-    let Some(fields) = struct_fields(faults_plan_src, "FaultPlan") else {
-        out.push(Finding::new(
-            "C002",
-            Severity::Error,
-            PATH,
+/// C002 / P002: a type embedded in the key by its serde encoding must
+/// derive `Serialize` and skip no field.
+fn check_encoding(ir: &WorkspaceIr, e: &Encoded) -> Vec<Finding> {
+    let finding = |line: u32, msg: String| Finding::new(e.rule, Severity::Error, e.path, line, msg);
+    let Some(item) = ir.type_item(e.path, e.keyword, e.name) else {
+        return vec![finding(
             1,
-            "struct FaultPlan not found — the cache-key completeness check cannot run",
-        ));
-        return out;
-    };
-    if !struct_derives(faults_plan_src, "FaultPlan", "Serialize") {
-        out.push(Finding::new(
-            "C002",
-            Severity::Error,
-            PATH,
-            1,
-            "FaultPlan must derive Serialize — the cache key embeds the plan's JSON encoding",
-        ));
-    }
-    for f in fields.iter().filter(|f| f.serde_skipped) {
-        out.push(Finding::new(
-            "C002",
-            Severity::Error,
-            PATH,
-            f.line,
             format!(
-                "FaultPlan field `{}` is #[serde(skip)]-ed out of the encoding, so it never \
-                 reaches the cache key — two plans differing only in `{}` would alias",
-                f.name, f.name
+                "{} {} not found — the cache-key completeness check cannot run",
+                e.keyword, e.name
+            ),
+        )];
+    };
+    let mut out = Vec::new();
+    if !item.derives.iter().any(|d| d == "Serialize") {
+        out.push(finding(
+            1,
+            format!(
+                "{} must derive Serialize — the cache key embeds the {}'s JSON encoding",
+                e.name, e.noun
             ),
         ));
     }
-    out
-}
-
-/// P002: `RunSpec::policy` reaches the key as `PolicySpec`'s serde
-/// encoding, so — exactly like C002 for `FaultPlan` — the encoding
-/// must cover every knob of every variant.
-pub fn check_policy_encoding(policy_src: &str) -> Vec<Finding> {
-    const PATH: &str = "crates/policy/src/lib.rs";
-    let mut out = Vec::new();
-    let Some(fields) = enum_variant_fields(policy_src, "PolicySpec") else {
-        out.push(Finding::new(
-            "P002",
-            Severity::Error,
-            PATH,
-            1,
-            "enum PolicySpec not found — the cache-key completeness check cannot run",
-        ));
-        return out;
-    };
-    if !enum_derives(policy_src, "PolicySpec", "Serialize") {
-        out.push(Finding::new(
-            "P002",
-            Severity::Error,
-            PATH,
-            1,
-            "PolicySpec must derive Serialize — the cache key embeds the policy's JSON encoding",
-        ));
-    }
-    for f in fields.iter().filter(|f| f.serde_skipped) {
-        out.push(Finding::new(
-            "P002",
-            Severity::Error,
-            PATH,
+    for f in item.fields.iter().filter(|f| f.serde_skipped) {
+        out.push(finding(
             f.line,
             format!(
-                "PolicySpec field `{}` is #[serde(skip)]-ed out of the encoding, so it never \
-                 reaches the cache key — two policies differing only in `{}` would alias",
-                f.name, f.name
+                "{} field `{}` is #[serde(skip)]-ed out of the encoding, so it never reaches the \
+                 cache key — two {} differing only in `{}` would alias",
+                e.name, f.name, e.plural, f.name
             ),
         ));
     }
@@ -410,7 +151,7 @@ pub fn check_policy_encoding(policy_src: &str) -> Vec<Finding> {
 mod tests {
     use super::*;
 
-    const PLAN: &str = "
+    const PLAN_SRC: &str = "
         pub struct RunSpec {
             pub bench: Benchmark,
             pub class: ProblemClass,
@@ -433,9 +174,13 @@ mod tests {
         }
     ";
 
+    fn c001(plan: &str, engine: &str) -> Vec<Finding> {
+        check_cache_key(&WorkspaceIr::from_sources(&[(PLAN, plan), (ENGINE, engine)]))
+    }
+
     #[test]
     fn complete_key_passes() {
-        assert!(check_cache_key(PLAN, ENGINE_OK).is_empty());
+        assert!(c001(PLAN_SRC, ENGINE_OK).is_empty());
     }
 
     #[test]
@@ -443,7 +188,7 @@ mod tests {
         // Delete the gears contribution while the field stays on RunSpec.
         let engine_bad =
             ENGINE_OK.replace("desc.push_str(&format!(\"{:?}\", spec.resolved_gears()));", "");
-        let f = check_cache_key(PLAN, &engine_bad);
+        let f = c001(PLAN_SRC, &engine_bad);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "C001");
         assert!(f[0].message.contains("`gears`"));
@@ -451,18 +196,21 @@ mod tests {
 
     #[test]
     fn adding_an_unhashed_field_fails() {
-        let plan_grown = PLAN.replace(
-            "pub faults: Option<FaultPlan>,",
-            "pub faults: Option<FaultPlan>,\n pub deadline_s: f64,",
-        );
-        let f = check_cache_key(&plan_grown, ENGINE_OK);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("`deadline_s`"));
+        // A private field aliases cached results just as a `pub` one does.
+        for field in ["pub deadline_s: f64,", "deadline_s: f64,"] {
+            let plan_grown = PLAN_SRC.replace(
+                "pub faults: Option<FaultPlan>,",
+                &format!("pub faults: Option<FaultPlan>,\n {field}"),
+            );
+            let f = c001(&plan_grown, ENGINE_OK);
+            assert_eq!(f.len(), 1, "{field}: {f:?}");
+            assert!(f[0].message.contains("`deadline_s`"));
+        }
     }
 
     #[test]
     fn missing_cache_key_fn_is_fatal() {
-        let f = check_cache_key(PLAN, "impl Engine {}");
+        let f = c001(PLAN_SRC, "impl Engine {}");
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("fn cache_key not found"));
     }
@@ -475,32 +223,30 @@ mod tests {
         }
     ";
 
+    fn c002(src: &str) -> Vec<Finding> {
+        check_encoding(&WorkspaceIr::from_sources(&[(ENCODED[0].path, src)]), &ENCODED[0])
+    }
+
     #[test]
     fn serialized_fault_plan_passes() {
-        assert!(check_fault_plan_encoding(FAULTS_OK).is_empty());
+        assert!(c002(FAULTS_OK).is_empty());
     }
 
     #[test]
     fn serde_skip_on_a_fault_field_fails() {
-        let bad = FAULTS_OK.replace("pub seed: u64,", "#[serde(skip)]\n pub seed: u64,");
-        let f = check_fault_plan_encoding(&bad);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "C002");
-        assert!(f[0].message.contains("`seed`"));
+        for seed in ["#[serde(skip)]\n pub seed: u64,", "#[serde(skip)]\n seed: u64,"] {
+            let f = c002(&FAULTS_OK.replace("pub seed: u64,", seed));
+            assert_eq!(f.len(), 1, "{seed}: {f:?}");
+            assert_eq!(f[0].rule, "C002");
+            assert!(f[0].message.contains("`seed`"));
+        }
     }
 
     #[test]
     fn missing_serialize_derive_fails() {
-        let bad = FAULTS_OK.replace("Serialize, ", "");
-        let f = check_fault_plan_encoding(&bad);
+        let f = c002(&FAULTS_OK.replace("Serialize, ", ""));
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("derive Serialize"));
-    }
-
-    #[test]
-    fn struct_fields_sees_attrs_and_unit_structs() {
-        assert_eq!(struct_fields("pub struct X;", "X"), Some(vec![]));
-        assert!(struct_fields("fn nothing() {}", "X").is_none());
     }
 
     #[test]
@@ -509,7 +255,7 @@ mod tests {
             "if let Some(policy) = &spec.policy { desc.push_str(&policy.to_json()); }",
             "",
         );
-        let f = check_cache_key(PLAN, &engine_bad);
+        let f = c001(PLAN_SRC, &engine_bad);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "C001");
         assert!(f[0].message.contains("`policy`"));
@@ -525,23 +271,20 @@ mod tests {
         }
     ";
 
-    #[test]
-    fn serialized_policy_spec_passes() {
-        assert!(check_policy_encoding(POLICY_OK).is_empty());
+    fn p002(src: &str) -> Vec<Finding> {
+        check_encoding(&WorkspaceIr::from_sources(&[(ENCODED[1].path, src)]), &ENCODED[1])
     }
 
     #[test]
-    fn enum_fields_are_knobs_not_variant_names() {
-        let fields = enum_variant_fields(POLICY_OK, "PolicySpec").unwrap();
-        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["gear", "slowdown_limit", "budget_w", "schedule"]);
+    fn serialized_policy_spec_passes() {
+        assert!(p002(POLICY_OK).is_empty());
     }
 
     #[test]
     fn serde_skip_on_a_policy_field_fails() {
         let bad = POLICY_OK
             .replace("PowerCap { budget_w: f64 },", "PowerCap { #[serde(skip)] budget_w: f64 },");
-        let f = check_policy_encoding(&bad);
+        let f = p002(&bad);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "P002");
         assert!(f[0].message.contains("`budget_w`"));
@@ -549,15 +292,14 @@ mod tests {
 
     #[test]
     fn missing_serialize_derive_on_policy_fails() {
-        let bad = POLICY_OK.replace("Serialize, ", "");
-        let f = check_policy_encoding(&bad);
+        let f = p002(&POLICY_OK.replace("Serialize, ", ""));
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("derive Serialize"));
     }
 
     #[test]
     fn missing_policy_enum_is_fatal() {
-        let f = check_policy_encoding("pub struct NotAnEnum;");
+        let f = p002("pub struct NotAnEnum;");
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("enum PolicySpec not found"));
     }
@@ -568,9 +310,10 @@ mod tests {
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../policy/src/lib.rs"),
         )
         .expect("policy sources exist");
-        assert!(check_policy_encoding(&src).is_empty());
-        let fields = enum_variant_fields(&src, "PolicySpec").unwrap();
-        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+        assert!(p002(&src).is_empty());
+        let ir = WorkspaceIr::from_sources(&[(ENCODED[1].path, src)]);
+        let spec = ir.type_item(ENCODED[1].path, "enum", "PolicySpec").unwrap();
+        let names: Vec<&str> = spec.fields.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(
             names,
             ["gear", "slowdown_limit", "budget_w", "schedule"],

@@ -1,31 +1,24 @@
-//! The shared command-line driver behind both entry points: the
-//! standalone `psc-analyze` binary and `powerscale analyze`.
+//! The command-line driver behind `powerscale analyze`.
 
-use crate::{analyze_workspace, find_workspace_root, Baseline, Report};
+use crate::{analyze_workspace, find_workspace_root, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-psc-analyze — workspace static analysis (determinism, units, cache keys)
+powerscale analyze — workspace static analysis (reachability, units, cache keys)
 
 USAGE:
-  psc-analyze [--deny] [--format text|json] [--baseline FILE] [--root DIR]
-              [--time-budget-ms N]
+  powerscale analyze [--deny] [--format text|json] [--root DIR]
+                     [--time-budget-ms N]
 
-  --deny               exit non-zero when any non-baselined finding exists
+  --deny               exit non-zero when any finding exists
   --format json        machine-readable output
-  --baseline FILE      grandfather the findings listed in FILE
   --root DIR           workspace root (default: discovered from the cwd)
   --time-budget-ms N   fail when the full analysis (including the
                        interprocedural pass) takes longer than N ms";
 
-/// The usage text, shared by both entry points.
-pub fn usage() -> &'static str {
-    USAGE
-}
-
 /// Parse arguments, run the analysis, render the report; returns the
-/// process exit code (0 clean, 1 fresh findings under `--deny`).
+/// process exit code (0 clean, 1 findings under `--deny`).
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
@@ -45,7 +38,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         match a.as_str() {
             "--deny" => {}
-            "--format" | "--baseline" | "--root" | "--time-budget-ms" => skip = true,
+            "--format" | "--root" | "--time-budget-ms" => skip = true,
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
@@ -64,20 +57,6 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or("no workspace root found above the current directory")?
         }
     };
-    let baseline = match value_of("--baseline")? {
-        Some(path) => {
-            let resolved = if PathBuf::from(&path).is_absolute() {
-                PathBuf::from(&path)
-            } else {
-                root.join(&path)
-            };
-            let text = std::fs::read_to_string(&resolved)
-                .map_err(|e| format!("reading baseline {}: {e}", resolved.display()))?;
-            Baseline::from_json(&text)?
-        }
-        None => Baseline::default(),
-    };
-
     let budget_ms = match value_of("--time-budget-ms")? {
         Some(n) => Some(n.parse::<u64>().map_err(|e| format!("--time-budget-ms '{n}': {e}"))?),
         None => None,
@@ -86,11 +65,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     // The analyzer is a host tool: timing its own wall clock is the
     // one sanctioned self-measurement (it never touches results).
     #[allow(clippy::disallowed_methods)]
-    // psc-analyze: allow(D001)
     let t0 = std::time::Instant::now();
     let findings = analyze_workspace(&root).map_err(|e| format!("analyzing workspace: {e}"))?;
     let elapsed_ms = t0.elapsed().as_millis() as u64;
-    let report = Report::against(findings, &baseline);
+    let report = Report::new(findings);
     if json {
         println!("{}", report.render_json());
     } else {

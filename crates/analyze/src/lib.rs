@@ -6,24 +6,27 @@
 //! run cache, the `--jobs 1` vs `--jobs 8` byte-identity gates, and the
 //! fault-injection ablations all break silently if a wall-clock read,
 //! an unseeded RNG, an unordered iteration, or an unhashed `RunSpec`
-//! field sneaks in. This crate enforces those invariants at CI time
-//! with a dependency-light analyzer (no `syn` — a small hand-rolled
-//! token scanner, see [`scan`]) and its rule families (see [`rules`],
-//! [`cachekey`] — which also owns the P002 policy-encoding check —
-//! and [`metricsrule`] for the metrics observation-only boundary).
+//! field sneaks in. Banned *names* (host clocks, hash-ordered
+//! collections, random hasher seeds) are clippy's to enforce, through
+//! `clippy.toml`. This crate proves what a name ban cannot: that no
+//! impurity is *reachable* from a simulation root ([`reach`]), that
+//! coroutines never suspend holding a borrow ([`suspend`]), that the
+//! cache key covers every input ([`cachekey`], which also owns the
+//! P002 policy-encoding check), that metrics stay observation-only
+//! ([`metricsrule`]), plus the per-file boundaries of [`rules`] and
+//! [`unsafety`]. It is dependency-light: no `syn`, a small hand-rolled
+//! token scanner ([`scan`]).
 //!
 //! ## Suppressions
 //!
-//! * `// psc-analyze: allow(D001)` — suppresses the rule on that line
-//!   and the next one (so the pragma can sit above the offending line).
-//! * `// psc-analyze: allow-file(D001)` — suppresses the rule for the
-//!   whole file; this is the per-file allowlist for legitimate host
-//!   timing (`psc_experiments::timing`) and configuration reads.
-//! * a committed baseline (`analyze-baseline.json`) grandfathers
-//!   individual findings by `(rule, file, line)` without hiding them.
+//! Pragmas are the only suppression:
 //!
-//! Run it as `powerscale analyze [--deny] [--format json] [--baseline
-//! <file>]` or via the standalone `psc-analyze` binary.
+//! * `// psc-analyze: allow(RULE)` — suppresses the rule on that line
+//!   and the next one (so the pragma can sit above the offending line).
+//! * `// psc-analyze: allow-file(RULE)` — suppresses the rule for the
+//!   whole file.
+//!
+//! Run it as `powerscale analyze [--deny] [--format json]`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -42,9 +45,9 @@ pub mod scan;
 pub mod suspend;
 pub mod unsafety;
 
-pub use report::{Baseline, BaselineEntry, Finding, Report, Severity};
-pub use rules::{FileCtx, SIM_CRATES};
+pub use report::{Finding, Report, Severity};
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Collect the per-line and per-file `psc-analyze: allow(...)` pragmas
@@ -92,16 +95,20 @@ impl Allows {
     }
 }
 
-/// Analyze one file's source text as `rel_path` (workspace-relative).
-/// This is the per-file entry point the fixture tests drive directly.
+/// Analyze one file's source text as `rel_path` (workspace-relative)
+/// with the per-file rules. This is the entry point the fixture tests
+/// drive directly.
 pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let crate_dir = crate_dir_of(rel_path);
-    let ctx = FileCtx { path: rel_path, crate_dir: &crate_dir };
-    let toks = scan::strip_cfg_test(&scan::tokenize(src));
     let allows = Allows::parse(src);
-    let mut findings = rules::check_tokens(&ctx, &toks);
-    findings.extend(unsafety::check(rel_path, src, &toks));
-    findings.into_iter().filter(|f| !allows.covers(f)).collect()
+    let toks = scan::strip_cfg_test(&scan::tokenize(src));
+    file_rules(rel_path, src, &toks).into_iter().filter(|f| !allows.covers(f)).collect()
+}
+
+/// The per-file rules over one file's raw source and stripped tokens.
+fn file_rules(rel_path: &str, src: &str, toks: &[scan::Tok]) -> Vec<Finding> {
+    let mut findings = rules::check_tokens(rel_path, toks);
+    findings.extend(unsafety::check(rel_path, src, toks));
+    findings
 }
 
 /// The crate directory a workspace-relative path belongs to: `mpi` for
@@ -177,66 +184,26 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> std::io::Result
     Ok(())
 }
 
-/// Run the full analysis over the workspace at `root`: the per-token
-/// rules over every source file, the structural cache-key checks over
-/// the runner and fault crates, and the interprocedural R/X families
-/// over the whole-workspace call graph.
+/// Run the full analysis over the workspace at `root`. Each source is
+/// read and tokenized once, into one [`modres::WorkspaceIr`]; the
+/// per-file rules, the interprocedural R/K/X families over its call
+/// graph, and the structural C/M checks all run over that IR.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for rel in workspace_sources(root)? {
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        findings.extend(analyze_source(&rel, &src));
-        sources.push((rel, src));
-    }
-
-    // Interprocedural phase: one IR + call graph, the R (+ K001) and X
-    // rule families.
-    let allows: std::collections::BTreeMap<&str, Allows> =
-        sources.iter().map(|(p, s)| (p.as_str(), Allows::parse(s))).collect();
     let ir = modres::WorkspaceIr::build(root)?;
     let graph = callgraph::CallGraph::build(&ir);
-    let inter = reach::check(&ir, &graph)
-        .into_iter()
-        .chain(reach::check_kernel_blindness(&ir, &graph))
-        .chain(suspend::check(&ir, &graph));
-    findings.extend(inter.filter(|f| allows.get(f.file.as_str()).is_none_or(|a| !a.covers(f))));
+    let mut findings: Vec<Finding> =
+        ir.files.iter().flat_map(|f| file_rules(&f.path, &f.src, &f.toks)).collect();
+    findings.extend(reach::check(&ir, &graph));
+    findings.extend(reach::check_kernel_blindness(&ir, &graph));
+    findings.extend(suspend::check(&ir, &graph));
 
-    // C and M families: structural checks over specific files.
-    let read = |rel: &str| std::fs::read_to_string(root.join(rel));
-    match (read("crates/runner/src/plan.rs"), read("crates/runner/src/engine.rs")) {
-        (Ok(plan), Ok(engine)) => {
-            findings.extend(cachekey::check_cache_key(&plan, &engine));
-            findings.extend(metricsrule::check_metrics_boundary(&plan, &engine));
-        }
-        _ => findings.push(Finding::new(
-            "C001",
-            Severity::Error,
-            "crates/runner/src/plan.rs",
-            1,
-            "runner sources not found — cannot verify cache-key completeness",
-        )),
-    }
-    match read("crates/faults/src/plan.rs") {
-        Ok(plan) => findings.extend(cachekey::check_fault_plan_encoding(&plan)),
-        Err(_) => findings.push(Finding::new(
-            "C002",
-            Severity::Error,
-            "crates/faults/src/plan.rs",
-            1,
-            "fault plan source not found — cannot verify cache-key completeness",
-        )),
-    }
-    match read("crates/policy/src/lib.rs") {
-        Ok(policy) => findings.extend(cachekey::check_policy_encoding(&policy)),
-        Err(_) => findings.push(Finding::new(
-            "P002",
-            Severity::Error,
-            "crates/policy/src/lib.rs",
-            1,
-            "policy spec source not found — cannot verify cache-key completeness",
-        )),
-    }
+    // Pragmas suppress findings in the file that carries them; the
+    // structural C and M checks below are not suppressible.
+    let allows: BTreeMap<&str, Allows> =
+        ir.files.iter().map(|f| (f.path.as_str(), Allows::parse(&f.src))).collect();
+    findings.retain(|f| allows.get(f.file.as_str()).is_none_or(|a| !a.covers(f)));
+    findings.extend(cachekey::check(&ir));
+    findings.extend(metricsrule::check(&ir));
     Ok(findings)
 }
 
@@ -246,24 +213,24 @@ mod tests {
 
     #[test]
     fn inline_allow_covers_same_and_next_line() {
-        let src = "fn f() {\n    // psc-analyze: allow(D001) legit host timing\n    let t = Instant::now();\n    let u = Instant::now();\n}\n";
-        let f = analyze_source("crates/cli/src/main.rs", src);
-        assert_eq!(f.len(), 1, "only the unpragma'd read fires: {f:?}");
+        let src = "fn f() {\n    // psc-analyze: allow(S001) legit engine factory\n    let c = Cluster::new();\n    let d = Cluster::new();\n}\n";
+        let f = analyze_source("crates/serve/src/server.rs", src);
+        assert_eq!(f.len(), 1, "only the unpragma'd name fires: {f:?}");
         assert_eq!(f[0].line, 4);
     }
 
     #[test]
     fn file_allow_covers_everything() {
-        let src = "//! psc-analyze: allow-file(D001)\nfn f() { let t = Instant::now(); }\nfn g() { let t = SystemTime::now(); }\n";
-        assert!(analyze_source("crates/experiments/src/timing.rs", src).is_empty());
+        let src = "//! psc-analyze: allow-file(U001)\npub struct S { pub energy: f64 }\npub fn total_power(s: &S) -> f64 { 0.0 }\n";
+        assert!(analyze_source("crates/machine/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn allow_of_one_rule_keeps_the_other() {
-        let src = "// psc-analyze: allow(D004)\nuse std::collections::HashMap;\nfn f() { let t = Instant::now(); }\n";
-        let f = analyze_source("crates/mpi/src/x.rs", src);
+        let src = "// psc-analyze: allow(U001)\npub struct S { pub energy: f64 }\nfn f() { let c = Cluster::new(); }\n";
+        let f = analyze_source("crates/policy/src/x.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "D001");
+        assert_eq!(f[0].rule, "P001");
     }
 
     #[test]

@@ -9,20 +9,23 @@
 //!
 //! **M001** enforces the boundary statically, in two parts:
 //!
-//! * a per-token part (in [`crate::rules`]): simulation crates other
-//!   than the runner must not reference `psc_metrics` at all — the
-//!   runner is the single sanctioned integration point;
-//! * a structural part (this module): inside the runner, the two
-//!   functions that *shape results* — `Engine::cache_key` (what a run
-//!   is) and `Engine::execute_spec` (what a run computes) — must stay
+//! * a manifest part: no simulation crate other than the runner may
+//!   declare `psc-metrics` in its `Cargo.toml`. Without that edge a
+//!   crate cannot name `psc_metrics` at all, by path or by method —
+//!   the runner is the single sanctioned integration point;
+//! * a structural part: inside the runner, the two functions that
+//!   *shape results* — `Engine::cache_key` (what a run is) and
+//!   `Engine::execute_spec` (what a run computes) — must stay
 //!   metrics-free, and no `RunSpec` field may carry metrics state. The
 //!   instrumentation lives around those functions, never in them.
 
-use crate::cachekey::{fn_body, struct_fields};
+use crate::cachekey::{ENGINE, PLAN};
+use crate::modres::WorkspaceIr;
 use crate::report::{Finding, Severity};
 
-const PLAN: &str = "crates/runner/src/plan.rs";
-const ENGINE: &str = "crates/runner/src/engine.rs";
+/// Crates whose code paths produce simulation results: everything here
+/// must be a pure function of (RunSpec, FaultPlan, seed).
+const SIM_CRATES: &[&str] = &["mpi", "kernels", "machine", "model", "faults", "runner"];
 
 /// Identifier shapes that reveal metrics machinery on a result path.
 fn is_metrics_ident(text: &str) -> bool {
@@ -30,16 +33,28 @@ fn is_metrics_ident(text: &str) -> bool {
     lower.contains("metrics") || lower.contains("profiler") || lower.contains("stopwatch")
 }
 
-/// M001 (structural): `cache_key` and `execute_spec` bodies and the
-/// `RunSpec` fields must be free of metrics machinery.
-pub fn check_metrics_boundary(plan_src: &str, engine_src: &str) -> Vec<Finding> {
+/// Run both parts of M001.
+pub fn check(ir: &WorkspaceIr) -> Vec<Finding> {
+    let m001 =
+        |path: &str, line: u32, msg: String| Finding::new("M001", Severity::Error, path, line, msg);
     let mut out = Vec::new();
 
+    for dir in SIM_CRATES.iter().filter(|&&d| d != "runner") {
+        if let Some(line) = ir.dependency_line(dir, "metrics") {
+            out.push(m001(
+                &format!("crates/{dir}/Cargo.toml"),
+                line,
+                format!(
+                    "simulation crate psc-{dir} declares psc-metrics — metrics are \
+                     observation-only and integrate solely through the runner's engine"
+                ),
+            ));
+        }
+    }
+
     for fn_name in ["cache_key", "execute_spec"] {
-        let Some((body, fn_line)) = fn_body(engine_src, fn_name) else {
-            out.push(Finding::new(
-                "M001",
-                Severity::Error,
+        let Some((body, fn_line)) = ir.method_body(ENGINE, "Engine", fn_name) else {
+            out.push(m001(
                 ENGINE,
                 1,
                 format!("fn {fn_name} not found — the metrics-boundary check cannot run"),
@@ -47,9 +62,7 @@ pub fn check_metrics_boundary(plan_src: &str, engine_src: &str) -> Vec<Finding> 
             continue;
         };
         for t in body.iter().filter(|t| t.is_ident() && is_metrics_ident(&t.text)) {
-            out.push(Finding::new(
-                "M001",
-                Severity::Error,
+            out.push(m001(
                 ENGINE,
                 t.line,
                 format!(
@@ -62,12 +75,10 @@ pub fn check_metrics_boundary(plan_src: &str, engine_src: &str) -> Vec<Finding> 
         }
     }
 
-    match struct_fields(plan_src, "RunSpec") {
-        Some(fields) => {
-            for f in fields.iter().filter(|f| is_metrics_ident(&f.name)) {
-                out.push(Finding::new(
-                    "M001",
-                    Severity::Error,
+    match ir.type_item(PLAN, "struct", "RunSpec") {
+        Some(spec) => {
+            for f in spec.fields.iter().filter(|f| is_metrics_ident(&f.name)) {
+                out.push(m001(
                     PLAN,
                     f.line,
                     format!(
@@ -78,12 +89,10 @@ pub fn check_metrics_boundary(plan_src: &str, engine_src: &str) -> Vec<Finding> 
                 ));
             }
         }
-        None => out.push(Finding::new(
-            "M001",
-            Severity::Error,
+        None => out.push(m001(
             PLAN,
             1,
-            "struct RunSpec not found — the metrics-boundary check cannot run",
+            "struct RunSpec not found — the metrics-boundary check cannot run".into(),
         )),
     }
     out
@@ -110,6 +119,10 @@ mod tests {
             }
         }
     ";
+
+    fn check_metrics_boundary(plan: &str, engine: &str) -> Vec<Finding> {
+        check(&WorkspaceIr::from_sources(&[(PLAN, plan), (ENGINE, engine)]))
+    }
 
     #[test]
     fn clean_runner_passes() {

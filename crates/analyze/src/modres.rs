@@ -11,10 +11,14 @@
 //! each crate's `Cargo.toml`) keeps the fan-out honest: a call in
 //! `psc-kernels` can never resolve into a crate `psc-kernels` does not
 //! depend on.
+//!
+//! The IR is the analyzer's only read of the workspace: every rule,
+//! per-file or whole-program, runs over the token streams and items
+//! held here.
 
-use crate::parse::{self, Call, CallKind, FileItems, FnItem};
+use crate::parse::{self, Call, CallKind, FileItems, FnItem, TypeItem};
 use crate::scan::{self, Tok};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// One parsed source file.
@@ -24,6 +28,8 @@ pub struct FileIr {
     pub path: String,
     /// Crate directory under `crates/` (`mpi`), or `""` for the root.
     pub crate_dir: String,
+    /// The raw source text (for pragmas and `SAFETY:` comments).
+    pub src: String,
     /// The stripped token stream (comments, strings, `#[cfg(test)]`
     /// items removed).
     pub toks: Vec<Tok>,
@@ -60,9 +66,9 @@ pub struct WorkspaceIr {
     methods_by_ty: BTreeMap<(String, String), Vec<FnId>>,
     /// Methods by bare name.
     methods_by_name: BTreeMap<String, Vec<FnId>>,
-    /// crate dir → set of crate dirs it may call into (its `psc-*`
-    /// dependencies plus itself).
-    deps: BTreeMap<String, BTreeSet<String>>,
+    /// crate dir → the crate dirs it may call into (its `psc-*`
+    /// dependencies, each with its `Cargo.toml` line, plus itself).
+    deps: BTreeMap<String, BTreeMap<String, u32>>,
 }
 
 /// The crate identifier (as written in Rust paths) for a crate dir.
@@ -111,14 +117,16 @@ impl WorkspaceIr {
     /// Build the IR from in-memory `(rel_path, source)` pairs — the
     /// entry point fixture tests drive directly. Crate dependencies
     /// default to "everything visible" unless set by [`Self::build`].
-    pub fn from_sources(sources: &[(String, String)]) -> Self {
+    pub fn from_sources<P: AsRef<str>, S: AsRef<str>>(sources: &[(P, S)]) -> Self {
         let mut ir = WorkspaceIr::default();
         for (rel, src) in sources {
+            let (rel, src) = (rel.as_ref(), src.as_ref());
             let toks = scan::strip_cfg_test(&scan::tokenize(src));
             let items = parse::parse_items(&toks);
             ir.files.push(FileIr {
-                path: rel.clone(),
+                path: rel.to_string(),
                 crate_dir: crate::crate_dir_of(rel),
+                src: src.to_string(),
                 module: file_module(rel),
                 toks,
                 items,
@@ -156,13 +164,34 @@ impl WorkspaceIr {
         Some((file, &file.items.fns[r.item]))
     }
 
+    /// The `struct`/`enum` item `name` declared in the file at `path`.
+    pub(crate) fn type_item(&self, path: &str, keyword: &str, name: &str) -> Option<TypeItem> {
+        let file = self.files.iter().find(|f| f.path == path)?;
+        parse::type_item(&file.toks, keyword, name)
+    }
+
+    /// The body tokens and line of method `ty::name` declared in the
+    /// file at `path`.
+    pub(crate) fn method_body(&self, path: &str, ty: &str, name: &str) -> Option<(&[Tok], u32)> {
+        let file = self.files.iter().find(|f| f.path == path)?;
+        let f =
+            file.items.fns.iter().find(|f| f.name == name && f.self_ty.as_deref() == Some(ty))?;
+        Some((&file.toks[f.body.0..f.body.1], f.line))
+    }
+
+    /// The `Cargo.toml` line on which crate `crate_dir` declares
+    /// `psc-<dep>`, if it does.
+    pub(crate) fn dependency_line(&self, crate_dir: &str, dep: &str) -> Option<u32> {
+        self.deps.get(crate_dir)?.get(dep).copied().filter(|&line| line > 0)
+    }
+
     /// Whether code in `from_dir` may call into `to_dir` (same crate,
     /// declared dependency, or no dependency data loaded).
     fn visible(&self, from_dir: &str, to_dir: &str) -> bool {
         if from_dir == to_dir || self.deps.is_empty() {
             return true;
         }
-        self.deps.get(from_dir).is_some_and(|d| d.contains(to_dir))
+        self.deps.get(from_dir).is_some_and(|d| d.contains_key(to_dir))
     }
 
     fn crate_dir_of_id(&self, id: &str) -> &str {
@@ -324,8 +353,8 @@ pub fn fn_id(file: &FileIr, f: &FnItem) -> FnId {
 /// Parse each crate's `Cargo.toml` for its `psc-*` dependencies (plus
 /// the root package). A line-oriented scan is enough: every dependency
 /// on a workspace crate mentions its `psc-<dir>` name.
-fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
-    let mut deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+fn crate_deps(root: &Path) -> BTreeMap<String, BTreeMap<String, u32>> {
+    let mut deps = BTreeMap::new();
     let mut dirs: Vec<(String, std::path::PathBuf)> = Vec::new();
     if let Ok(rd) = std::fs::read_dir(root.join("crates")) {
         for e in rd.filter_map(|e| e.ok()) {
@@ -337,17 +366,17 @@ fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
     }
     dirs.push((String::new(), root.join("Cargo.toml")));
     for (dir, manifest) in dirs {
-        let mut set = BTreeSet::new();
-        set.insert(dir.clone());
+        let mut set = BTreeMap::new();
+        set.insert(dir.clone(), 0);
         if let Ok(text) = std::fs::read_to_string(&manifest) {
-            for line in text.lines() {
+            for (idx, line) in text.lines().enumerate() {
                 let line = line.trim();
                 if let Some(rest) = line.strip_prefix("psc-") {
                     if let Some(dep) =
                         rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next()
                     {
                         if !dep.is_empty() {
-                            set.insert(dep.to_string());
+                            set.entry(dep.to_string()).or_insert(idx as u32 + 1);
                         }
                     }
                 }

@@ -89,6 +89,127 @@ pub struct FileItems {
     pub mod_decls: Vec<String>,
 }
 
+/// A named field of a struct, or of one of an enum's variants.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Field {
+    /// Field name.
+    pub name: String,
+    /// 1-based line of the declaration.
+    pub line: u32,
+    /// Whether a `#[serde(skip…)]` attribute precedes the field.
+    pub serde_skipped: bool,
+}
+
+/// A `struct` or `enum` item: its named fields (every visibility; an
+/// enum's are flattened across variants) and the traits it derives.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct TypeItem {
+    /// Named fields, in source order.
+    pub fields: Vec<Field>,
+    /// Every trait named in a `#[derive(...)]` on the item.
+    pub derives: Vec<String>,
+}
+
+/// Find `<keyword> <name>` (`struct RunSpec`, `enum PolicySpec`) in a
+/// file's token stream. `None` when the item is absent.
+pub(crate) fn type_item(toks: &[Tok], keyword: &str, name: &str) -> Option<TypeItem> {
+    let mut item = TypeItem::default();
+    let mut i = 0;
+    // Attributes seen since the last other token: the item's own.
+    let mut attrs: Vec<Vec<String>> = Vec::new();
+    loop {
+        let t = toks.get(i)?;
+        if let Some((attr, next)) = attribute(toks, i) {
+            attrs.push(attr);
+            i = next;
+        } else if t.text == keyword && toks.get(i + 1).is_some_and(|n| n.text == name) {
+            break;
+        } else {
+            // Visibility (`pub`, `pub(crate)`) sits between attrs and item.
+            if !matches!(t.text.as_str(), "pub" | "(" | ")" | "crate" | "super" | "in") {
+                attrs.clear();
+            }
+            i += 1;
+        }
+    }
+    for attr in attrs.iter().filter(|a| a.first().is_some_and(|t| t == "derive")) {
+        item.derives
+            .extend(attr[1..].iter().filter(|t| t.starts_with(char::is_alphabetic)).cloned());
+    }
+    // Struct fields sit at brace depth 1, enum variant fields at 2.
+    let field_depth = if keyword == "enum" { 2 } else { 1 };
+    while toks.get(i).is_some_and(|t| t.text != "{") {
+        if toks[i].text == ";" {
+            return Some(item); // unit or tuple struct
+        }
+        i += 1;
+    }
+    let (mut depth, mut nested, mut skip) = (0usize, 0usize, false);
+    while let Some(t) = toks.get(i) {
+        if let Some((attr, next)) = attribute(toks, i) {
+            skip |= attr.first().is_some_and(|a| a == "serde")
+                && attr.iter().any(|a| a.starts_with("skip"));
+            i = next;
+            continue;
+        }
+        match t.text.as_str() {
+            "{" => depth += 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            "(" | "[" => nested += 1,
+            ")" | "]" => nested = nested.saturating_sub(1),
+            _ if depth == field_depth
+                && nested == 0
+                && t.is_ident()
+                && toks.get(i + 1).is_some_and(|n| n.text == ":")
+                && toks.get(i + 2).is_some_and(|n| n.text != ":") =>
+            {
+                item.fields.push(Field { name: t.text.clone(), line: t.line, serde_skipped: skip });
+                skip = false;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    Some(item)
+}
+
+/// An attribute `#[...]` (or `#![...]`) at `i`: its inner token texts
+/// and the index just past its closing `]`.
+fn attribute(toks: &[Tok], i: usize) -> Option<(Vec<String>, usize)> {
+    if toks.get(i)?.text != "#" {
+        return None;
+    }
+    let mut j = i + 1;
+    if toks.get(j).is_some_and(|t| t.text == "!") {
+        j += 1;
+    }
+    if toks.get(j)?.text != "[" {
+        return None;
+    }
+    let (mut depth, mut inner) = (1usize, Vec::new());
+    j += 1;
+    while let Some(t) = toks.get(j) {
+        j += 1;
+        match t.text.as_str() {
+            "[" => depth += 1,
+            "]" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            _ => {}
+        }
+        inner.push(t.text.clone());
+    }
+    Some((inner, j))
+}
+
 /// Whether an ident is a keyword that cannot start a call path.
 pub fn is_keyword(s: &str) -> bool {
     NON_CALL_KEYWORDS.contains(&s)
@@ -588,6 +709,30 @@ mod tests {
         assert_eq!(find("Cluster").as_deref(), Some("psc_mpi::Cluster"));
         assert_eq!(find("Backend").as_deref(), Some("psc_mpi::cluster::RuntimeBackend"));
         assert_eq!(find("*").as_deref(), Some("psc_kernels::*"));
+    }
+
+    #[test]
+    fn type_items_take_every_field_with_its_skip_flag_and_derives() {
+        let src = "#[derive(Debug, Serialize)]\npub(crate) struct S {\n    pub a: u32,\n    \
+                   #[serde(skip)]\n    b: [u8; 4],\n    pub(crate) c: fn(x: u32) -> u32,\n}";
+        let s = type_item(&tokenize(src), "struct", "S").unwrap();
+        assert_eq!(s.derives, ["Debug", "Serialize"]);
+        let fields: Vec<(&str, u32, bool)> =
+            s.fields.iter().map(|f| (f.name.as_str(), f.line, f.serde_skipped)).collect();
+        assert_eq!(fields, [("a", 3, false), ("b", 5, true), ("c", 6, false)]);
+        assert_eq!(type_item(&tokenize("pub struct X;"), "struct", "X"), Some(TypeItem::default()));
+        assert!(type_item(&tokenize("fn nothing() {}"), "struct", "X").is_none());
+    }
+
+    #[test]
+    fn enum_fields_are_knobs_not_variant_names() {
+        let src =
+            "enum P { Static { gear: usize }, Tuple(u32), Cap { #[serde(skip)] budget_w: f64 } }";
+        let p = type_item(&tokenize(src), "enum", "P").unwrap();
+        let fields: Vec<(&str, bool)> =
+            p.fields.iter().map(|f| (f.name.as_str(), f.serde_skipped)).collect();
+        assert_eq!(fields, [("gear", false), ("budget_w", true)]);
+        assert!(p.derives.is_empty());
     }
 
     #[test]

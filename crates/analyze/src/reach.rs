@@ -1,10 +1,11 @@
 //! R family — transitive purity over the call graph.
 //!
-//! The D rules catch a banned identifier *in the file that writes it*.
-//! They cannot see impurity laundered through a helper: a kernel that
-//! calls `util::jitter()` in another crate, where `jitter` reads the
-//! host clock, is D001-clean file by file and still breaks replay. The
-//! R rules close that hole with whole-program reachability: any
+//! clippy's `disallowed-methods` bans a name at the site that writes
+//! it, and an `#[allow]` exempts a site without saying who calls it. A
+//! kernel that calls `util::jitter()` in another crate, where `jitter`
+//! reads the host clock under such an `#[allow]` (or reads the
+//! environment, which clippy does not ban), breaks replay all the same.
+//! The R rules close that hole with whole-program reachability: any
 //! function reachable from the simulation roots must not reach a
 //! banned sink, except through the explicitly allowlisted chokepoints,
 //! and every finding reports the complete call chain so the laundering
@@ -26,7 +27,7 @@
 //! **Chokepoints** — reached but never expanded through, and exempt
 //! from sink matching inside them:
 //! * `crates/experiments/src/timing.rs` — `HostTimer`, the sanctioned
-//!   host-timing seam (D001's allowlist, generalized);
+//!   host-timing seam;
 //! * `crates/faults/src/rng.rs` — the counter-keyed fault RNG (F001's
 //!   sanctioned module);
 //! * `crates/runner/src/metrics.rs` — `EngineMetrics`, the M001
@@ -39,7 +40,9 @@
 //! over-approximate. For the distinctively-named sinks (R001–R004)
 //! that is harmless; for R005 — where half the workspace has a method
 //! named `get` or `set` — sink matching uses path-precise edges only,
-//! and the M001 token rule covers the method-shaped remainder.
+//! and M001's manifest check covers the method-shaped remainder: a
+//! simulation crate that does not declare `psc-metrics` cannot call
+//! into it at all.
 //!
 //! ## K001 — kernels are gear- and clock-blind
 //!

@@ -1,4 +1,4 @@
-//! Findings, severities, baselines, and the two output formats.
+//! Findings, severities, and the two output formats.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -8,7 +8,7 @@ use std::fmt;
 /// conventions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Severity {
-    /// A convention or hygiene violation (unit suffixes, env reads).
+    /// A convention or hygiene violation (unit suffixes).
     Warning,
     /// A correctness hazard: nondeterminism or a stale-cache bug.
     Error,
@@ -26,7 +26,7 @@ impl fmt::Display for Severity {
 /// One diagnostic: a rule violation at a `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule id, e.g. `D001`.
+    /// Rule id, e.g. `R001`.
     pub rule: String,
     /// Severity class.
     pub severity: Severity,
@@ -62,58 +62,20 @@ impl Finding {
     }
 }
 
-/// A committed set of grandfathered findings. Entries match on
-/// `(rule, file, line)`; a matched finding is reported but does not
-/// fail `--deny`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Baseline {
-    /// The grandfathered findings.
-    pub findings: Vec<BaselineEntry>,
-}
-
-/// One grandfathered finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BaselineEntry {
-    /// Rule id.
-    pub rule: String,
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-}
-
-impl Baseline {
-    /// Parse a baseline from JSON.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| format!("invalid baseline: {e}"))
-    }
-
-    /// Serialize the baseline to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Whether `f` is grandfathered.
-    pub fn covers(&self, f: &Finding) -> bool {
-        self.findings.iter().any(|b| b.rule == f.rule && b.file == f.file && b.line == f.line)
-    }
-}
-
-/// A full report: findings split into fresh and baselined.
+/// A full report: the findings no pragma suppressed, sorted by
+/// `(file, line, rule)`. Every one of them fails `--deny`.
 #[derive(Debug, Clone, Serialize)]
 pub struct Report {
-    /// Findings not covered by the baseline — these fail `--deny`.
+    /// The findings (the JSON key `fresh` predates pragma-only
+    /// suppression and is kept for consumers of `--format json`).
     pub fresh: Vec<Finding>,
-    /// Findings the baseline grandfathers.
-    pub baselined: Vec<Finding>,
 }
 
 impl Report {
-    /// Split `findings` against `baseline`.
-    pub fn against(mut findings: Vec<Finding>, baseline: &Baseline) -> Self {
+    /// Sort `findings` into a report.
+    pub fn new(mut findings: Vec<Finding>) -> Self {
         findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-        let (baselined, fresh) = findings.into_iter().partition(|f| baseline.covers(f));
-        Report { fresh, baselined }
+        Report { fresh: findings }
     }
 
     /// Text rendering: one line per finding plus a summary line.
@@ -123,14 +85,7 @@ impl Report {
             out.push_str(&f.render());
             out.push('\n');
         }
-        for f in &self.baselined {
-            out.push_str(&format!("{} (baselined)\n", f.render()));
-        }
-        out.push_str(&format!(
-            "psc-analyze: {} finding(s), {} baselined\n",
-            self.fresh.len(),
-            self.baselined.len()
-        ));
+        out.push_str(&format!("psc-analyze: {} finding(s)\n", self.fresh.len()));
         out
     }
 
@@ -145,33 +100,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn baseline_round_trips_and_matches() {
-        let b = Baseline {
-            findings: vec![BaselineEntry { rule: "D003".into(), file: "a.rs".into(), line: 7 }],
-        };
-        let back = Baseline::from_json(&b.to_json()).unwrap();
-        assert_eq!(b, back);
-        let hit = Finding::new("D003", Severity::Warning, "a.rs", 7, "env read");
-        let miss = Finding::new("D003", Severity::Warning, "a.rs", 8, "env read");
-        assert!(b.covers(&hit));
-        assert!(!b.covers(&miss));
-    }
-
-    #[test]
-    fn report_splits_and_sorts() {
-        let b = Baseline {
-            findings: vec![BaselineEntry { rule: "D001".into(), file: "z.rs".into(), line: 1 }],
-        };
+    fn report_sorts_by_file_then_line() {
         let findings = vec![
-            Finding::new("D001", Severity::Error, "z.rs", 1, "clock"),
+            Finding::new("R001", Severity::Error, "z.rs", 1, "clock"),
             Finding::new("U001", Severity::Warning, "a.rs", 9, "suffix"),
-            Finding::new("D004", Severity::Warning, "a.rs", 2, "hashmap"),
+            Finding::new("S001", Severity::Error, "a.rs", 2, "cluster"),
         ];
-        let r = Report::against(findings, &b);
-        assert_eq!(r.fresh.len(), 2);
-        assert_eq!(r.baselined.len(), 1);
-        assert_eq!(r.fresh[0].line, 2, "sorted by file then line");
-        assert!(r.render_text().contains("2 finding(s), 1 baselined"));
+        let r = Report::new(findings);
+        let order: Vec<(&str, u32)> = r.fresh.iter().map(|f| (f.file.as_str(), f.line)).collect();
+        assert_eq!(order, [("a.rs", 2), ("a.rs", 9), ("z.rs", 1)]);
+        assert!(r.render_text().ends_with("psc-analyze: 3 finding(s)\n"));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! workspace at HEAD must be clean, and deleting a field's contribution
 //! from the real cache key must trip C001.
 
-use psc_analyze::cachekey::{check_cache_key, check_fault_plan_encoding, check_policy_encoding};
-use psc_analyze::{analyze_source, analyze_workspace, find_workspace_root};
+use psc_analyze::cachekey;
+use psc_analyze::modres::WorkspaceIr;
+use psc_analyze::{analyze_source, analyze_workspace, find_workspace_root, Finding};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -15,38 +16,6 @@ fn fixture(name: &str) -> String {
 /// The `(rule, line)` pairs a fixture produced.
 fn hits(rel_path: &str, src: &str) -> Vec<(String, u32)> {
     analyze_source(rel_path, src).into_iter().map(|f| (f.rule, f.line)).collect()
-}
-
-#[test]
-fn d001_fires_on_every_wall_clock_read() {
-    let h = hits("crates/experiments/src/fixture.rs", &fixture("d001_wall_clock.rs"));
-    let lines: Vec<u32> = h.iter().filter(|(r, _)| r == "D001").map(|&(_, l)| l).collect();
-    assert_eq!(lines, vec![4, 5, 6], "findings: {h:?}");
-}
-
-#[test]
-fn d002_fires_on_entropy_seeded_rng() {
-    let h = hits("crates/analysis/src/fixture.rs", &fixture("d002_nondet_rng.rs"));
-    assert!(h.iter().any(|(r, l)| r == "D002" && *l == 4), "thread_rng missed: {h:?}");
-    assert!(h.iter().any(|(r, l)| r == "D002" && *l == 9), "from_entropy missed: {h:?}");
-}
-
-#[test]
-fn d003_fires_on_env_read_in_sim_crate_only() {
-    let src = fixture("d003_env_read.rs");
-    let h = hits("crates/mpi/src/fixture.rs", &src);
-    assert_eq!(h, vec![("D003".to_string(), 5)]);
-    // The same read outside a simulation crate is host-side plumbing.
-    assert!(hits("crates/cli/src/fixture.rs", &src).is_empty());
-}
-
-#[test]
-fn d004_fires_on_unordered_collections_in_sim_crate_only() {
-    let src = fixture("d004_unordered.rs");
-    let h = hits("crates/runner/src/fixture.rs", &src);
-    let lines: Vec<u32> = h.iter().filter(|(r, _)| r == "D004").map(|&(_, l)| l).collect();
-    assert_eq!(lines, vec![4, 7], "findings: {h:?}");
-    assert!(hits("crates/experiments/src/fixture.rs", &src).is_empty());
 }
 
 #[test]
@@ -65,9 +34,23 @@ fn f001_fires_on_rng_outside_the_sanctioned_module() {
     assert!(hits("crates/faults/src/rng.rs", &src).is_empty());
 }
 
+const PLAN: &str = "crates/runner/src/plan.rs";
+const ENGINE: &str = "crates/runner/src/engine.rs";
+
+/// The C-family findings over an IR of `(path, source)` pairs.
+fn cache_key_findings(files: &[(&str, String)]) -> Vec<Finding> {
+    cachekey::check(&WorkspaceIr::from_sources(files))
+        .into_iter()
+        .filter(|f| files.iter().any(|(p, _)| *p == f.file))
+        .collect()
+}
+
 #[test]
 fn c001_fires_on_the_incomplete_engine_fixture() {
-    let f = check_cache_key(&fixture("c001_runspec.rs"), &fixture("c001_engine_incomplete.rs"));
+    let f = cache_key_findings(&[
+        (PLAN, fixture("c001_runspec.rs")),
+        (ENGINE, fixture("c001_engine_incomplete.rs")),
+    ]);
     assert_eq!(f.len(), 1, "findings: {f:?}");
     assert_eq!(f[0].rule, "C001");
     assert!(f[0].message.contains("`gears`"), "{}", f[0].message);
@@ -75,22 +58,10 @@ fn c001_fires_on_the_incomplete_engine_fixture() {
 
 #[test]
 fn c002_fires_on_the_skipped_field_fixture() {
-    let f = check_fault_plan_encoding(&fixture("c002_skipped_field.rs"));
+    let f = cache_key_findings(&[("crates/faults/src/plan.rs", fixture("c002_skipped_field.rs"))]);
     assert_eq!(f.len(), 1, "findings: {f:?}");
     assert_eq!(f[0].rule, "C002");
     assert!(f[0].message.contains("`clock_jitter`"), "{}", f[0].message);
-}
-
-#[test]
-fn m001_fires_on_metrics_use_in_sim_crate_only() {
-    let src = fixture("m001_metrics_in_sim.rs");
-    let h = hits("crates/machine/src/fixture.rs", &src);
-    let lines: Vec<u32> = h.iter().filter(|(r, _)| r == "M001").map(|&(_, l)| l).collect();
-    assert_eq!(lines, vec![5, 8], "findings: {h:?}");
-    // The runner is the sanctioned integration point, and non-sim
-    // crates (CLI, bench) consume metrics freely.
-    assert!(hits("crates/runner/src/fixture.rs", &src).is_empty());
-    assert!(hits("crates/cli/src/fixture.rs", &src).is_empty());
 }
 
 #[test]
@@ -106,7 +77,7 @@ fn p001_fires_on_the_policy_path_only() {
 
 #[test]
 fn p002_fires_on_the_skipped_knob_fixture() {
-    let f = check_policy_encoding(&fixture("p002_skipped_knob.rs"));
+    let f = cache_key_findings(&[("crates/policy/src/lib.rs", fixture("p002_skipped_knob.rs"))]);
     assert_eq!(f.len(), 1, "findings: {f:?}");
     assert_eq!(f[0].rule, "P002");
     assert!(f[0].message.contains("`budget_w`"), "{}", f[0].message);
@@ -123,7 +94,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// The gate the CI job relies on: the workspace at HEAD is clean, so
-/// `analyze --deny` (empty baseline) exits 0.
+/// `analyze --deny` exits 0.
 #[test]
 fn workspace_at_head_is_clean() {
     let findings = analyze_workspace(&repo_root()).expect("analyze workspace");
@@ -140,13 +111,14 @@ fn workspace_at_head_is_clean() {
 #[test]
 fn deleting_gears_from_the_real_cache_key_trips_c001() {
     let root = repo_root();
-    let plan = std::fs::read_to_string(root.join("crates/runner/src/plan.rs")).unwrap();
-    let engine = std::fs::read_to_string(root.join("crates/runner/src/engine.rs")).unwrap();
-    assert!(check_cache_key(&plan, &engine).is_empty(), "real key must be complete");
+    let plan = std::fs::read_to_string(root.join(PLAN)).unwrap();
+    let engine = std::fs::read_to_string(root.join(ENGINE)).unwrap();
+    let c001 = |engine: &str| cache_key_findings(&[(PLAN, plan.clone()), (ENGINE, engine.into())]);
+    assert!(c001(&engine).is_empty(), "real key must be complete");
 
     let mutilated = engine.replace("resolved_gears", "resolved");
     assert_ne!(mutilated, engine, "engine.rs no longer references resolved_gears");
-    let f = check_cache_key(&plan, &mutilated);
+    let f = c001(&mutilated);
     assert!(
         f.iter().any(|f| f.rule == "C001" && f.message.contains("`gears`")),
         "dropping the gears contribution must trip C001: {f:?}"
@@ -190,17 +162,12 @@ fn deny_fails_on_each_seeded_fixture_violation() {
     write("crates/faults/src/plan.rs", faults_ok);
     let policy_ok = "#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]\npub enum PolicySpec {\n    Static { gear: usize },\n}\n";
     write("crates/policy/src/lib.rs", policy_ok);
-    assert!(exit_eq(run_deny(&tmp), ExitCode::SUCCESS), "baseline tree must be clean");
+    assert!(exit_eq(run_deny(&tmp), ExitCode::SUCCESS), "the minimal tree must be clean");
 
     // Each token-rule fixture, dropped into a crate its rule covers.
     let cases = [
-        ("d001_wall_clock.rs", "crates/experiments/src/bad.rs"),
-        ("d002_nondet_rng.rs", "crates/analysis/src/bad.rs"),
-        ("d003_env_read.rs", "crates/mpi/src/bad.rs"),
-        ("d004_unordered.rs", "crates/runner/src/bad.rs"),
         ("u001_bare_units.rs", "crates/analysis/src/bad.rs"),
         ("f001_fault_purity.rs", "crates/faults/src/bad.rs"),
-        ("m001_metrics_in_sim.rs", "crates/machine/src/bad.rs"),
         ("p001_policy_mutation.rs", "crates/policy/src/bad.rs"),
     ];
     for (fix, dest) in cases {
@@ -211,6 +178,19 @@ fn deny_fails_on_each_seeded_fixture_violation() {
         );
         std::fs::remove_file(tmp.join(dest)).unwrap();
     }
+
+    // M001's manifest half: a simulation crate declaring psc-metrics.
+    write("crates/machine/Cargo.toml", "[package]\nname = \"psc-machine\"\n");
+    assert!(exit_eq(run_deny(&tmp), ExitCode::SUCCESS), "a metrics-free manifest is clean");
+    write(
+        "crates/machine/Cargo.toml",
+        "[package]\nname = \"psc-machine\"\n\n[dependencies]\npsc-metrics = { path = \"../metrics\" }\n",
+    );
+    assert!(
+        exit_eq(run_deny(&tmp), ExitCode::FAILURE),
+        "--deny must fail on psc-metrics in psc-machine"
+    );
+    std::fs::remove_file(tmp.join("crates/machine/Cargo.toml")).unwrap();
 
     // The structural rules: an incomplete key, then a skipped field.
     write("crates/runner/src/engine.rs", &fixture("c001_engine_incomplete.rs"));

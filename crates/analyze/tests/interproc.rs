@@ -7,10 +7,11 @@
 //! isolate the family under test:
 //!
 //! * `r_firing` / `r_clean` — transitive purity (R001/R003/R004/R005):
-//!   the sinks are laundered through helpers in *other* crates, token-
-//!   clean file by file, visible only to the call-graph rules; the
-//!   clean twin reaches a host clock solely through the sanctioned
-//!   timing chokepoint.
+//!   the sinks are laundered through helpers in *other* crates, visible
+//!   only to the call-graph rules; the firing kernel crate also
+//!   declares `psc-metrics`, M001's manifest half. The clean twin
+//!   reaches a host clock solely through the sanctioned timing
+//!   chokepoint.
 //! * `k_firing` / `k_clean` — kernel blindness (K001, riding the R
 //!   pass): a kernel branching on `Comm::gear` directly and on
 //!   `Comm::now_s` through a helper crate, vs. a kernel that only
@@ -28,7 +29,7 @@
 
 use psc_analyze::callgraph::CallGraph;
 use psc_analyze::modres::WorkspaceIr;
-use psc_analyze::{analyze_workspace, find_workspace_root, Baseline, Finding, Report};
+use psc_analyze::{analyze_workspace, find_workspace_root, Finding, Report};
 use std::path::{Path, PathBuf};
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -55,7 +56,10 @@ fn rules(f: &[Finding]) -> Vec<&str> {
 #[test]
 fn r_firing_reports_each_laundered_sink_with_its_chain() {
     let f = findings("r_firing");
-    assert_eq!(rules(&f), vec!["R001", "R003", "R004", "R005"], "{f:?}");
+    assert_eq!(rules(&f), vec!["M001", "R001", "R003", "R004", "R005"], "{f:?}");
+
+    let m001 = f.iter().find(|f| f.rule == "M001").unwrap();
+    assert_eq!((m001.file.as_str(), m001.line), ("crates/kernels/Cargo.toml", 6));
 
     let r001 = f.iter().find(|f| f.rule == "R001").unwrap();
     assert_eq!(r001.file, "crates/machine/src/util.rs");
@@ -239,7 +243,7 @@ fn real_workspace_call_graph_covers_every_crate() {
 #[test]
 fn golden_json_reports_are_byte_stable() {
     for name in ["r_firing", "k_firing", "x_firing", "w_firing"] {
-        let rendered = Report::against(findings(name), &Baseline::default()).render_json();
+        let rendered = Report::new(findings(name)).render_json();
         let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("fixtures/golden")
             .join(format!("{name}.json"));

@@ -107,7 +107,7 @@ USAGE:
   powerscale replay [--clients N] [--requests N] [--batch N] [--seed N]
                     [--zipf S] [--interactive PCT] [--workers N]
                     [--queue-cap N] [--min-dedup FRAC] [--quick]
-  powerscale analyze [--deny] [--format text|json] [--baseline FILE] [--root DIR]
+  powerscale analyze [--deny] [--format text|json] [--root DIR] [--time-budget-ms N]
   powerscale list
 
   --trace-out writes a Chrome Trace Event JSON file — open it in Perfetto
@@ -131,12 +131,13 @@ USAGE:
   are deterministic — identical results at any --jobs — and
   policy-driven runs occupy their own cache keyspace.
 
-  Static analysis: `powerscale analyze` scans the workspace sources for
-  determinism hazards (wall-clock reads, unseeded RNG, unordered
-  collections in simulation crates), unit-suffix discipline on public
-  quantities, cache-key completeness, and fault-stream purity. --deny
-  exits non-zero on fresh findings; --baseline FILE tolerates the
-  findings recorded in FILE. See DESIGN.md for the rule catalogue.
+  Static analysis: `powerscale analyze` proves that no host clock,
+  environment read, thread spawn or metrics call is reachable from a
+  simulation, that coroutines never suspend holding a borrow, that the
+  cache key covers every spec field, and checks unit suffixes and layer
+  boundaries (clippy.toml bans the names themselves). --deny exits
+  non-zero on any finding; `// psc-analyze: allow(RULE)` pragmas are the
+  only suppression. See DESIGN.md for the rule catalogue.
 
   Engine observability: `powerscale stats` runs a gear sweep and reports
   what the *engine* did — cache hit rate, per-kernel wall-time

@@ -1,16 +1,15 @@
 //! Host-side wall-clock measurement — the **single allowlisted
 //! host-timing location** in the workspace.
 //!
-//! Simulated results must never depend on host time (analyzer rule
-//! D001, mirrored by `clippy.toml`'s `disallowed-methods`); the only
+//! Simulated results must never depend on host time (`clippy.toml`'s
+//! `disallowed-methods` bans the clock reads; analyzer rule R001 keeps
+//! them unreachable from a simulation root); the only
 //! legitimate consumer of the host clock is sweep accounting — the
 //! `wall_s` a figure binary reports for how long *the host* took to
 //! drive a campaign. Every binary used to open with its own copy-pasted
 //! `let started = std::time::Instant::now();`; they now start a
-//! [`HostTimer`] here instead, so the allowlist below is the one place
+//! [`HostTimer`] here instead, so the `#[allow]` below is the one place
 //! a wall-clock read can exist.
-//!
-//! psc-analyze: allow-file(D001) — sweep wall-clock accounting only.
 
 use std::time::Instant;
 

@@ -2,15 +2,13 @@
 //! host-timing location** in the workspace (the first is
 //! `psc_experiments::timing::HostTimer`).
 //!
-//! Simulated results must never depend on host time (analyzer rule
-//! D001, mirrored by `clippy.toml`'s `disallowed-methods`). Self-
+//! Simulated results must never depend on host time (`clippy.toml`'s
+//! `disallowed-methods` bans the clock reads). Self-
 //! profiling, by definition, measures host time — so this module holds
 //! the crate's only `Instant::now` calls, anchored to a process-wide
 //! epoch so every span in a process shares one timeline. Analyzer rule
 //! M001 guarantees nothing read from these clocks can flow back into a
 //! cache key or a simulated result.
-//!
-//! psc-analyze: allow-file(D001) — host self-profiling only.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -26,8 +26,8 @@
 //! * [`jsonl`] — a structured JSONL event log (`--events-out`): one
 //!   JSON object per line, spans and metric samples interleaved, for
 //!   machine consumption without a trace viewer.
-//! * [`clock`] — the crate's **only** wall-clock access, file-allowlisted
-//!   for analyzer rule D001 exactly like
+//! * [`clock`] — the crate's **only** wall-clock access, exempt from
+//!   clippy's clock ban by `#[allow]` exactly like
 //!   `psc_experiments::timing::HostTimer`.
 //!
 //! ## The observation-only contract (analyzer rule M001)
@@ -37,7 +37,7 @@
 //! `RunResult` — figure CSVs are byte-identical with metrics enabled or
 //! disabled, at any worker count. `psc-analyze` rule M001 enforces this
 //! boundary statically: simulation crates other than the runner may not
-//! reference this crate at all, and inside the runner the cache-key and
+//! depend on this crate at all, and inside the runner the cache-key and
 //! spec-execution paths must stay metrics-free.
 
 #![deny(unsafe_op_in_unsafe_fn)]

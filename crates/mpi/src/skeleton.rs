@@ -92,7 +92,7 @@ impl Skeleton {
 }
 
 /// Builds a [`RankSkeleton`] while a program runs, interning repeated
-/// values. Ordered maps (D004): the ids they hand out index the
+/// values. Ordered maps (`clippy.toml` bans `HashMap`): the ids they hand out index the
 /// skeleton's tables.
 #[derive(Debug, Default)]
 pub(crate) struct Recorder {

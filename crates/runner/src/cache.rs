@@ -158,12 +158,10 @@ impl RunCache {
     /// results are stored, never *what* a run computes, so they cannot
     /// break the determinism invariant.
     pub fn from_env() -> Self {
-        // psc-analyze: allow(D003) cache placement, not run semantics
         match std::env::var("PSC_CACHE") {
             Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => return RunCache::in_memory(),
             _ => {}
         }
-        // psc-analyze: allow(D003) cache placement, not run semantics
         let dir = std::env::var("PSC_CACHE_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("target/psc-run-cache"));

@@ -18,7 +18,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// bit-identical at any worker count, so this read configures only
 /// host-side scheduling, never what a run computes.
 pub fn default_jobs() -> usize {
-    // psc-analyze: allow(D003) worker-pool sizing, not run semantics
     match std::env::var("PSC_JOBS").ok().and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
         _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
@@ -485,7 +484,7 @@ impl Engine {
         self.metrics.on_plan(plan.len());
 
         // Key every spec once; `order` maps plan position to the slot of
-        // the key's first occurrence. Ordered map (D004): nothing
+        // the key's first occurrence. Ordered map (clippy bans `HashMap`): nothing
         // result-shaping may iterate in hash order.
         let mut slot_of: BTreeMap<u64, usize> = BTreeMap::new();
         let mut distinct: Vec<(u64, &RunSpec)> = Vec::new();
