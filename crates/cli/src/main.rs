@@ -8,7 +8,7 @@
 //! powerscale stats --bench CG --nodes 4               engine self-profile of that sweep
 //! powerscale curve --bench MG --max-nodes 8           full node×gear sweep
 //! powerscale model --bench SP --predict 32            fit the paper's model, extrapolate
-//! powerscale advise --upm 8.6 --delay 0.05            gear advice from memory pressure
+//! powerscale advise --upm 8.6 --delay 0.05            energy-minimal gear within a delay budget
 //! powerscale budget --bench CG --power-cap 600        fastest config under a power cap
 //! powerscale analyze --deny                           workspace determinism/unit lints
 //! powerscale list                                     available benchmarks
@@ -27,7 +27,8 @@ use psc_experiments::harness::{
 };
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
 use psc_kernels::{Benchmark, ProblemClass};
-use psc_model::autogear::{gear_for_delay_budget, min_energy_gear};
+use psc_machine::WorkBlock;
+use psc_policy::choose_gear;
 use psc_runner::{Engine, RunSpec};
 use psc_telemetry::{write_chrome_trace, write_self_trace, RunManifest};
 use std::path::{Path, PathBuf};
@@ -96,7 +97,7 @@ USAGE:
   powerscale trace  --bench <NAME> [--nodes N] [--gear G] [--class b|test] [--out PATH]
   powerscale curve  --bench <NAME> [--max-nodes N] [--class b|test] [--jobs J]
   powerscale model  --bench <NAME> [--predict M] [--class b|test] [--jobs J]
-  powerscale advise --upm <UPM> [--delay FRAC]
+  powerscale advise --upm <UPM> [--delay FRAC]    (energy-minimal gear within the budget)
   powerscale budget --bench <NAME> --power-cap <WATTS> [--max-nodes N]
                     [--class b|test] [--jobs J]
   powerscale faults [--seed N] [--level FRAC] [--out PATH] | --inspect PATH
@@ -479,23 +480,26 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
         return Err("missing or invalid --upm <UPM>".into());
     }
     let delay: f64 = parse_num(args, "--delay", 0.05)?;
+    if delay.is_nan() || delay < 0.0 {
+        return Err(format!("invalid --delay {delay}: want a fraction ≥ 0"));
+    }
     let node = psc_machine::presets::athlon64();
-    let a = gear_for_delay_budget(&node, upm, delay);
-    let e = min_energy_gear(&node, upm);
+    let work = WorkBlock::with_upm(1.0e9, upm);
+    let time_s = |g: usize| node.compute_time_s(&work, node.gear(g));
+    let energy_j = |g: usize| node.compute_energy_j(&work, node.gear(g));
+    // A static gear is set before the run starts: no blocking to price
+    // and no transition to pay.
+    let advice = |slowdown_limit: f64| {
+        let g = choose_gear(&node, &work, 0.0, 1, slowdown_limit, 0.0);
+        format!(
+            "gear {g} (predicted delay {:+.1}%, savings {:+.1}%)",
+            100.0 * (time_s(g) / time_s(1) - 1.0),
+            100.0 * (1.0 - energy_j(g) / energy_j(1))
+        )
+    };
     println!("workload at UPM {upm} on {}:", node.name);
-    println!(
-        "  within {:.0}% delay budget: gear {} (predicted delay {:+.1}%, savings {:+.1}%)",
-        100.0 * delay,
-        a.gear,
-        100.0 * a.predicted_delay,
-        100.0 * a.predicted_savings
-    );
-    println!(
-        "  minimum-energy gear:      gear {} (predicted delay {:+.1}%, savings {:+.1}%)",
-        e.gear,
-        100.0 * e.predicted_delay,
-        100.0 * e.predicted_savings
-    );
+    println!("  within {:.0}% delay budget: {}", 100.0 * delay, advice(1.0 + delay));
+    println!("  minimum-energy gear:      {}", advice(f64::INFINITY));
     Ok(())
 }
 

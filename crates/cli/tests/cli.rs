@@ -45,10 +45,19 @@ fn sweep_prints_all_gears() {
 
 #[test]
 fn advise_recommends_deep_gear_for_cg_pressure() {
-    let out = powerscale(&["advise", "--upm", "8.6", "--delay", "0.10"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("gear 5"), "expected gear 5 advice:\n{stdout}");
+    // (UPM, delay budget, gear on both lines). At a 25 % budget the
+    // slowest admissible gear is dominated: CG's gear 6 costs more
+    // energy than gear 5, EP's gear 3 more than gear 2.
+    for (upm, delay, gear) in [("8.6", "0.10", 5), ("8.6", "0.25", 5), ("844", "0.25", 2)] {
+        let out = powerscale(&["advise", "--upm", upm, "--delay", delay]);
+        assert!(out.status.success());
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let advice: Vec<&str> = stdout.lines().skip(1).collect();
+        assert_eq!(advice.len(), 2, "{stdout}");
+        for line in advice {
+            assert!(line.contains(&format!(" gear {gear} (")), "want gear {gear}:\n{stdout}");
+        }
+    }
 }
 
 #[test]
@@ -83,6 +92,7 @@ fn invalid_inputs_fail_cleanly() {
     assert!(!powerscale(&["run", "--bench", "nope"]).status.success());
     assert!(!powerscale(&["run", "--bench", "BT", "--nodes", "7"]).status.success());
     assert!(!powerscale(&["run", "--bench", "CG", "--gear", "9"]).status.success());
+    assert!(!powerscale(&["advise", "--upm", "8.6", "--delay", "-0.1"]).status.success());
     assert!(!powerscale(&["frobnicate"]).status.success());
     assert!(!powerscale(&[]).status.success());
     assert!(powerscale(&["--help"]).status.success());

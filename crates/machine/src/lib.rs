@@ -39,7 +39,6 @@ pub mod gear;
 pub mod node;
 pub mod power;
 pub mod presets;
-pub mod thermal;
 pub mod wattmeter;
 pub mod wire;
 

@@ -22,17 +22,16 @@
 //!    point — [`predict`].
 //!
 //! [`validate`] implements the paper's cross-cluster validation (the
-//! 32-node Sun cluster), and two modules implement the paper's future
-//! work: [`autogear`] (gear selection from memory pressure) and
-//! [`bottleneck`] (scaling down early-arriving nodes).
+//! 32-node Sun cluster). The paper's future work lives elsewhere:
+//! gear selection from memory pressure is `psc-policy`'s
+//! `phase-adaptive` rule, and the node-bottleneck planner is private
+//! to `examples/gear_advisor.rs`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod amdahl;
-pub mod autogear;
-pub mod bottleneck;
 pub mod comm;
 pub mod decompose;
 pub mod gears;

@@ -72,43 +72,57 @@ impl PhaseAdaptiveRank {
     pub fn choice_for(&self, phase: &str) -> Option<usize> {
         self.choices.get(phase).copied()
     }
+}
 
-    /// Model-predicted time and energy of a profiled phase at a gear.
-    fn predict(&self, p: &Profile, gear_index: usize) -> (f64, f64) {
-        let gear = self.node.gear(gear_index);
-        let t = self.node.compute_time_s(&p.work, gear) + p.idle_s;
-        let e = self.node.compute_energy_j(&p.work, gear) + p.idle_s * self.node.idle_power_w(gear);
-        (t, e)
-    }
+/// Model-predicted time and energy of `work` plus `idle_s` of blocking
+/// at a gear.
+fn predict(node: &NodeSpec, work: &WorkBlock, idle_s: f64, gear_index: usize) -> (f64, f64) {
+    let gear = node.gear(gear_index);
+    let t = node.compute_time_s(work, gear) + idle_s;
+    let e = node.compute_energy_j(work, gear) + idle_s * node.idle_power_w(gear);
+    (t, e)
+}
 
-    /// Pick the energy-minimal feasible gear for a profiled phase, with
-    /// `reference` being the gear the phase would otherwise run at.
-    fn choose(&self, p: &Profile, reference: usize) -> usize {
-        let dt = self.node.dvfs_transition_s;
-        let (t_fastest, _) = self.predict(p, 1);
-        let (_, e_reference) = self.predict(p, reference);
-        // Round-trip shift cost: two transition stalls. Time is charged
-        // in full; energy at (at most) the fastest gear's idle power,
-        // matching how `set_gear` bills the stall.
-        let shift_t = 2.0 * dt;
-        let shift_j = shift_t * self.node.idle_power_w(self.node.gears.fastest());
-        let mut best = reference;
-        let mut best_j = e_reference;
-        for g in 1..=self.node.gears.len() {
-            let (t, mut e) = self.predict(p, g);
-            if g != reference {
-                if t + shift_t > self.slowdown_limit * t_fastest {
-                    continue;
-                }
-                e += shift_j;
+/// The gear-choice rule: the energy-minimal gear for `work` plus
+/// `idle_s` of blocking, among the gears whose predicted time stays
+/// within `slowdown_limit` × the fastest gear's.
+///
+/// `stay` is the gear the work would otherwise run at; it is always
+/// admissible. Every other gear also pays `shift_s` of transition
+/// stall, charged in full to time and at (at most) the fastest gear's
+/// idle power to energy, matching how `set_gear` bills the stall. Ties
+/// go to `stay`, then to the faster gear.
+///
+/// [`PhaseAdaptiveRank`] passes a round trip of two DVFS stalls. A gear
+/// set before the run starts (`powerscale advise`) passes `idle_s = 0`
+/// and `shift_s = 0`, and `f64::INFINITY` for the unbounded minimum.
+pub fn choose_gear(
+    node: &NodeSpec,
+    work: &WorkBlock,
+    idle_s: f64,
+    stay: usize,
+    slowdown_limit: f64,
+    shift_s: f64,
+) -> usize {
+    let (t_fastest, _) = predict(node, work, idle_s, 1);
+    let (_, e_stay) = predict(node, work, idle_s, stay);
+    let shift_j = shift_s * node.idle_power_w(node.gears.fastest());
+    let mut best = stay;
+    let mut best_j = e_stay;
+    for g in 1..=node.gears.len() {
+        let (t, mut e) = predict(node, work, idle_s, g);
+        if g != stay {
+            if t + shift_s > slowdown_limit * t_fastest {
+                continue;
             }
-            if e < best_j {
-                best = g;
-                best_j = e;
-            }
+            e += shift_j;
         }
-        best
+        if e < best_j {
+            best = g;
+            best_j = e;
+        }
     }
+    best
 }
 
 impl RankPolicy for PhaseAdaptiveRank {
@@ -119,8 +133,17 @@ impl RankPolicy for PhaseAdaptiveRank {
                 if let Some(&gear) = self.choices.get(name) {
                     return Some(gear);
                 }
-                if let Some(p) = self.profiles.get(name).copied() {
-                    let gear = self.choose(&p, obs.gear_index);
+                if let Some(p) = self.profiles.get(name) {
+                    // A round trip: shift in now, and out at a nested close.
+                    let shift_s = 2.0 * self.node.dvfs_transition_s;
+                    let gear = choose_gear(
+                        &self.node,
+                        &p.work,
+                        p.idle_s,
+                        obs.gear_index,
+                        self.slowdown_limit,
+                        shift_s,
+                    );
                     self.choices.insert(name.to_string(), gear);
                     return Some(gear);
                 }
@@ -266,6 +289,37 @@ mod tests {
         let again = PolicyEvent::PhaseStart { name: "halo", depth: 0 };
         let gear = p.decide(&obs(&node, &totals, &Counters::default(), 1, again)).unwrap();
         assert_eq!(gear, node.gears.len(), "blocked time is cheapest at the slowest gear");
+    }
+
+    /// The UPMs of `psc_kernels::Benchmark::ALL`, descending: EP, BT,
+    /// LU, MG, SP, FT, Jacobi, IS, CG, Synthetic.
+    const SUITE_UPMS: [f64; 10] = [844.0, 79.6, 73.5, 70.6, 49.5, 45.0, 30.0, 14.0, 8.6, 2.6];
+
+    #[test]
+    fn static_choice_is_the_feasible_energy_argmin() {
+        let node = presets::athlon64();
+        assert_eq!(node.gears.len(), 6);
+        for budget in [0.0, 0.01, 0.05, 0.10, 0.25, f64::INFINITY] {
+            // Walk UPM downward: more memory pressure never speeds up.
+            let mut previous = 1;
+            for upm in SUITE_UPMS {
+                let work = WorkBlock::with_upm(1.0e9, upm);
+                let time = |g: usize| node.compute_time_s(&work, node.gear(g));
+                let energy = |g: usize| node.compute_energy_j(&work, node.gear(g));
+                let feasible = |g: usize| time(g) <= (1.0 + budget) * time(1);
+                let chosen = choose_gear(&node, &work, 0.0, 1, 1.0 + budget, 0.0);
+                let case = format!("UPM {upm}, budget {budget}: gear {chosen}");
+                assert!(feasible(chosen), "{case} breaks the budget");
+                for g in (1..=6).filter(|&g| feasible(g)) {
+                    assert!(energy(chosen) <= energy(g), "{case}, but gear {g} is cheaper");
+                }
+                if budget == 0.0 {
+                    assert_eq!(chosen, 1, "{case}");
+                }
+                assert!(chosen >= previous, "{case}, faster than gear {previous} at higher UPM");
+                previous = chosen;
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * [`PolicySpec::PhaseAdaptive`] — profile each named phase on first
 //!   sight, then shift to the gear the node model predicts is
 //!   energy-minimal for that phase's UPM, subject to a per-phase
-//!   slowdown limit and the DVFS transition cost.
+//!   slowdown limit and the DVFS transition cost. Its rule,
+//!   [`choose_gear`], is the workspace's one answer to "which gear for
+//!   this work": `powerscale advise` asks it about a whole program.
 //! * [`PolicySpec::PowerCap`] — divide a cluster-wide power budget
 //!   among ranks and never run a rank faster than its share allows;
 //!   at collective sync points idle-heavy ranks donate headroom by
@@ -44,7 +46,7 @@ pub mod adaptive;
 pub mod oracle;
 pub mod powercap;
 
-pub use adaptive::PhaseAdaptiveRank;
+pub use adaptive::{choose_gear, PhaseAdaptiveRank};
 pub use oracle::{OracleRank, OracleStep};
 pub use powercap::PowerCapRank;
 

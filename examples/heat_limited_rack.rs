@@ -14,8 +14,66 @@
 //! cargo run --release --example heat_limited_rack
 //! ```
 
-use powerscale::machine::thermal::{best_rack_option, rack_options};
-use powerscale::machine::{presets, WorkBlock};
+use powerscale::machine::{presets, NodeSpec, WorkBlock};
+
+/// Watts-to-BTU/h conversion (1 W = 3.412 BTU/h), for cooling specs.
+const BTU_PER_HOUR_PER_WATT: f64 = 3.412;
+
+/// One gear's rack-packing option.
+#[derive(Debug, Clone, Copy)]
+struct RackOption {
+    /// Gear the whole rack runs at.
+    gear: usize,
+    /// Nodes that fit under the power budget at this gear.
+    nodes: usize,
+    /// Power drawn by the full rack while computing, watts.
+    rack_power_w: f64,
+    /// Aggregate throughput in work-blocks per second (relative units;
+    /// proportional to µops/s for the reference workload).
+    throughput: f64,
+}
+
+impl RackOption {
+    /// Heat output requiring cooling, BTU per hour.
+    fn heat_btu_per_hour(&self) -> f64 {
+        self.rack_power_w * BTU_PER_HOUR_PER_WATT
+    }
+}
+
+/// Enumerate the rack-packing options of a node type under a per-rack
+/// power budget, for a reference workload (which sets per-gear node
+/// power and per-node throughput). `max_slots` caps the physical
+/// space in the rack.
+fn rack_options(
+    node: &NodeSpec,
+    workload: &WorkBlock,
+    budget_w: f64,
+    max_slots: usize,
+) -> Vec<RackOption> {
+    assert!(budget_w > 0.0 && max_slots > 0);
+    node.gears
+        .iter()
+        .map(|gear| {
+            let node_w = node.compute_power_w(workload, gear);
+            let fit = ((budget_w / node_w).floor() as usize).min(max_slots);
+            let per_node_rate = 1.0 / node.compute_time_s(workload, gear);
+            RackOption {
+                gear: gear.index,
+                nodes: fit,
+                rack_power_w: fit as f64 * node_w,
+                throughput: fit as f64 * per_node_rate,
+            }
+        })
+        .collect()
+}
+
+/// The option maximizing rack throughput. Ties go to the faster gear.
+fn best_rack_option(options: &[RackOption]) -> RackOption {
+    *options
+        .iter()
+        .max_by(|a, b| a.throughput.partial_cmp(&b.throughput).unwrap().then(b.gear.cmp(&a.gear)))
+        .expect("node has at least one gear")
+}
 
 fn main() {
     let node = presets::athlon64();
@@ -31,7 +89,8 @@ fn main() {
             "{:>5} {:>7} {:>11} {:>12} {:>12}",
             "gear", "nodes", "rack power", "cooling", "throughput"
         );
-        for o in rack_options(&node, &work, budget_w, slots) {
+        let options = rack_options(&node, &work, budget_w, slots);
+        for o in &options {
             println!(
                 "{:>5} {:>7} {:>10.0}W {:>9.0}BTU/h {:>12.3}",
                 o.gear,
@@ -41,14 +100,12 @@ fn main() {
                 o.throughput
             );
         }
-        let best = best_rack_option(&node, &work, budget_w, slots);
+        let best = best_rack_option(&options);
         println!(
             "\n  best throughput: gear {} with {} nodes ({:.1}% over gear 1)\n",
             best.gear,
             best.nodes,
-            100.0
-                * (best.throughput / rack_options(&node, &work, budget_w, slots)[0].throughput
-                    - 1.0)
+            100.0 * (best.throughput / options[0].throughput - 1.0)
         );
     }
 
@@ -57,4 +114,76 @@ fn main() {
          loses little speed, so the budget buys almost proportionally more\n\
          of them — the paper's heat-limited-future argument, quantified."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use presets::athlon64;
+
+    #[test]
+    fn more_nodes_fit_at_lower_gears() {
+        let node = athlon64();
+        let w = WorkBlock::with_upm(1.0e9, 70.0);
+        let opts = rack_options(&node, &w, 2000.0, 64);
+        for pair in opts.windows(2) {
+            assert!(pair[1].nodes >= pair[0].nodes, "{opts:?}");
+        }
+        assert!(opts.last().unwrap().nodes > opts[0].nodes);
+    }
+
+    #[test]
+    fn rack_power_never_exceeds_budget() {
+        let node = athlon64();
+        let w = WorkBlock::with_upm(1.0e9, 8.6);
+        for budget in [300.0, 1000.0, 5000.0] {
+            for o in rack_options(&node, &w, budget, 128) {
+                assert!(o.rack_power_w <= budget + 1e-9, "budget {budget}: {o:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn memory_bound_racks_prefer_slow_gears() {
+        // For CG-like work, a slow gear loses little per-node speed but
+        // packs far more nodes: best throughput is at a low gear.
+        let node = athlon64();
+        let cg = WorkBlock::with_upm(1.0e9, 8.6);
+        let best = best_rack_option(&rack_options(&node, &cg, 1500.0, 64));
+        assert!(best.gear >= 4, "CG rack should downshift: {best:?}");
+    }
+
+    #[test]
+    fn cpu_bound_racks_balance_speed_and_count() {
+        // EP-like work loses speed one-for-one with frequency, but
+        // power still falls faster than throughput near the top gears
+        // (V² scaling), so some downshift still wins under tight
+        // budgets — it must simply beat the gear-1 packing.
+        let node = athlon64();
+        let ep = WorkBlock::with_upm(1.0e9, 844.0);
+        let opts = rack_options(&node, &ep, 1500.0, 64);
+        assert!(best_rack_option(&opts).throughput >= opts[0].throughput);
+    }
+
+    #[test]
+    fn slot_cap_limits_packing() {
+        let node = athlon64();
+        let w = WorkBlock::with_upm(1.0e9, 70.0);
+        let opts = rack_options(&node, &w, 1.0e6, 42);
+        assert!(opts.iter().all(|o| o.nodes == 42));
+    }
+
+    #[test]
+    fn heat_conversion() {
+        let o = RackOption { gear: 1, nodes: 10, rack_power_w: 1000.0, throughput: 1.0 };
+        assert!((o.heat_btu_per_hour() - 3412.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tiny_budget_fits_zero_nodes() {
+        let node = athlon64();
+        let w = WorkBlock::with_upm(1.0e9, 70.0);
+        let opts = rack_options(&node, &w, 10.0, 64);
+        assert!(opts.iter().all(|o| o.nodes == 0 && o.throughput == 0.0));
+    }
 }
