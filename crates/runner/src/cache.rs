@@ -22,7 +22,7 @@
 //! implementations have not changed since a result was written. Wipe
 //! the directory (or set `PSC_CACHE=0`) after editing kernels.
 
-use crate::metrics::CacheHooks;
+use crate::metrics::{CacheHooks, Lookup};
 use psc_mpi::RunResult;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -194,7 +194,7 @@ impl RunCache {
     pub fn lookup(&self, key: u64) -> Option<Arc<RunResult>> {
         if let Some(run) = self.mem.lock().unwrap().get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.with_hooks(|h| h.on_lookup("mem_hit"));
+            self.with_hooks(|h| h.on_lookup(Lookup::MemHit));
             return Some(run);
         }
         match self.read_disk(key) {
@@ -203,7 +203,7 @@ impl RunCache {
                 self.mem.lock().unwrap().insert(key, Arc::clone(&run));
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.with_hooks(|h| h.on_lookup("disk_hit"));
+                self.with_hooks(|h| h.on_lookup(Lookup::DiskHit));
                 return Some(run);
             }
             DiskEntry::Corrupt => {
@@ -213,7 +213,7 @@ impl RunCache {
             DiskEntry::Absent => {}
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.with_hooks(|h| h.on_lookup("miss"));
+        self.with_hooks(|h| h.on_lookup(Lookup::Miss));
         None
     }
 

@@ -76,6 +76,20 @@ impl KeyHasher {
     fn push(&mut self, s: &str) {
         self.0 = fnv1a64_continue(self.0, s.as_bytes());
     }
+
+    /// Hash the bytes of `format!("{:?}", spec.resolved_gears())` —
+    /// `[g0, g1, …]` — without building the `Vec` or the string.
+    fn push_resolved_gears(&mut self, spec: &RunSpec) {
+        self.push("[");
+        for rank in 0..spec.nodes {
+            if rank > 0 {
+                self.push(", ");
+            }
+            write!(self, "{}", spec.gears.gear_for(rank))
+                .expect("KeyHasher::write_str never fails");
+        }
+        self.push("]");
+    }
 }
 
 impl std::fmt::Write for KeyHasher {
@@ -329,18 +343,19 @@ impl Engine {
     /// `<schema>|node=…|net=…|meter=…|bench=…|class=…|nodes=…|gears=…`
     /// plus the optional `|faults=<json>` and `|policy=<json>` tails —
     /// everything that shapes the result. The cluster part is hashed
-    /// once per engine; a lookup streams only the spec's part.
+    /// once per engine; a lookup streams only the spec's part, without
+    /// allocating unless the spec carries its own fault plan or a policy.
     pub fn cache_key(&self, spec: &RunSpec) -> u64 {
         let mut key = KeyHasher(self.key_prefix);
         write!(
             key,
-            "|bench={}|class={:?}|nodes={}|gears={:?}",
+            "|bench={}|class={:?}|nodes={}|gears=",
             spec.bench.name(),
             spec.class,
             spec.nodes,
-            spec.resolved_gears(),
         )
         .expect("KeyHasher::write_str never fails");
+        key.push_resolved_gears(spec);
         // Fault-free runs keep the plain key; a plan (even a quiet one)
         // gets its own keyspace. The engine's default plan was
         // serialized when it was set, a spec's own is serialized here.
@@ -748,6 +763,24 @@ mod tests {
         assert_eq!(engine().with_faults(Some(plan.clone())).cache_key(&bare), described(&faults));
         let both = format!("{faults}|policy={}", policy.to_json());
         assert_eq!(e.cache_key(&bare.with_faults(plan).with_policy(policy)), described(&both));
+    }
+
+    #[test]
+    fn streamed_gears_hash_like_their_debug_string() {
+        let specs = [
+            RunSpec::uniform(Benchmark::Ep, ProblemClass::Test, 1, 3),
+            RunSpec::uniform(Benchmark::Cg, ProblemClass::Test, 8, 12),
+            RunSpec {
+                gears: GearSelection::PerRank(vec![10, 1, 6, 100]),
+                ..RunSpec::uniform(Benchmark::Cg, ProblemClass::Test, 4, 1)
+            },
+        ];
+        for spec in &specs {
+            let mut streamed = KeyHasher(7);
+            streamed.push_resolved_gears(spec);
+            let debug = format!("{:?}", spec.resolved_gears());
+            assert_eq!(streamed.0, fnv1a64_continue(7, debug.as_bytes()), "{debug}");
+        }
     }
 
     /// Metrics are observation-only: identical results with metrics on

@@ -37,10 +37,74 @@
 //! Worker utilization is `busy / slot`; the gap between `slot` and
 //! `busy` is exactly the idle time a bare wall-clock speedup figure
 //! hides.
+//!
+//! ## Handles and by-name lookups
+//!
+//! A series whose labels come from a closed set — the `Lookup`
+//! answers of `engine_cache_lookups_total` and the `Outcome`s of
+//! `engine_runs_total` — is a handle in an array indexed by its enum,
+//! resolved on first use, so it enters a snapshot exactly when its
+//! first event happens. Those hooks fire on every cache hit, and a hit
+//! then takes no registry lock and allocates nothing. Every other
+//! series is looked up by name per event: the per-run and per-plan
+//! hooks (`on_run_executed`, `on_plan`, `on_pool_closed`,
+//! `on_skeletons`) observe at least half a millisecond of work each,
+//! the disk-layer hooks time a file read or write, and
+//! `engine_run_wall_seconds{bench,gear,tier}` has an open label set.
 
 use crate::engine::Tier;
 use psc_metrics::{Counter, FloatCounter, Profiler, Registry, Snapshot, SpanRecord, Stopwatch};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Which cache layer answered a lookup: the `result` label of
+/// `engine_cache_lookups_total`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lookup {
+    /// The memory layer held the key.
+    MemHit,
+    /// A disk entry was read and promoted into memory.
+    DiskHit,
+    /// Neither layer could answer; the spec will be simulated.
+    Miss,
+}
+
+impl Lookup {
+    fn label(self) -> &'static str {
+        match self {
+            Lookup::MemHit => "mem_hit",
+            Lookup::DiskHit => "disk_hit",
+            Lookup::Miss => "miss",
+        }
+    }
+}
+
+/// How one requested spec obtained its result: the `outcome` label of
+/// `engine_runs_total`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Outcome {
+    /// Simulated here (a counted cache miss).
+    Executed,
+    /// Answered by the memory layer.
+    MemHit,
+    /// Answered by a disk entry.
+    DiskHit,
+    /// A duplicate inside one plan shared its first occurrence's run.
+    DedupJoin,
+    /// Joined a run another caller had in flight.
+    InflightJoin,
+}
+
+impl Outcome {
+    fn label(self) -> &'static str {
+        match self {
+            Outcome::Executed => "executed",
+            Outcome::MemHit => "mem_hit",
+            Outcome::DiskHit => "disk_hit",
+            Outcome::DedupJoin => "dedup_join",
+            Outcome::InflightJoin => "inflight_join",
+        }
+    }
+}
 
 /// Self-observability state shared by an [`crate::Engine`] and its
 /// [`crate::RunCache`]. Cheap to clone behind an [`Arc`]; a disabled
@@ -52,26 +116,32 @@ pub struct EngineMetrics {
     enabled: bool,
     registry: Registry,
     profiler: Profiler,
+    /// `engine_cache_lookups_total{result}`, indexed by [`Lookup`].
+    lookups: [OnceLock<Counter>; 3],
+    /// `engine_runs_total{outcome}`, indexed by [`Outcome`].
+    outcomes: [OnceLock<Counter>; 5],
 }
 
 impl EngineMetrics {
-    /// An enabled instance.
-    pub fn new() -> Arc<Self> {
+    fn with_enabled(enabled: bool) -> Arc<Self> {
         Arc::new(EngineMetrics {
-            enabled: true,
+            enabled,
             registry: Registry::new(),
             profiler: Profiler::new(),
+            lookups: Default::default(),
+            outcomes: Default::default(),
         })
+    }
+
+    /// An enabled instance.
+    pub fn new() -> Arc<Self> {
+        Self::with_enabled(true)
     }
 
     /// A disabled instance: every hook is a no-op, the registry stays
     /// empty.
     pub fn disabled() -> Arc<Self> {
-        Arc::new(EngineMetrics {
-            enabled: false,
-            registry: Registry::new(),
-            profiler: Profiler::new(),
-        })
+        Self::with_enabled(false)
     }
 
     /// The underlying registry (for export and for tests).
@@ -107,14 +177,16 @@ impl EngineMetrics {
             .add(specs as u64);
     }
 
-    /// A per-spec outcome was decided (`executed`, `mem_hit`,
-    /// `disk_hit`, or `dedup_join`).
-    pub(crate) fn on_outcome(&self, outcome: &str) {
+    /// A per-spec outcome was decided.
+    pub(crate) fn on_outcome(&self, outcome: Outcome) {
         if !self.enabled {
             return;
         }
-        self.registry
-            .counter("engine_runs_total", "Per-spec outcomes.", &[("outcome", outcome)])
+        self.outcomes[outcome as usize]
+            .get_or_init(|| {
+                let labels = [("outcome", outcome.label())];
+                self.registry.counter("engine_runs_total", "Per-spec outcomes.", &labels)
+            })
             .inc();
     }
 
@@ -185,7 +257,7 @@ impl EngineMetrics {
                 &[],
             )
             .inc();
-        self.on_outcome("executed");
+        self.on_outcome(Outcome::Executed);
         self.profiler.record(
             "run",
             "run",
@@ -265,13 +337,6 @@ pub(crate) struct CacheHooks {
 }
 
 impl CacheHooks {
-    fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Option<Counter> {
-        if !self.metrics.enabled {
-            return None;
-        }
-        Some(self.metrics.registry.counter(name, help, labels))
-    }
-
     fn float(&self, name: &str, help: &str) -> Option<FloatCounter> {
         if !self.metrics.enabled {
             return None;
@@ -279,42 +344,54 @@ impl CacheHooks {
         Some(self.metrics.registry.float_counter(name, help, &[]))
     }
 
-    /// A lookup was answered by the given layer (`mem_hit`,
-    /// `disk_hit`, `miss`).
-    pub(crate) fn on_lookup(&self, result: &str) {
-        if let Some(c) = self.counter(
-            "engine_cache_lookups_total",
-            "Cache lookups by layer answer.",
-            &[("result", result)],
-        ) {
-            c.inc();
+    /// A lookup was answered by the given layer; a hit is also that
+    /// spec's outcome.
+    pub(crate) fn on_lookup(&self, result: Lookup) {
+        let m = &self.metrics;
+        if !m.enabled {
+            return;
         }
-        if result != "miss" {
-            self.metrics.on_outcome(result);
+        m.lookups[result as usize]
+            .get_or_init(|| {
+                let labels = [("result", result.label())];
+                m.registry.counter(
+                    "engine_cache_lookups_total",
+                    "Cache lookups by layer answer.",
+                    &labels,
+                )
+            })
+            .inc();
+        match result {
+            Lookup::MemHit => m.on_outcome(Outcome::MemHit),
+            Lookup::DiskHit => m.on_outcome(Outcome::DiskHit),
+            Lookup::Miss => {}
         }
     }
 
     /// A damaged disk entry was detected (it reads as a miss and is
     /// healed by the re-executed result's insert).
     pub(crate) fn on_corrupt(&self) {
-        if let Some(c) = self.counter(
-            "engine_cache_corrupt_total",
-            "Damaged disk entries healed by re-execution.",
-            &[],
-        ) {
-            c.inc();
+        if self.metrics.enabled {
+            self.metrics
+                .registry
+                .counter(
+                    "engine_cache_corrupt_total",
+                    "Damaged disk entries healed by re-execution.",
+                    &[],
+                )
+                .inc();
         }
     }
 
     /// An in-plan duplicate joined the first occurrence's run.
     pub(crate) fn on_dedup_join(&self) {
-        self.metrics.on_outcome("dedup_join");
+        self.metrics.on_outcome(Outcome::DedupJoin);
     }
 
     /// A caller joined a run that another caller had in flight (the
     /// engine's cross-caller dedup table).
     pub(crate) fn on_inflight_join(&self) {
-        self.metrics.on_outcome("inflight_join");
+        self.metrics.on_outcome(Outcome::InflightJoin);
     }
 
     /// Start a stopwatch only when enabled.
@@ -404,10 +481,10 @@ mod tests {
     fn disabled_metrics_record_nothing() {
         let m = EngineMetrics::disabled();
         m.on_plan(5);
-        m.on_outcome("executed");
+        m.on_outcome(Outcome::Executed);
         assert!(m.stopwatch().is_none());
         let hooks = m.cache_hooks();
-        hooks.on_lookup("miss");
+        hooks.on_lookup(Lookup::Miss);
         hooks.on_corrupt();
         hooks.add_disk_read(None);
         assert!(m.snapshot().samples.is_empty());
@@ -420,8 +497,8 @@ mod tests {
         m.on_plan(3);
         m.on_plan(2);
         let hooks = m.cache_hooks();
-        hooks.on_lookup("mem_hit");
-        hooks.on_lookup("miss");
+        hooks.on_lookup(Lookup::MemHit);
+        hooks.on_lookup(Lookup::Miss);
         hooks.on_dedup_join();
         let snap = m.snapshot();
         assert_eq!(snap.get("engine_plans_total", &[]).unwrap().scalar(), 2.0);
@@ -434,6 +511,17 @@ mod tests {
             snap.get("engine_runs_total", &[("outcome", "dedup_join")]).unwrap().scalar(),
             1.0
         );
+        // A hit is also the spec's outcome, and the handle is the same
+        // series a by-name lookup finds.
+        hooks.on_lookup(Lookup::MemHit);
+        let snap = m.snapshot();
+        assert_eq!(snap.get("engine_runs_total", &[("outcome", "mem_hit")]).unwrap().scalar(), 2.0);
+        let by_name = m.registry().counter(
+            "engine_cache_lookups_total",
+            "Cache lookups by layer answer.",
+            &[("result", "mem_hit")],
+        );
+        assert_eq!(by_name.get(), 2);
     }
 
     #[test]

@@ -24,13 +24,13 @@
 
 use crate::proto::{self, Command, Lane, ProtoLimits};
 use crate::queue::JobQueue;
-use psc_metrics::Stopwatch;
+use psc_metrics::{Counter, Histogram, Stopwatch};
 use psc_runner::{Engine, RunOutcome};
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Tunables for a [`Server`].
@@ -103,6 +103,22 @@ struct ServerInner {
     config: ServerConfig,
     queue: JobQueue<Job>,
     shutdown: AtomicBool,
+    metrics: ServeMetrics,
+}
+
+/// The server's series in the engine's registry. Every label set is
+/// closed (`Lane` × `RunOutcome`), so each series is a handle indexed
+/// by its labels and resolved on first use — it enters a snapshot when
+/// its first event happens, and no later frame or job takes the
+/// registry lock.
+#[derive(Default)]
+struct ServeMetrics {
+    errors: OnceLock<Counter>,
+    requests: [OnceLock<Counter>; 2],
+    specs: [OnceLock<Counter>; 2],
+    queue_wait: [OnceLock<Arc<Histogram>>; 2],
+    results: [[OnceLock<Counter>; 3]; 2],
+    request_seconds: [OnceLock<Arc<Histogram>>; 2],
 }
 
 /// The long-running job server. See the module docs for the shape.
@@ -119,6 +135,7 @@ impl Server {
             config,
             queue: JobQueue::new(config.queue_capacity.max(1)),
             shutdown: AtomicBool::new(false),
+            metrics: ServeMetrics::default(),
         });
         let workers = (0..config.workers.max(1))
             .map(|_| {
@@ -144,7 +161,7 @@ impl Server {
             gear_count: self.inner.engine.gear_count(),
             max_batch: self.inner.config.max_batch,
         };
-        let registry = self.inner.engine.metrics().registry();
+        let (registry, metrics) = (self.inner.engine.metrics().registry(), &self.inner.metrics);
 
         for line in reader.lines() {
             let Ok(line) = line else { return SessionEnd::Disconnected };
@@ -154,12 +171,15 @@ impl Server {
             let request = match proto::parse_request(&line, limits) {
                 Ok(r) => r,
                 Err(e) => {
-                    registry
-                        .counter(
-                            "serve_errors_total",
-                            "Rejected protocol frames (the session survives each one).",
-                            &[],
-                        )
+                    metrics
+                        .errors
+                        .get_or_init(|| {
+                            registry.counter(
+                                "serve_errors_total",
+                                "Rejected protocol frames (the session survives each one).",
+                                &[],
+                            )
+                        })
                         .inc();
                     writer.send(&proto::error_line(e.id.as_deref(), &e.message));
                     continue; // a bad frame never poisons the loop
@@ -174,19 +194,24 @@ impl Server {
                     return SessionEnd::Shutdown;
                 }
                 Command::Run { lane, specs } => {
-                    registry
-                        .counter(
-                            "serve_requests_total",
-                            "Accepted run requests per lane.",
-                            &[("lane", lane.label())],
-                        )
+                    let labels = [("lane", lane.label())];
+                    metrics.requests[lane as usize]
+                        .get_or_init(|| {
+                            registry.counter(
+                                "serve_requests_total",
+                                "Accepted run requests per lane.",
+                                &labels,
+                            )
+                        })
                         .inc();
-                    registry
-                        .counter(
-                            "serve_specs_total",
-                            "Specs accepted for scheduling per lane.",
-                            &[("lane", lane.label())],
-                        )
+                    metrics.specs[lane as usize]
+                        .get_or_init(|| {
+                            registry.counter(
+                                "serve_specs_total",
+                                "Specs accepted for scheduling per lane.",
+                                &labels,
+                            )
+                        })
                         .add(specs.len() as u64);
                     let state = Arc::new(RequestState {
                         id: request.id,
@@ -328,23 +353,27 @@ impl Server {
 }
 
 fn worker_loop(inner: &ServerInner) {
-    let registry = inner.engine.metrics().registry();
+    let (registry, metrics) = (inner.engine.metrics().registry(), &inner.metrics);
     while let Some((lane, job)) = inner.queue.pop() {
-        registry
-            .time_histogram(
-                "serve_queue_wait_seconds",
-                "Host seconds a job waited in its lane before a worker picked it up.",
-                &[("lane", lane.label())],
-            )
+        metrics.queue_wait[lane as usize]
+            .get_or_init(|| {
+                registry.time_histogram(
+                    "serve_queue_wait_seconds",
+                    "Host seconds a job waited in its lane before a worker picked it up.",
+                    &[("lane", lane.label())],
+                )
+            })
             .observe(job.enqueued.elapsed_s());
 
         let (run, outcome, key) = inner.engine.run_traced(&job.spec);
-        registry
-            .counter(
-                "serve_results_total",
-                "Per-spec replies by lane and dedup outcome.",
-                &[("lane", lane.label()), ("outcome", outcome.label())],
-            )
+        metrics.results[lane as usize][outcome as usize]
+            .get_or_init(|| {
+                registry.counter(
+                    "serve_results_total",
+                    "Per-spec replies by lane and dedup outcome.",
+                    &[("lane", lane.label()), ("outcome", outcome.label())],
+                )
+            })
             .inc();
 
         let state = &job.request;
@@ -365,12 +394,14 @@ fn worker_loop(inner: &ServerInner) {
                 state.cache_hits.load(Ordering::Relaxed),
                 state.inflight_joins.load(Ordering::Relaxed),
             ));
-            registry
-                .time_histogram(
-                    "serve_request_seconds",
-                    "Host seconds from request acceptance to its done line.",
-                    &[("lane", state.lane.label())],
-                )
+            metrics.request_seconds[state.lane as usize]
+                .get_or_init(|| {
+                    registry.time_histogram(
+                        "serve_request_seconds",
+                        "Host seconds from request acceptance to its done line.",
+                        &[("lane", state.lane.label())],
+                    )
+                })
                 .observe(state.sw.elapsed_s());
         }
     }
