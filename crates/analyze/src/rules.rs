@@ -7,8 +7,8 @@
 //! | U001 | units         | public scalar field or `f64`-returning `pub fn` named after a quantity without its unit suffix |
 //! | F001 | fault purity  | a stochastic construct inside `psc-faults` that bypasses the counter-keyed `rng` module |
 //! | T001 | virtual time  | a host-concurrency or host-clock identifier (`thread`, `crossbeam`, `Instant`, `SystemTime`) inside the DES scheduler (`crates/mpi/src/des/`) |
-//! | S001 | layering      | a simulator-bypassing identifier (`Cluster`, `run_with_faults`, `run_with_faults_stats`) inside the job server (`crates/serve/`) — the service must go through `Engine` so dedupe sees every request |
-//! | P001 | policy purity | a simulation-state-mutating identifier (`set_gear`, `Cluster`, the raw `run_with_*` entry points, RNG constructors) inside the policy layer (`crates/policy/`) — a policy decides a gear, only the hook installs it |
+//! | S001 | layering      | a simulator-bypassing identifier (`Cluster`, `run_with_faults`, `run_with_faults_stats`, `retime`) inside the job server (`crates/serve/`) — the service must go through `Engine` so dedupe sees every request |
+//! | P001 | policy purity | a simulation-state-mutating identifier (`set_gear`, `Cluster`, the raw `run_with_*` entry points, `retime`, RNG constructors) inside the policy layer (`crates/policy/`) — a policy decides a gear, only the hook installs it |
 //!
 //! (The C family — cache-key completeness, including P002 for the
 //! `RunSpec::policy` encoding — and M001, the metrics boundary, are
@@ -102,7 +102,7 @@ const BANS: &[Ban] = &[
         rule: "S001",
         scope: "crates/serve/",
         exempt: &[],
-        banned: &["Cluster", "run_with_faults", "run_with_faults_stats"],
+        banned: &["Cluster", "run_with_faults", "run_with_faults_stats", "retime"],
         what: "simulator-bypassing identifier",
         why: "inside the job server — crates/serve/ must run specs only through \
               psc_runner::Engine so the cache and in-flight dedupe see every request; build \
@@ -125,6 +125,7 @@ const BANS: &[Ban] = &[
             "run_with_faults_stats",
             "run_with_policy",
             "run_with_policy_stats",
+            "retime",
             "SmallRng",
             "StdRng",
             "splitmix64",
@@ -354,10 +355,11 @@ mod tests {
     fn serve_path_bans_simulator_bypass_idents() {
         // Bare identifiers fire — even an unused import is a finding.
         let src = "use psc_machine::Cluster; \
-                   fn f(c: &Cluster) { let r = run_with_faults(c); run_with_faults_stats(c); }";
+                   fn f(c: &Cluster) { let r = run_with_faults(c); run_with_faults_stats(c); } \
+                   fn g(e: &Engine) { e.cluster().retime(&cfg, None, None, &s); }";
         let f = rules_on(src, "crates/serve/src/server.rs");
         let s001: Vec<_> = f.iter().filter(|f| f.rule == "S001").collect();
-        assert_eq!(s001.len(), 4, "Cluster (twice) and both raw entry points fire: {f:?}");
+        assert_eq!(s001.len(), 5, "Cluster (twice) and the three raw entry points fire: {f:?}");
         // Identical tokens outside the serve path are S001-clean — the
         // CLI crate is where the cluster gets built.
         let elsewhere = rules_on(src, "crates/cli/src/main.rs");

@@ -69,7 +69,7 @@ fn p001_fires_on_the_policy_path_only() {
     let src = fixture("p001_policy_mutation.rs");
     let h = hits("crates/policy/src/fixture.rs", &src);
     let lines: Vec<u32> = h.iter().filter(|(r, _)| r == "P001").map(|&(_, l)| l).collect();
-    assert_eq!(lines, vec![2, 5], "Cluster import and set_gear call fire: {h:?}");
+    assert_eq!(lines, vec![2, 5, 10], "Cluster import, set_gear and retime calls fire: {h:?}");
     // The same tokens outside the policy layer are P001-clean — the
     // CLI is exactly where clusters get built and gears get set.
     assert!(hits("crates/cli/src/fixture.rs", &src).iter().all(|(r, _)| r != "P001"));

@@ -5,3 +5,7 @@ pub fn decide(comm: &mut Comm) -> usize {
     comm.set_gear(4);
     4
 }
+
+pub fn preview(engine: &Engine, cfg: &ClusterConfig, skeleton: &Skeleton) -> RunResult {
+    engine.cluster().retime(cfg, None, None, skeleton)
+}

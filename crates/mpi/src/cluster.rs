@@ -6,10 +6,11 @@
 //! hardware counters, the MPI trace, and the wall-outlet power trace —
 //! everything the paper measures on its real cluster.
 
-use crate::comm::{Comm, Fabric};
+use crate::comm::{Comm, Fabric, ReplayCursor};
 use crate::des;
 use crate::network::NetworkModel;
 use crate::policyhook::{ClusterPolicy, RankPolicy};
+use crate::retime;
 use crate::router::{MatchBuffer, Router};
 use crate::skeleton::{RankSkeleton, Skeleton};
 use crate::trace::RankTrace;
@@ -18,6 +19,7 @@ use psc_machine::wattmeter::cluster_energy_j;
 use psc_machine::wire::{Reader, WireError, Writer};
 use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, Wattmeter};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Which driver executes the rank programs of a [`Cluster`] run.
@@ -56,11 +58,13 @@ impl RuntimeBackend {
     }
 }
 
-/// Host-side execution statistics of one run. Deliberately *not* part
-/// of [`RunResult`]: results are serialized into the content-addressed
-/// run cache and byte-compared across backends and worker counts, so
-/// anything describing how the host executed a run must travel beside
-/// the result, never inside it.
+/// Host-side execution statistics of one full run. Deliberately *not*
+/// part of [`RunResult`]: results are serialized into the
+/// content-addressed run cache and byte-compared across backends and
+/// worker counts, so anything describing how the host executed a run
+/// must travel beside the result, never inside it. A re-timing
+/// ([`Cluster::retime`]) has none: it runs no scheduler and no
+/// coroutine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
     /// Coroutine dispatches performed by the DES scheduler (0 under the
@@ -85,6 +89,15 @@ struct RankProducts<R> {
     skeleton: Option<RankSkeleton>,
 }
 
+impl<R> RankProducts<R> {
+    /// Dismantle a finalized communicator.
+    fn of(comm: Comm, out: R, skeleton: Option<RankSkeleton>) -> Self {
+        let rank = comm.rank();
+        let (counters, trace, power, end_s, final_gear) = comm.into_results();
+        RankProducts { rank, out, counters, trace, power, end_s, final_gear, skeleton }
+    }
+}
+
 /// What every rank needs before its program starts, resolved on the
 /// driver thread (a `ClusterPolicy` need not be `Sync`).
 struct RankSetup {
@@ -98,17 +111,9 @@ struct RankSetup {
 }
 
 impl RankSetup {
-    /// Run `program` as this rank over `fabric`: arm faults, policy and
-    /// (when recording) the skeleton recorder, run, finalize, dismantle.
-    /// The one rank body both drivers execute.
-    fn run<R>(
-        self,
-        size: usize,
-        node: Arc<NodeSpec>,
-        network: NetworkModel,
-        fabric: Fabric,
-        program: &impl Fn(&mut Comm) -> R,
-    ) -> RankProducts<R> {
+    /// This rank's communicator over `fabric`, armed with its faults,
+    /// its policy and (when recording) the skeleton recorder.
+    fn comm(self, size: usize, node: Arc<NodeSpec>, network: NetworkModel, fabric: Fabric) -> Comm {
         let mut comm = Comm::new(self.rank, size, self.gear, node, network, fabric);
         comm.set_faults(self.faults, self.forced_from);
         if let Some(hook) = self.policy {
@@ -117,13 +122,27 @@ impl RankSetup {
         if self.record {
             comm.start_recording();
         }
+        comm
+    }
+
+    /// Run `program` as this rank over `fabric`: arm, run, finalize,
+    /// dismantle. The one rank body both full-run drivers execute.
+    fn run<R>(
+        self,
+        size: usize,
+        node: Arc<NodeSpec>,
+        network: NetworkModel,
+        fabric: Fabric,
+        program: &impl Fn(&mut Comm) -> R,
+    ) -> RankProducts<R> {
+        let mut comm = self.comm(size, node, network, fabric);
         let out = program(&mut comm);
         // Recording stops here: finalize is the runtime's, not the
-        // program's, and a replayed run performs it itself.
+        // program's, and a re-timing performs it itself.
         let skeleton = comm.take_skeleton();
-        comm.finalize();
-        let (counters, trace, power, end_s, final_gear) = comm.into_results();
-        RankProducts { rank: self.rank, out, counters, trace, power, end_s, final_gear, skeleton }
+        let done = comm.finalize(&mut ReplayCursor::default());
+        assert!(done, "a full run's receive blocks until it completes");
+        RankProducts::of(comm, out, skeleton)
     }
 }
 
@@ -445,7 +464,7 @@ impl Cluster {
     /// message shapes and span marks it issued, which is the same under
     /// every gear selection, fault plan and policy. Handed back
     /// *beside* the result, like [`BackendStats`]: recording never
-    /// changes what the run computes. Feed it to [`Comm::replay`] to
+    /// changes what the run computes. Hand it to [`Cluster::retime`] to
     /// re-time the program under another configuration without running
     /// its arithmetic.
     pub fn run_recorded<R, F>(
@@ -463,6 +482,46 @@ impl Cluster {
         (run, outputs, stats, skeleton.expect("a recording run returns every rank's skeleton"))
     }
 
+    /// Re-time a recorded [`Skeleton`] under `cfg`, `faults` and
+    /// `policy`, without the program's arithmetic. The result is
+    /// bit-identical to running the recorded program under the same
+    /// configuration: every rank re-issues its recorded requests
+    /// through the same `Comm` clock, fault, policy and trace code and
+    /// the same `assemble` a full run uses. Only the driver differs —
+    /// op cursors stepped from one wake-on-delivery queue, with no
+    /// coroutine and no scheduler (DESIGN.md §12).
+    ///
+    /// # Panics
+    ///
+    /// On [`Cluster::run_with_policy`]'s conditions, if the skeleton
+    /// was recorded on another node count, and — listing every parked
+    /// receive — if the skeleton deadlocks.
+    pub fn retime(
+        &self,
+        cfg: &ClusterConfig,
+        faults: Option<&FaultPlan>,
+        policy: Option<&dyn ClusterPolicy>,
+        skeleton: &Skeleton,
+    ) -> RunResult {
+        let setups = self.setups(cfg, faults, policy, false);
+        let n = cfg.nodes;
+        assert_eq!(skeleton.ranks.len(), n, "skeleton recorded on another node count");
+        let state = retime::CursorState::new(n);
+        let node = Arc::new(self.node.clone());
+        let mut ranks: Vec<(Comm, ReplayCursor)> = setups
+            .into_iter()
+            .map(|setup| {
+                let ep = retime::CursorEndpoint::new(setup.rank, Rc::clone(&state));
+                let comm = setup.comm(n, Arc::clone(&node), self.network, Fabric::Cursor(ep));
+                (comm, ReplayCursor::default())
+            })
+            .collect();
+        retime::drive(&state, &mut ranks, skeleton);
+        let per_rank =
+            ranks.into_iter().map(|(comm, _)| RankProducts::of(comm, (), None)).collect();
+        self.assemble(faults, per_rank).0
+    }
+
     fn run_inner<R, F>(
         &self,
         cfg: &ClusterConfig,
@@ -475,6 +534,28 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
+        let setups = self.setups(cfg, faults, policy, record);
+        let (per_rank, stats) = match self.backend.effective() {
+            RuntimeBackend::Threaded => {
+                (self.drive_threaded(setups, &program), BackendStats::default())
+            }
+            RuntimeBackend::Des => self.drive_des(setups, &program),
+        };
+
+        let (run, outputs, skeleton) = self.assemble(faults, per_rank);
+        (run, outputs, stats, skeleton)
+    }
+
+    /// Validate a run's configuration and resolve what every rank needs
+    /// before it starts: its gear, fault stream and policy. Shared by
+    /// full runs and re-timings.
+    fn setups(
+        &self,
+        cfg: &ClusterConfig,
+        faults: Option<&FaultPlan>,
+        policy: Option<&dyn ClusterPolicy>,
+        record: bool,
+    ) -> Vec<RankSetup> {
         assert!(cfg.nodes >= 1, "cluster run needs at least one node");
         if let GearSelection::PerRank(v) = &cfg.gears {
             assert_eq!(v.len(), cfg.nodes, "per-rank gear list length must equal node count");
@@ -484,7 +565,7 @@ impl Cluster {
                 panic!("invalid fault plan: {e}");
             }
         }
-        let setups: Vec<RankSetup> = (0..cfg.nodes)
+        (0..cfg.nodes)
             .map(|rank| {
                 // The gear a rank would start at absent faults: the
                 // configured selection, unless a policy overrides it.
@@ -505,17 +586,7 @@ impl Cluster {
                     record,
                 }
             })
-            .collect();
-
-        let (per_rank, stats) = match self.backend.effective() {
-            RuntimeBackend::Threaded => {
-                (self.drive_threaded(setups, &program), BackendStats::default())
-            }
-            RuntimeBackend::Des => self.drive_des(setups, &program),
-        };
-
-        let (run, outputs, skeleton) = self.assemble(faults, per_rank);
-        (run, outputs, stats, skeleton)
+            .collect()
     }
 
     /// The thread-per-rank driver: each rank on its own OS thread,
@@ -559,7 +630,6 @@ impl Cluster {
         F: Fn(&mut Comm) -> R + Sync,
     {
         use std::cell::RefCell;
-        use std::rc::Rc;
 
         let n = setups.len();
         let state = des::DesState::new(n);
@@ -1457,10 +1527,6 @@ mod replay_tests {
         }
     }
 
-    fn replay_of(skeleton: &Skeleton) -> impl Fn(&mut Comm) + Sync + '_ {
-        |comm| comm.replay(skeleton.rank(comm.rank()))
-    }
-
     #[test]
     fn a_recorded_program_replays_bit_identically_at_another_gear() {
         for backend in [RuntimeBackend::Des, RuntimeBackend::Threaded] {
@@ -1471,7 +1537,7 @@ mod replay_tests {
             assert_eq!(recorded, c.run(&ClusterConfig::uniform(4, 1), program).0);
             // ...and the skeleton re-times exactly under other gears.
             let cfg = ClusterConfig { nodes: 4, gears: GearSelection::PerRank(vec![2, 6, 1, 4]) };
-            assert_eq!(c.run(&cfg, replay_of(&skeleton)).0, c.run(&cfg, program).0);
+            assert_eq!(c.retime(&cfg, None, None, &skeleton), c.run(&cfg, program).0);
             // Interning keeps it small: one block, one span name, and
             // the shapes of one allreduce per rank.
             assert!(skeleton.ranks.iter().all(|r| r.blocks.len() == 1 && r.names.len() == 1));
@@ -1490,8 +1556,8 @@ mod replay_tests {
         for r in &mut stripped.ranks {
             r.ops.retain(|op| !matches!(op, SkelOp::WireScale(_)));
         }
-        assert_eq!(c.run(&cfg, replay_of(&skeleton)).0, full);
-        let (wrong, _) = c.run(&cfg, replay_of(&stripped));
+        assert_eq!(c.retime(&cfg, None, None, &skeleton), full);
+        let wrong = c.retime(&cfg, None, None, &stripped);
         for (w, f) in wrong.ranks.iter().zip(&full.ranks) {
             let (we, fe) = (w.trace.events(), f.trace.events());
             let last = fe.len() - 1;
@@ -1501,6 +1567,45 @@ mod replay_tests {
             assert_eq!(we[..last], fe[..last]);
             // ...and finalize's own 8-byte control messages do not.
             assert_eq!(fe[last].bytes, 50 * we[last].bytes);
+        }
+    }
+
+    /// The panic message `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the run must deadlock");
+        payload.downcast::<String>().map(|s| *s).expect("a formatted panic message")
+    }
+
+    /// Rank 0 waits for a message rank 1 never sends; rank 1 ends up in
+    /// finalize's barrier. Both drivers name both parked receives, in
+    /// the same words.
+    #[test]
+    fn a_deadlocked_skeleton_names_every_parked_receive_as_the_des_scheduler_does() {
+        let c = Cluster::athlon_fast_ethernet();
+        let cfg = ClusterConfig::uniform(2, 1);
+        let skeleton = Skeleton {
+            ranks: vec![
+                RankSkeleton { ops: vec![SkelOp::Recv { src: 1, tag: 5 }], ..Default::default() },
+                RankSkeleton::default(),
+            ],
+        };
+        let retimed = panic_message(|| {
+            c.retime(&cfg, None, None, &skeleton);
+        });
+        assert!(retimed.contains("rank 0 ← recv(src 1, tag 5)"), "{retimed}");
+        assert!(retimed.contains("rank 1 ← recv(src 0, tag "), "{retimed}");
+        // Without a context switch a full run would fall back to the
+        // threaded driver, which hangs on a deadlock instead.
+        if des::coro::SWITCH_SUPPORTED {
+            let full = panic_message(|| {
+                c.with_backend(RuntimeBackend::Des).run(&cfg, |comm| {
+                    if comm.rank() == 0 {
+                        comm.recv::<()>(1, 5);
+                    }
+                });
+            });
+            assert_eq!(full, retimed);
         }
     }
 }

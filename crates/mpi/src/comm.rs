@@ -23,6 +23,7 @@ use crate::network::NetworkModel;
 use crate::payload::Payload;
 use crate::policyhook::{Observation, PolicyEvent, RankPolicy};
 use crate::reduce::ReduceOp;
+use crate::retime::CursorEndpoint;
 use crate::router::{Envelope, MatchBuffer, Router};
 use crate::skeleton::{RankSkeleton, Recorder, SkelOp, NO_PEER};
 use crate::trace::{
@@ -34,10 +35,11 @@ use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, WorkBlock};
 use std::any::Any;
 use std::sync::Arc;
 
-/// The message transport behind a [`Comm`], chosen by the cluster
-/// driver's `RuntimeBackend`. Everything above this seam — clock
-/// arithmetic, collectives, tracing, fault injection — is shared
-/// between backends, which is what makes their results byte-identical.
+/// The message transport behind a [`Comm`]: one of the two full-run
+/// drivers' (chosen by the platform's `RuntimeBackend`), or the
+/// re-timing cursors'. Everything above this seam — clock arithmetic,
+/// collectives, tracing, fault injection — is shared between them,
+/// which is what makes their results byte-identical.
 pub(crate) enum Fabric {
     /// Thread-per-rank: a shared [`Router`] of crossbeam channels; a
     /// receive blocks the rank's OS thread on its inbox.
@@ -52,6 +54,10 @@ pub(crate) enum Fabric {
     /// Discrete-event scheduler: a receive suspends the rank's
     /// coroutine until the matching message's virtual arrival.
     Des(DesEndpoint),
+    /// Re-timing (`Cluster::retime`): a receive that misses parks the
+    /// rank and returns, and the driver resumes its [`ReplayCursor`]
+    /// once the message is delivered.
+    Cursor(CursorEndpoint),
 }
 
 impl Fabric {
@@ -60,28 +66,32 @@ impl Fabric {
         match self {
             Fabric::Threaded { router, .. } => router.deliver(dst, env),
             Fabric::Des(ep) => ep.deliver(dst, env),
+            Fabric::Cursor(ep) => ep.deliver(dst, env),
         }
     }
 
-    /// Block until the first message matching `(src, tag)` is available
-    /// and return it, preserving per-pair FIFO order.
-    fn recv_matching(&mut self, src: usize, tag: u64) -> Envelope {
+    /// The one receive primitive: the first message matching
+    /// `(src, tag)`, preserving per-pair FIFO order. The full-run
+    /// fabrics block until it is there, so they never return `None`;
+    /// the re-timing fabric parks the rank and returns `None` instead.
+    fn recv_matching(&mut self, src: usize, tag: u64) -> Option<Envelope> {
         match self {
             Fabric::Threaded { inbox, buffer, .. } => {
                 if let Some(env) = buffer.take(src, tag) {
-                    return env;
+                    return Some(env);
                 }
                 loop {
                     let env = inbox.recv().expect(
                         "all senders dropped while rank still receiving — deadlock in program",
                     );
                     if env.src == src && env.tag == tag {
-                        return env;
+                        return Some(env);
                     }
                     buffer.hold(env);
                 }
             }
-            Fabric::Des(ep) => ep.recv_matching(src, tag),
+            Fabric::Des(ep) => Some(ep.recv_matching(src, tag)),
+            Fabric::Cursor(ep) => ep.recv_matching(src, tag),
         }
     }
 
@@ -90,8 +100,33 @@ impl Fabric {
         match self {
             Fabric::Threaded { buffer, .. } => buffer.len(),
             Fabric::Des(ep) => ep.held(),
+            Fabric::Cursor(ep) => ep.held(),
         }
     }
+}
+
+/// Where one rank's re-timing stands between [`Comm::replay_step`]
+/// calls: what a coroutine would have kept on its stack while parked.
+/// A full run hands [`Comm::finalize`] a fresh one.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayCursor {
+    /// Index of the next skeleton op.
+    op: usize,
+    /// Entry time and byte count of the traced operation in progress
+    /// (starts at the clock's 0.0 with nothing moved).
+    t0: f64,
+    bytes: u64,
+    /// Finalize's barrier round; `None` until finalize begins.
+    finalize: Option<Round>,
+}
+
+/// Progress through a dissemination barrier.
+#[derive(Debug, Default, Clone, Copy)]
+struct Round {
+    /// Round `i` sends to `rank + 2^i` and receives from `rank − 2^i`.
+    index: u32,
+    /// Whether this round's send went out and its receive is awaited.
+    sent: bool,
 }
 
 /// Tag namespace reserved for collective operations; user tags must stay
@@ -527,7 +562,10 @@ impl Comm {
     /// for any rank count.
     pub fn barrier(&mut self) {
         let t0 = self.clock_s;
-        let bytes = self.dissemination();
+        let seq = self.next_coll_seq();
+        let mut bytes = 0;
+        let done = self.disseminate(seq, &mut Round::default(), &mut bytes);
+        assert!(done, "a full run's receive blocks until it completes");
         self.finish_op(MpiOp::Barrier, t0, bytes, None);
     }
 
@@ -736,56 +774,76 @@ impl Comm {
     // Skeleton replay
     // ------------------------------------------------------------------
 
-    /// Re-issue a recorded rank program: the same work blocks, message
-    /// shapes, span marks and gear requests through the same clock,
-    /// fabric, fault, policy and trace paths a full run takes, with
-    /// empty payloads and no kernel arithmetic. An ordinary rank
-    /// program — pass `|comm| comm.replay(skeleton.rank(comm.rank()))`
-    /// to any `Cluster::run*` at the recorded node count and the
-    /// `RunResult` is bit-identical to the recorded program's under the
-    /// same gears, faults and policy.
-    pub fn replay(&mut self, skel: &RankSkeleton) {
-        // Entry time and byte count of the traced operation the
-        // primitives since the last non-primitive op belong to.
-        let (mut t0, mut bytes) = (self.clock_s, 0u64);
-        for op in &skel.ops {
-            match *op {
+    /// Re-issue a recorded rank program from `cur` on, then finalize:
+    /// the same work blocks, message shapes, span marks and gear
+    /// requests through the same clock, fabric, fault, policy and trace
+    /// paths a full run takes, with empty payloads and no kernel
+    /// arithmetic. Returns `false` when a receive finds no message (the
+    /// rank is parked; `cur` resumes it) and `true` once the rank has
+    /// finalized. The one interpreter of [`SkelOp`]; `Cluster::retime`
+    /// drives it.
+    pub(crate) fn replay_step(&mut self, skel: &RankSkeleton, cur: &mut ReplayCursor) -> bool {
+        while let Some(&op) = skel.ops.get(cur.op) {
+            // Sends and receives are primitives of the traced operation
+            // in progress; every other op ends one, so the next starts
+            // after it.
+            match op {
                 SkelOp::Send { shape, tag } => {
                     let (dst, wire) = skel.shapes[shape as usize];
                     self.send_wire(dst as usize, tag, wire, Box::new(()));
-                    bytes += wire;
+                    cur.bytes += wire;
+                    cur.op += 1;
                     continue;
                 }
                 SkelOp::Recv { src, tag } => {
-                    bytes += self.recv_wire(src as usize, tag).bytes;
+                    let Some(env) = self.recv_wire(src as usize, tag) else { return false };
+                    cur.bytes += env.bytes;
+                    cur.op += 1;
                     continue;
                 }
                 SkelOp::Compute(i) => self.compute(&skel.blocks[i as usize]),
                 SkelOp::End { op, peer } => {
                     let peer = (peer != NO_PEER).then_some(peer as usize);
-                    self.finish_op(op, t0, bytes, peer);
+                    self.finish_op(op, cur.t0, cur.bytes, peer);
                 }
                 SkelOp::SpanBegin(i) => self.span_begin(&skel.names[i as usize]),
                 SkelOp::SpanEnd => self.span_end(),
                 SkelOp::WireScale(scale) => self.set_wire_scale(scale),
                 SkelOp::SetGear(g) => self.set_gear(g as usize),
             }
-            (t0, bytes) = (self.clock_s, 0);
+            cur.op += 1;
+            (cur.t0, cur.bytes) = (self.clock_s, 0);
         }
         self.coll_seq = skel.coll_seq;
+        self.finalize(cur)
     }
 
-    /// Finalize the rank's program: a trailing barrier (like
-    /// `MPI_Finalize`) and trace closing. Called by the cluster driver.
-    pub(crate) fn finalize(&mut self) {
-        // Close any spans the program left open so the trace stays well
-        // formed (e.g. a span around code that returned early).
-        while !self.span_stack.is_empty() {
-            self.span_end();
+    /// Finalize the rank's program: close the spans it left open, run
+    /// the trailing dissemination barrier (like `MPI_Finalize`) and
+    /// close the trace. Resumable through `cur`: returns `false` when a
+    /// barrier receive finds no message, which only the re-timing
+    /// fabric reports — a full run's receive blocks, so the cluster
+    /// driver calls this once and it completes.
+    pub(crate) fn finalize(&mut self, cur: &mut ReplayCursor) -> bool {
+        let round = match &mut cur.finalize {
+            Some(round) => round,
+            None => {
+                // Close any spans the program left open so the trace
+                // stays well formed (e.g. a span around code that
+                // returned early).
+                while !self.span_stack.is_empty() {
+                    self.span_end();
+                }
+                (cur.t0, cur.bytes) = (self.clock_s, 0);
+                cur.finalize.insert(Round::default())
+            }
+        };
+        // Nothing runs after finalize, so its barrier takes the next
+        // collective sequence number without consuming it.
+        if !self.disseminate(self.coll_seq, round, &mut cur.bytes) {
+            return false;
         }
-        let t0 = self.clock_s;
-        let bytes = if self.size > 1 { self.dissemination() } else { 0 };
-        self.finish_op(MpiOp::Finalize, t0, bytes, None);
+        self.finish_op(MpiOp::Finalize, cur.t0, cur.bytes, None);
         self.trace.end_s = self.clock_s;
         debug_assert!(
             self.fabric.held() == 0,
@@ -793,6 +851,7 @@ impl Comm {
             self.rank,
             self.fabric.held()
         );
+        true
     }
 
     /// Dismantle the communicator into its measurement products:
@@ -865,7 +924,7 @@ impl Comm {
     /// Untraced receive: takes the matching envelope off the wire and
     /// downcasts its payload. Returns `(data, bytes)`.
     fn raw_recv<T: Payload>(&mut self, src: usize, tag: u64) -> (T, u64) {
-        let env = self.recv_wire(src, tag);
+        let env = self.recv_wire(src, tag).expect("a full run's receive blocks until it completes");
         let data = env
             .data
             .downcast::<T>()
@@ -873,18 +932,20 @@ impl Comm {
         (*data, env.bytes)
     }
 
-    /// Block the rank (its OS thread or its coroutine, per backend)
-    /// until a message matching `(src, tag)` is available, then advance
-    /// the clock to `max(now, arrival) + recv_overhead`.
-    fn recv_wire(&mut self, src: usize, tag: u64) -> Envelope {
+    /// Take the message matching `(src, tag)` off the wire and advance
+    /// the clock to `max(now, arrival) + recv_overhead`. A full run
+    /// blocks the rank (its OS thread or its coroutine, per backend)
+    /// until the message is there; a re-timing that finds none parks
+    /// the rank and returns `None` with the clock untouched.
+    fn recv_wire(&mut self, src: usize, tag: u64) -> Option<Envelope> {
         assert!(src < self.size, "recv from rank {src} out of range (size {})", self.size);
         assert_ne!(src, self.rank, "recv from self would deadlock");
+        let env = self.fabric.recv_matching(src, tag)?;
         if let Some(r) = self.recorder.as_mut() {
             r.recv(src, tag);
         }
-        let env = self.fabric.recv_matching(src, tag);
         self.clock_s = self.clock_s.max(env.arrival_s) + self.network.recv_overhead_s;
-        env
+        Some(env)
     }
 
     /// Close out a traced MPI operation that began at `t0`: extend the
@@ -953,24 +1014,24 @@ impl Comm {
         }
     }
 
-    /// Dissemination pattern shared by `barrier` and `finalize`.
-    fn dissemination(&mut self) -> u64 {
-        let seq = self.next_coll_seq();
+    /// Dissemination pattern shared by `barrier` and `finalize`:
+    /// ⌈log₂ n⌉ rounds from `round` on, adding the bytes moved to
+    /// `bytes`. Returns `false` when a receive finds no message (the
+    /// re-timing fabric only), with `round` marking where to resume.
+    fn disseminate(&mut self, seq: u64, round: &mut Round, bytes: &mut u64) -> bool {
         let n = self.size;
-        let mut bytes = 0;
-        let mut k = 1;
-        let mut round = 0u64;
-        while k < n {
-            let dst = (self.rank + k) % n;
-            let src = (self.rank + n - k) % n;
-            let tag = coll_tag(seq, round);
-            bytes += self.raw_send(dst, tag, ());
-            let ((), b) = self.raw_recv::<()>(src, tag);
-            bytes += b;
-            k <<= 1;
-            round += 1;
+        while 1 << round.index < n {
+            let k = 1 << round.index;
+            let tag = coll_tag(seq, u64::from(round.index));
+            if !round.sent {
+                *bytes += self.raw_send((self.rank + k) % n, tag, ());
+                round.sent = true;
+            }
+            let Some(env) = self.recv_wire((self.rank + n - k) % n, tag) else { return false };
+            *bytes += env.bytes;
+            *round = Round { index: round.index + 1, sent: false };
         }
-        bytes
+        true
     }
 
     /// Binomial-tree broadcast rooted at `root`. Returns the broadcast

@@ -2,8 +2,8 @@
 //!
 //! One OS thread, `n` rank coroutines ([`coro`]), one virtual-time
 //! event queue. A rank runs until its program blocks in a receive whose
-//! message has not been delivered yet; the rank then parks itself in
-//! [`DesState::waiting`] and suspends. The matching send (executed by
+//! message has not been delivered yet; the miss parks the rank in the
+//! shared [`Mailboxes`] and it suspends. The matching send (executed by
 //! some other rank) finds the parked receiver and schedules a wakeup at
 //! the message's virtual arrival time. The scheduler pops wakeups in
 //! `(virtual time, rank)` order — rank id breaks ties — so the dispatch
@@ -25,7 +25,7 @@
 
 pub(crate) mod coro;
 
-use crate::router::{Envelope, MatchBuffer};
+use crate::router::{Envelope, Mailboxes};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -57,12 +57,9 @@ impl PartialOrd for Wakeup {
 
 /// Shared simulation state: mailboxes, parked receivers, the run queue.
 pub(crate) struct DesState {
-    /// Per-rank reorder buffers — the same [`MatchBuffer`] the threaded
-    /// backend uses, holding messages until they are asked for.
-    mailboxes: Vec<MatchBuffer>,
-    /// `waiting[r] = Some((src, tag))` while rank `r` is suspended in a
-    /// receive that named that source and tag.
-    waiting: Vec<Option<(usize, u64)>>,
+    /// Per-rank reorder buffers and parked receives, shared in kind
+    /// with the re-timing cursors (`crate::retime`).
+    mail: Mailboxes,
     /// Min-heap of pending wakeups, ordered by `(t_s, rank)`.
     ready: BinaryHeap<Reverse<Wakeup>>,
     /// Coroutine dispatches performed (host-side statistic only; must
@@ -73,8 +70,7 @@ pub(crate) struct DesState {
 impl DesState {
     pub(crate) fn new(n: usize) -> Rc<RefCell<Self>> {
         Rc::new(RefCell::new(DesState {
-            mailboxes: (0..n).map(|_| MatchBuffer::new()).collect(),
-            waiting: vec![None; n],
+            mail: Mailboxes::new(n),
             ready: BinaryHeap::with_capacity(n),
             dispatches: 0,
         }))
@@ -99,30 +95,29 @@ impl DesEndpoint {
     /// time. Never blocks or suspends — sends are asynchronous.
     pub(crate) fn deliver(&self, dst: usize, env: Envelope) {
         let mut st = self.state.borrow_mut();
-        if st.waiting[dst] == Some((env.src, env.tag)) {
-            st.waiting[dst] = None;
-            st.ready.push(Reverse(Wakeup { t_s: env.arrival_s, rank: dst }));
+        let t_s = env.arrival_s;
+        if st.mail.deliver(dst, env) {
+            st.ready.push(Reverse(Wakeup { t_s, rank: dst }));
         }
-        st.mailboxes[dst].hold(env);
     }
 
     /// Blocking receive: take the first matching held message, parking
     /// this rank's coroutine until one exists.
     pub(crate) fn recv_matching(&self, src: usize, tag: u64) -> Envelope {
         loop {
-            if let Some(env) = self.state.borrow_mut().mailboxes[self.rank].take(src, tag) {
+            if let Some(env) = self.state.borrow_mut().mail.take(self.rank, src, tag) {
                 return env;
             }
-            self.state.borrow_mut().waiting[self.rank] = Some((src, tag));
-            // No RefCell borrow may be held across this suspension: the
-            // scheduler and other ranks run before it returns.
+            // Parked by the miss. No RefCell borrow may be held across
+            // this suspension: the scheduler and other ranks run before
+            // it returns.
             self.yielder.suspend();
         }
     }
 
     /// Messages currently held for this rank (finalize sanity check).
     pub(crate) fn held(&self) -> usize {
-        self.state.borrow().mailboxes[self.rank].len()
+        self.state.borrow().mail.held(self.rank)
     }
 }
 
@@ -158,22 +153,10 @@ pub(crate) fn drive(state: &Rc<RefCell<DesState>>, coros: Vec<coro::Coroutine<'_
     while live > 0 {
         let popped = state.borrow_mut().ready.pop();
         let Some(Reverse(next)) = popped else {
-            let parked: Vec<String> = state
-                .borrow()
-                .waiting
-                .iter()
-                .enumerate()
-                .filter_map(|(r, w)| {
-                    w.map(|(src, tag)| format!("rank {r} ← recv(src {src}, tag {tag})"))
-                })
-                .collect();
+            let message = state.borrow().mail.deadlock_message();
             // Unwinding drops `coros`, which cancels and cleanly unwinds
             // every parked coroutine stack.
-            panic!(
-                "deadlock in program: no rank is runnable and no message is in \
-                 flight; parked receives: [{}]",
-                parked.join(", ")
-            );
+            panic!("{message}");
         };
         if coros[next.rank].is_finished() {
             continue;

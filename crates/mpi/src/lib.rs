@@ -43,9 +43,12 @@
 //! It is also *re-timable*: what a program asks of its `Comm` does not
 //! depend on the gear, the policy or the fault plan, so
 //! [`cluster::Cluster::run_recorded`] hands back the program's
-//! [`skeleton::Skeleton`] and [`comm::Comm::replay`] runs it again under
-//! any other configuration — bit-identically, without the program's
-//! arithmetic (DESIGN.md §12).
+//! [`skeleton::Skeleton`] and [`cluster::Cluster::retime`] runs it again
+//! under any other configuration — bit-identically, without the
+//! program's arithmetic, and without coroutines: each rank's recorded
+//! ops are stepped by a cursor that parks at a receive whose message has
+//! not arrived (DESIGN.md §12). The two rank drivers above therefore
+//! run only full runs, the recordings among them.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -58,6 +61,7 @@ pub mod network;
 pub mod payload;
 pub mod policyhook;
 pub mod reduce;
+pub(crate) mod retime;
 pub mod router;
 pub mod skeleton;
 pub mod trace;

@@ -90,6 +90,69 @@ impl MatchBuffer {
     }
 }
 
+/// Every rank's [`MatchBuffer`] plus the receive each rank is parked
+/// on: the shared state of the two single-threaded fabrics. The DES
+/// scheduler and the re-timing cursors both deliver and match through
+/// it, so both wake a parked rank on the same rule.
+pub(crate) struct Mailboxes {
+    held: Vec<MatchBuffer>,
+    /// `waiting[r] = Some((src, tag))` while rank `r` is parked in a
+    /// receive that named that source and tag.
+    waiting: Vec<Option<(usize, u64)>>,
+}
+
+impl Mailboxes {
+    pub(crate) fn new(n: usize) -> Self {
+        Mailboxes { held: (0..n).map(|_| MatchBuffer::new()).collect(), waiting: vec![None; n] }
+    }
+
+    /// Hold `env` for `dst`. Returns whether `dst` was parked on exactly
+    /// this `(src, tag)`; it is then un-parked, and the caller makes it
+    /// runnable.
+    pub(crate) fn deliver(&mut self, dst: usize, env: Envelope) -> bool {
+        let wakes = self.waiting[dst] == Some((env.src, env.tag));
+        if wakes {
+            self.waiting[dst] = None;
+        }
+        self.held[dst].hold(env);
+        wakes
+    }
+
+    /// Take `rank`'s first held message matching `(src, tag)`, or park
+    /// `rank` on that receive and return `None`.
+    pub(crate) fn take(&mut self, rank: usize, src: usize, tag: u64) -> Option<Envelope> {
+        let env = self.held[rank].take(src, tag);
+        if env.is_none() {
+            self.waiting[rank] = Some((src, tag));
+        }
+        env
+    }
+
+    /// Messages currently held for `rank` (finalize sanity check).
+    pub(crate) fn held(&self, rank: usize) -> usize {
+        self.held[rank].len()
+    }
+
+    /// The deadlock diagnostic: every parked receive, by rank. A driver
+    /// builds it before panicking, so no borrow of the shared state is
+    /// live while the panic unwinds.
+    pub(crate) fn deadlock_message(&self) -> String {
+        let parked: Vec<String> = self
+            .waiting
+            .iter()
+            .enumerate()
+            .filter_map(|(r, w)| {
+                w.map(|(src, tag)| format!("rank {r} ← recv(src {src}, tag {tag})"))
+            })
+            .collect();
+        format!(
+            "deadlock in program: no rank is runnable and no message is in flight; parked \
+             receives: [{}]",
+            parked.join(", ")
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 //! read the gear or the clock (analyzer rule K001), and receives name
 //! their source and tag. So the per-rank sequence of those requests,
 //! the *skeleton*, is the same under every gear vector, policy and
-//! fault plan, and [`crate::comm::Comm::replay`] re-times it exactly by
+//! fault plan, and [`crate::Cluster::retime`] re-times it exactly by
 //! issuing the same requests with empty payloads (DESIGN.md, "Skeleton
 //! replay tier").
 

@@ -583,31 +583,31 @@ impl Engine {
     ///
     /// The first spec of a `(kernel, class, nodes)` tuple runs the
     /// kernel and records its skeleton; every later one — any gears,
-    /// policy or fault plan — replays that skeleton through the same
-    /// cluster path and is bit-identical to a full run
-    /// (`tests/replay_identity.rs`). Two callers racing on a fresh
-    /// tuple both run in full; nobody waits for a skeleton.
+    /// policy or fault plan — re-times that skeleton
+    /// (`Cluster::retime`), bit-identical to a full run
+    /// (`tests/replay_identity.rs`) and with no backend statistics, as
+    /// it runs no scheduler. Two callers racing on a fresh tuple both
+    /// run in full; nobody waits for a skeleton.
     fn execute_spec(&self, spec: &RunSpec) -> (RunResult, BackendStats, Tier) {
         let cfg = spec.config();
         let faults = self.effective_faults(spec);
         let policy = spec.policy.as_ref().map(|p| p as &dyn psc_mpi::ClusterPolicy);
         let tuple: SkeletonKey = (spec.bench, spec.class, spec.nodes);
         let known = self.skeletons.lock().expect("skeleton store poisoned").get(&tuple).cloned();
-        let replay = |skeleton: &Skeleton| {
-            self.cluster.run_with_policy_stats(&cfg, faults, policy, |comm| {
-                comm.replay(skeleton.rank(comm.rank()))
-            })
-        };
         if let Some(skeleton) = known {
-            let (run, _, backend) = replay(&skeleton);
-            return (run, backend, Tier::Replay);
+            let run = self.cluster.retime(&cfg, faults, policy, &skeleton);
+            return (run, BackendStats::default(), Tier::Replay);
         }
         let (run, _outputs, backend, skeleton) =
             self.cluster
                 .run_recorded(&cfg, faults, policy, |comm| spec.bench.run(comm, spec.class));
-        // Debug builds turn every recording into a replay oracle.
+        // Debug builds turn every recording into a re-timing oracle.
         #[cfg(debug_assertions)]
-        assert_eq!(replay(&skeleton).0, run, "replay diverged from the full run of {spec:?}");
+        assert_eq!(
+            self.cluster.retime(&cfg, faults, policy, &skeleton),
+            run,
+            "replay diverged from the full run of {spec:?}"
+        );
         let mut store = self.skeletons.lock().expect("skeleton store poisoned");
         store.entry(tuple).or_insert_with(|| Arc::new(skeleton));
         (run, backend, Tier::Full)

@@ -327,9 +327,7 @@ fn every_comm_operation_replays_under_another_configuration() {
             ] {
                 let policy = policy.as_ref().map(|p| p as &dyn powerscale::mpi::ClusterPolicy);
                 let (full, _) = c.run_with_policy(&cfg, faults.as_ref(), policy, every_operation);
-                let (replayed, _) = c.run_with_policy(&cfg, faults.as_ref(), policy, |comm| {
-                    comm.replay(skeleton.rank(comm.rank()))
-                });
+                let replayed = c.retime(&cfg, faults.as_ref(), policy, &skeleton);
                 assert!(json(&replayed) == json(&full), "{backend:?} n={nodes} {faults:?}");
             }
         }
@@ -347,19 +345,24 @@ fn program_gear_requests_are_replayed_and_policy_shifts_are_not() {
         comm.set_gear(2);
         comm.barrier();
     };
-    let c = Cluster::athlon_fast_ethernet();
     let cfg = ClusterConfig::uniform(2, 1);
     let shifty = PolicySpec::Oracle {
         schedule: vec![OracleStep { phase: 0, gear: 6 }, OracleStep { phase: 1, gear: 3 }],
     };
-    let (recorded, _, _, skeleton) = c.run_recorded(&cfg, None, Some(&shifty), program);
-    assert!(recorded.ranks[0].trace.decisions().len() == 2, "the policy shifted while recording");
+    for backend in [RuntimeBackend::Des, RuntimeBackend::Threaded] {
+        let c = Cluster::athlon_fast_ethernet().with_backend(backend);
+        let (recorded, _, _, skeleton) = c.run_recorded(&cfg, None, Some(&shifty), program);
+        assert!(
+            recorded.ranks[0].trace.decisions().len() == 2,
+            "the policy shifted while recording"
+        );
 
-    let (full, _) = c.run(&cfg, program);
-    let (replayed, _) = c.run(&cfg, |comm| comm.replay(skeleton.rank(comm.rank())));
-    assert_eq!(json(&replayed), json(&full));
-    assert_eq!(replayed.ranks[0].trace.gear_shifts().len(), 2, "the program's own two shifts");
-    assert!(replayed.ranks[0].trace.decisions().is_empty(), "no policy, no decisions");
+        let (full, _) = c.run(&cfg, program);
+        let replayed = c.retime(&cfg, None, None, &skeleton);
+        assert_eq!(json(&replayed), json(&full), "{backend:?}");
+        assert_eq!(replayed.ranks[0].trace.gear_shifts().len(), 2, "the program's own two shifts");
+        assert!(replayed.ranks[0].trace.decisions().is_empty(), "no policy, no decisions");
+    }
 }
 
 /// Regression for a trap: `finalize`'s dissemination barrier is not
