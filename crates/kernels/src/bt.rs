@@ -13,9 +13,10 @@
 //! Only square node counts are valid (1, 4, 9, 16, 25, …), matching the
 //! paper's BT/SP runs on 4 and 9 nodes.
 
-use crate::common::{block_range, charge};
+use crate::common::{block_range, charge, lane_blocks, LANES};
 use psc_mpi::{Comm, ReduceOp};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Memory pressure of BT measured by the paper (Table 1).
 pub const BT_UPM: f64 = 79.6;
@@ -135,44 +136,23 @@ fn line_solve<G, S>(
     G: Fn(usize, usize, usize) -> f64,
     S: FnMut(usize, usize, usize, f64),
 {
-    let a = -p.alpha;
-    let b = 1.0 + 2.0 * p.alpha;
-    // Scratch: per variable per line per k, the normalized (c', d').
-    let mut cp = vec![0.0f64; VARS * lines * seg];
-    let mut dp = vec![0.0f64; VARS * lines * seg];
-    let idx = |v: usize, l: usize, k: usize| (v * lines + l) * seg + k;
+    let mut elim = Eliminated::new(lines, seg);
 
     let chunks = p.chunks.min(lines.max(1));
     // ---- forward elimination ----
     for c in 0..chunks {
         let group = block_range(lines, chunks, c);
         // Carries from the left/up rank: (c', d') of each line's last
-        // column, for each variable.
-        let carry_in: Vec<f64> = match prev {
+        // column, for each variable. Elimination advances them in
+        // place, and they travel on to the right/down rank.
+        let mut carry: Vec<f64> = match prev {
             Some(src) => comm.recv(src, tag_fwd),
             None => vec![0.0; 2 * VARS * group.len()],
         };
-        let mut carry_out = Vec::with_capacity(2 * VARS * group.len());
-        for v in 0..VARS {
-            for (gl, l) in group.clone().enumerate() {
-                let base = 2 * (v * group.len() + gl);
-                let (mut cprev, mut dprev) = (carry_in[base], carry_in[base + 1]);
-                for k in 0..seg {
-                    let denom = b - a * cprev;
-                    let cnew = a / denom;
-                    let dnew = (get(v, l, k) - a * dprev) / denom;
-                    cp[idx(v, l, k)] = cnew;
-                    dp[idx(v, l, k)] = dnew;
-                    cprev = cnew;
-                    dprev = dnew;
-                }
-                carry_out.push(cprev);
-                carry_out.push(dprev);
-            }
-        }
+        forward(p.alpha, group.clone(), &mut carry, &get, &mut elim);
         charge(comm, (8 * VARS * group.len() * seg) as f64, p.work_scale, BT_UPM);
         if let Some(dst) = next {
-            comm.send(dst, tag_fwd, carry_out);
+            comm.send(dst, tag_fwd, carry);
         }
     }
 
@@ -180,28 +160,145 @@ fn line_solve<G, S>(
     for c in (0..chunks).rev() {
         let group = block_range(lines, chunks, c);
         // Solution values just beyond our segment, from the right/down
-        // rank (zero Dirichlet boundary at the domain edge).
-        let x_in: Vec<f64> = match next {
+        // rank (zero Dirichlet boundary at the domain edge); substitution
+        // turns them into the values at our segment's start.
+        let mut x: Vec<f64> = match next {
             Some(src) => comm.recv(src, tag_bwd),
             None => vec![0.0; VARS * group.len()],
         };
-        let mut x_out = Vec::with_capacity(VARS * group.len());
-        for v in 0..VARS {
-            for (gl, l) in group.clone().enumerate() {
-                let mut xnext = x_in[v * group.len() + gl];
-                for k in (0..seg).rev() {
-                    let x = dp[idx(v, l, k)] - cp[idx(v, l, k)] * xnext;
-                    set(v, l, k, x);
-                    xnext = x;
-                }
-                x_out.push(xnext);
-            }
-        }
+        backward(group.clone(), &mut x, &elim, &mut set);
         charge(comm, (3 * VARS * group.len() * seg) as f64, p.work_scale, BT_UPM);
         if let Some(dst) = prev {
-            comm.send(dst, tag_bwd, x_out);
+            comm.send(dst, tag_bwd, x);
         }
     }
+}
+
+/// Forward elimination's output for every `(var, line, k)` of a rank's
+/// segment, the normalized `(c', d')` back substitution reads.
+struct Eliminated {
+    lines: usize,
+    seg: usize,
+    cp: Vec<f64>,
+    dp: Vec<f64>,
+}
+
+impl Eliminated {
+    fn new(lines: usize, seg: usize) -> Self {
+        let len = VARS * lines * seg;
+        Eliminated { lines, seg, cp: vec![0.0; len], dp: vec![0.0; len] }
+    }
+
+    /// Where lines `l0..l0 + width` of variable `v` live in `cp`/`dp`:
+    /// `seg` values per line, line after line.
+    fn rows(&self, v: usize, l0: usize, width: usize) -> Range<usize> {
+        let first = v * self.lines + l0;
+        first * self.seg..(first + width) * self.seg
+    }
+}
+
+/// Forward Thomas elimination of one chunk's `group` of lines, every
+/// variable, `LANES` lines at a time. `carry` holds `(c', d')` per
+/// `(var, line)` of the group, var-major, and is advanced in place.
+fn forward<G: Fn(usize, usize, usize) -> f64>(
+    alpha: f64,
+    group: Range<usize>,
+    carry: &mut [f64],
+    get: &G,
+    elim: &mut Eliminated,
+) {
+    let seg = elim.seg;
+    for (v, carry) in carry.chunks_exact_mut(2 * group.len().max(1)).enumerate() {
+        for (l0, width) in lane_blocks(group.clone()) {
+            let carry = &mut carry[2 * (l0 - group.start)..2 * (l0 - group.start + width)];
+            let at = elim.rows(v, l0, width);
+            let (cp, dp) = (&mut elim.cp[at.clone()], &mut elim.dp[at]);
+            let get = |i: usize, k: usize| get(v, l0 + i, k);
+            if width == LANES {
+                forward_lanes::<LANES>(alpha, seg, carry, get, cp, dp);
+            } else {
+                forward_lanes::<1>(alpha, seg, carry, get, cp, dp);
+            }
+        }
+    }
+}
+
+/// Thomas elimination of `L` lines side by side: lane `i` reads
+/// `get(i, k)`, writes row `i` of `cp`/`dp` (`seg` values each) and
+/// starts from, and leaves its last `(c', d')` in, `carry[2i..2i + 2]`.
+/// Every lane runs exactly the sequential recurrence.
+fn forward_lanes<const L: usize>(
+    alpha: f64,
+    seg: usize,
+    carry: &mut [f64],
+    get: impl Fn(usize, usize) -> f64,
+    cp: &mut [f64],
+    dp: &mut [f64],
+) {
+    let a = -alpha;
+    let b = 1.0 + 2.0 * alpha;
+    let mut state: [[f64; 2]; L] = std::array::from_fn(|i| [carry[2 * i], carry[2 * i + 1]]);
+    for k in 0..seg {
+        for (i, [cprev, dprev]) in state.iter_mut().enumerate() {
+            let denom = b - a * *cprev;
+            let cnew = a / denom;
+            let dnew = (get(i, k) - a * *dprev) / denom;
+            cp[i * seg + k] = cnew;
+            dp[i * seg + k] = dnew;
+            *cprev = cnew;
+            *dprev = dnew;
+        }
+    }
+    for (out, s) in carry.chunks_exact_mut(2).zip(state) {
+        out.copy_from_slice(&s);
+    }
+}
+
+/// Back substitution of one chunk's `group` of lines, every variable,
+/// `LANES` lines at a time. `x` holds, per `(var, line)` of the group,
+/// var-major, the solution just beyond the segment on entry and at its
+/// first point on return.
+fn backward<S: FnMut(usize, usize, usize, f64)>(
+    group: Range<usize>,
+    x: &mut [f64],
+    elim: &Eliminated,
+    set: &mut S,
+) {
+    let seg = elim.seg;
+    for (v, x) in x.chunks_exact_mut(group.len().max(1)).enumerate() {
+        for (l0, width) in lane_blocks(group.clone()) {
+            let x = &mut x[l0 - group.start..l0 - group.start + width];
+            let at = elim.rows(v, l0, width);
+            let (cp, dp) = (&elim.cp[at.clone()], &elim.dp[at]);
+            let set = |i: usize, k: usize, value: f64| set(v, l0 + i, k, value);
+            if width == LANES {
+                backward_lanes::<LANES>(seg, x, cp, dp, set);
+            } else {
+                backward_lanes::<1>(seg, x, cp, dp, set);
+            }
+        }
+    }
+}
+
+/// Back substitution of `L` lines side by side, lane `i` from `x[i]`
+/// through row `i` of `cp`/`dp`, leaving its first solution value in
+/// `x[i]`.
+fn backward_lanes<const L: usize>(
+    seg: usize,
+    x: &mut [f64],
+    cp: &[f64],
+    dp: &[f64],
+    mut set: impl FnMut(usize, usize, f64),
+) {
+    let mut state: [f64; L] = std::array::from_fn(|i| x[i]);
+    for k in (0..seg).rev() {
+        for (i, xnext) in state.iter_mut().enumerate() {
+            let value = dp[i * seg + k] - cp[i * seg + k] * *xnext;
+            set(i, k, value);
+            *xnext = value;
+        }
+    }
+    x.copy_from_slice(&state);
 }
 
 /// Run BT on the communicator. The node count must be a perfect square.
@@ -227,13 +324,16 @@ pub fn run(comm: &mut Comm, p: &BtParams) -> BtOutput {
         })
         .collect();
 
+    // Each sweep reads the field as it stood before the sweep; one
+    // buffer holds that copy for every sweep of every step.
+    let mut snapshot = u.clone();
     let mut first_norm = 0.0;
     let mut norm = 0.0;
     for step in 0..p.steps {
         // x-direction: lines are local rows; segment crosses columns.
         {
             comm.span_begin("bt-xsolve");
-            let snapshot = u.clone();
+            snapshot.clone_from(&u);
             line_solve(
                 comm,
                 p,
@@ -251,7 +351,7 @@ pub fn run(comm: &mut Comm, p: &BtParams) -> BtOutput {
         // y-direction: lines are local columns; segment crosses rows.
         {
             comm.span_begin("bt-ysolve");
-            let snapshot = u.clone();
+            snapshot.clone_from(&u);
             line_solve(
                 comm,
                 p,
@@ -282,7 +382,116 @@ pub fn run(comm: &mut Comm, p: &BtParams) -> BtOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::test_values;
     use psc_mpi::{Cluster, ClusterConfig};
+
+    /// The sequential elimination `forward` replaced: one line at a
+    /// time, carries copied out in (var, line) order.
+    fn forward_scalar<G: Fn(usize, usize, usize) -> f64>(
+        alpha: f64,
+        group: Range<usize>,
+        carry: &mut [f64],
+        get: &G,
+        elim: &mut Eliminated,
+    ) {
+        let a = -alpha;
+        let b = 1.0 + 2.0 * alpha;
+        let (lines, seg) = (elim.lines, elim.seg);
+        let idx = |v: usize, l: usize, k: usize| (v * lines + l) * seg + k;
+        let Eliminated { cp, dp, .. } = elim;
+        let carry_in = carry.to_vec();
+        let mut carry_out = Vec::with_capacity(2 * VARS * group.len());
+        for v in 0..VARS {
+            for (gl, l) in group.clone().enumerate() {
+                let base = 2 * (v * group.len() + gl);
+                let (mut cprev, mut dprev) = (carry_in[base], carry_in[base + 1]);
+                for k in 0..seg {
+                    let denom = b - a * cprev;
+                    let cnew = a / denom;
+                    let dnew = (get(v, l, k) - a * dprev) / denom;
+                    cp[idx(v, l, k)] = cnew;
+                    dp[idx(v, l, k)] = dnew;
+                    cprev = cnew;
+                    dprev = dnew;
+                }
+                carry_out.push(cprev);
+                carry_out.push(dprev);
+            }
+        }
+        carry.copy_from_slice(&carry_out);
+    }
+
+    /// The sequential back substitution `backward` replaced.
+    fn backward_scalar<S: FnMut(usize, usize, usize, f64)>(
+        group: Range<usize>,
+        x: &mut [f64],
+        elim: &Eliminated,
+        set: &mut S,
+    ) {
+        let (lines, seg) = (elim.lines, elim.seg);
+        let idx = |v: usize, l: usize, k: usize| (v * lines + l) * seg + k;
+        let Eliminated { cp, dp, .. } = elim;
+        let mut x_out = Vec::with_capacity(VARS * group.len());
+        for v in 0..VARS {
+            for (gl, l) in group.clone().enumerate() {
+                let mut xnext = x[v * group.len() + gl];
+                for k in (0..seg).rev() {
+                    let value = dp[idx(v, l, k)] - cp[idx(v, l, k)] * xnext;
+                    set(v, l, k, value);
+                    xnext = value;
+                }
+                x_out.push(xnext);
+            }
+        }
+        x.copy_from_slice(&x_out);
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn four_lane_solves_are_bitwise_the_scalar_loops() {
+        // Chunk groups of every size mod 4 (tails of 1–3 lines), as
+        // `m = 37, chunks = 5` cuts them on 1, 4 and 9 nodes, and the
+        // empty segment.
+        for lines in [1usize, 2, 3, 4, 5, 7, 12, 13, 18, 19, 37] {
+            for seg in [0usize, 1, 2, 5, 13] {
+                let n = VARS * lines * seg;
+                let field = test_values(n, (lines * 100 + seg) as u64);
+                let get = |v: usize, l: usize, k: usize| field[(v * lines + l) * seg + k];
+                let chunks = 5.min(lines);
+                let (mut elim, mut elim_ref) =
+                    (Eliminated::new(lines, seg), Eliminated::new(lines, seg));
+                let (mut out, mut out_ref) = (vec![0.0; n], vec![0.0; n]);
+                for c in 0..chunks {
+                    let group = block_range(lines, chunks, c);
+                    let ctx = format!("lines={lines} seg={seg} group={group:?}");
+                    let carry_in = test_values(2 * VARS * group.len(), c as u64);
+                    let (mut carry, mut carry_ref) = (carry_in.clone(), carry_in);
+                    forward(0.8, group.clone(), &mut carry, &get, &mut elim);
+                    forward_scalar(0.8, group.clone(), &mut carry_ref, &get, &mut elim_ref);
+                    assert_eq!(bits(&carry), bits(&carry_ref), "{ctx}: carry");
+
+                    let x_in = test_values(VARS * group.len(), 7 + c as u64);
+                    let (mut x, mut x_ref) = (x_in.clone(), x_in);
+                    let mut set = |v: usize, l: usize, k: usize, value: f64| {
+                        out[(v * lines + l) * seg + k] = value;
+                    };
+                    backward(group.clone(), &mut x, &elim, &mut set);
+                    let mut set_ref = |v: usize, l: usize, k: usize, value: f64| {
+                        out_ref[(v * lines + l) * seg + k] = value;
+                    };
+                    backward_scalar(group, &mut x_ref, &elim_ref, &mut set_ref);
+                    assert_eq!(bits(&x), bits(&x_ref), "{ctx}: x");
+                }
+                let ctx = format!("lines={lines} seg={seg}");
+                assert_eq!(bits(&elim.cp), bits(&elim_ref.cp), "{ctx}: c'");
+                assert_eq!(bits(&elim.dp), bits(&elim_ref.dp), "{ctx}: d'");
+                assert_eq!(bits(&out), bits(&out_ref), "{ctx}: solution");
+            }
+        }
+    }
 
     fn run_on(nodes: usize, p: BtParams) -> (f64, BtOutput) {
         let c = Cluster::athlon_fast_ethernet();
@@ -318,16 +527,21 @@ mod tests {
 
     #[test]
     fn bitwise_identical_across_process_grids() {
-        let (_, base) = run_on(1, BtParams::test());
-        for n in [4usize, 9] {
-            let (_, out) = run_on(n, BtParams::test());
-            assert!(
-                (out.checksum - base.checksum).abs() < 1e-10 * base.checksum.abs().max(1.0),
-                "n={n}: {} vs {}",
-                out.checksum,
-                base.checksum
-            );
-            assert_eq!(out.final_norm, base.final_norm, "n={n}");
+        // The Test grid, and a ragged one whose chunk groups end in
+        // tails of 1–3 lines on every grid.
+        for p in [BtParams::test(), BtParams { m: 37, chunks: 5, ..BtParams::test() }] {
+            let (_, base) = run_on(1, p);
+            for n in [4usize, 9] {
+                let (_, out) = run_on(n, p);
+                assert!(
+                    (out.checksum - base.checksum).abs() < 1e-10 * base.checksum.abs().max(1.0),
+                    "m={} n={n}: {} vs {}",
+                    p.m,
+                    out.checksum,
+                    base.checksum
+                );
+                assert_eq!(out.final_norm, base.final_norm, "m={} n={n}", p.m);
+            }
         }
     }
 

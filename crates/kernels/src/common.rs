@@ -32,6 +32,32 @@ pub fn block_range(total: usize, parts: usize, part: usize) -> Range<usize> {
     start..(start + len)
 }
 
+/// Lines the ADI line solves (BT, SP) advance side by side. Each line's
+/// recurrence is a serial chain of divisions; interleaving independent
+/// lines lets their chains overlap (DESIGN.md, "Kernel arithmetic
+/// contract").
+pub(crate) const LANES: usize = 4;
+
+/// `group` as `(first line, width)` blocks: runs of [`LANES`] lines,
+/// then the remainder one line at a time.
+pub(crate) fn lane_blocks(group: Range<usize>) -> impl Iterator<Item = (usize, usize)> {
+    let full = group.start + group.len() / LANES * LANES;
+    (group.start..full).step_by(LANES).map(|l| (l, LANES)).chain((full..group.end).map(|l| (l, 1)))
+}
+
+/// `n` deterministic test values of mixed sign and magnitude (a
+/// 64-bit LCG), for holding rewritten kernel loops against references.
+#[cfg(test)]
+pub(crate) fn test_values(n: usize, seed: u64) -> Vec<f64> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.3) * 100.0
+        })
+        .collect()
+}
+
 /// The NAS parallel benchmarks' linear congruential generator:
 /// `x_{k+1} = a·x_k mod 2^46` with `a = 5^13`, yielding uniform
 /// derandomizable streams with O(log k) arbitrary seeking — exactly what

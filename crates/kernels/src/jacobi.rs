@@ -105,8 +105,8 @@ pub fn run(comm: &mut Comm, p: &JacobiParams) -> JacobiOutput {
     let mut u = vec![vec![0.0f64; w + 2]; local + 2];
     let mut unew = u.clone();
     if my.start == 0 {
-        u[0] = vec![p.top; w + 2];
-        unew[0] = vec![p.top; w + 2];
+        u[0].fill(p.top);
+        unew[0].fill(p.top);
     }
 
     let up = if my.start == 0 { None } else { Some(owner_of(p.rows, size, my.start - 1)) };
@@ -114,20 +114,7 @@ pub fn run(comm: &mut Comm, p: &JacobiParams) -> JacobiOutput {
 
     let mut last_diff = f64::INFINITY;
     for it in 0..p.iters {
-        let mut diff = 0.0f64;
-        // Row-relaxation kernel shared by both paths.
-        macro_rules! relax {
-            ($rows:expr) => {
-                for i in $rows {
-                    for j in 1..=w {
-                        let v = 0.25 * (u[i - 1][j] + u[i + 1][j] + u[i][j - 1] + u[i][j + 1]);
-                        diff = diff.max((v - u[i][j]).abs());
-                        unew[i][j] = v;
-                    }
-                }
-            };
-        }
-
+        let diff;
         if p.overlap && local >= 3 {
             // Post receives and fire the boundary sends, then relax the
             // interior while the halos are in flight (reducible work),
@@ -143,7 +130,7 @@ pub fn run(comm: &mut Comm, p: &JacobiParams) -> JacobiOutput {
             });
             comm.span_end();
             comm.span_begin("jacobi-relax");
-            relax!(2..local);
+            let interior = relax_rows(&u, &mut unew, 2..local);
             charge(comm, 5.0 * ((local - 2) * w) as f64, p.work_scale, JACOBI_UPM);
             comm.span_end();
             comm.span_begin("jacobi-halo");
@@ -155,7 +142,7 @@ pub fn run(comm: &mut Comm, p: &JacobiParams) -> JacobiOutput {
             }
             comm.span_end();
             comm.span_begin("jacobi-relax");
-            relax!([1, local]);
+            diff = interior.max(relax_rows(&u, &mut unew, [1, local]));
             charge(comm, 5.0 * (2 * w) as f64, p.work_scale, JACOBI_UPM);
             comm.span_end();
         } else {
@@ -173,14 +160,14 @@ pub fn run(comm: &mut Comm, p: &JacobiParams) -> JacobiOutput {
             }
             comm.span_end();
             comm.span_begin("jacobi-relax");
-            relax!(1..=local);
+            diff = relax_rows(&u, &mut unew, 1..=local);
             charge(comm, 5.0 * (local * w) as f64, p.work_scale, JACOBI_UPM);
             comm.span_end();
         }
         std::mem::swap(&mut u, &mut unew);
         // Keep the hot boundary pinned in the ghost row after the swap.
         if my.start == 0 {
-            u[0] = vec![p.top; w + 2];
+            u[0].fill(p.top);
         }
 
         if (it + 1) % p.check_every == 0 {
@@ -193,6 +180,45 @@ pub fn run(comm: &mut Comm, p: &JacobiParams) -> JacobiOutput {
     let checksum =
         comm.span("jacobi-checksum", |comm| comm.allreduce_scalar(checksum_local, ReduceOp::Sum));
     JacobiOutput { checksum, last_diff, iterations: p.iters }
+}
+
+/// Relax the slab rows `rows` of `u` into `unew`, returning the largest
+/// pointwise update (0 for no rows).
+fn relax_rows(u: &[Vec<f64>], unew: &mut [Vec<f64>], rows: impl IntoIterator<Item = usize>) -> f64 {
+    rows.into_iter()
+        .fold(0.0, |diff, i| diff.max(relax_row(&u[i - 1], &u[i], &u[i + 1], &mut unew[i])))
+}
+
+/// Relax one interior row, `out[j] = 0.25 * (((above[j] + below[j]) +
+/// row[j - 1]) + row[j + 1])` for every interior column `j`, and return
+/// the largest `|out[j] - row[j]|`. All four slices are the `cols + 2`
+/// points of a row, ghost columns included.
+///
+/// The stencil pass has no loop-carried value, so it vectorizes. The
+/// largest update is taken in a second pass over four accumulators:
+/// `max` of non-NaN values is order-free, so this is the answer of the
+/// serial chain (DESIGN.md, "Kernel arithmetic contract").
+fn relax_row(above: &[f64], row: &[f64], below: &[f64], out: &mut [f64]) -> f64 {
+    let w = row.len() - 2;
+    let (above, below, old) = (&above[1..=w], &below[1..=w], &row[1..=w]);
+    let (left, right) = (&row[..w], &row[2..]);
+    let out = &mut out[1..=w];
+    for ((((v, &a), &b), &l), &r) in out.iter_mut().zip(above).zip(below).zip(left).zip(right) {
+        *v = 0.25 * (((a + b) + l) + r);
+    }
+
+    let (new4, new_tail) = out.as_chunks::<4>();
+    let (old4, old_tail) = old.as_chunks::<4>();
+    let mut acc = [0.0f64; 4];
+    for (n, o) in new4.iter().zip(old4) {
+        for ((m, &n), &o) in acc.iter_mut().zip(n).zip(o) {
+            *m = m.max((n - o).abs());
+        }
+    }
+    for (&n, &o) in new_tail.iter().zip(old_tail) {
+        acc[0] = acc[0].max((n - o).abs());
+    }
+    acc[0].max(acc[1]).max(acc[2].max(acc[3]))
 }
 
 /// Which rank owns a global row under the balanced block decomposition.
@@ -211,6 +237,59 @@ pub(crate) fn owner_of(total: usize, parts: usize, row: usize) -> usize {
 mod tests {
     use super::*;
     use psc_mpi::{Cluster, ClusterConfig};
+
+    /// The sequential relaxation loop `relax_rows` replaced: one `max`
+    /// chain, `Vec<Vec<f64>>` indexing, the same sum order.
+    fn relax_rows_scalar(
+        u: &[Vec<f64>],
+        unew: &mut [Vec<f64>],
+        rows: impl IntoIterator<Item = usize>,
+    ) -> f64 {
+        let w = u[0].len() - 2;
+        let mut diff = 0.0f64;
+        for i in rows {
+            for j in 1..=w {
+                let v = 0.25 * (u[i - 1][j] + u[i + 1][j] + u[i][j - 1] + u[i][j + 1]);
+                diff = diff.max((v - u[i][j]).abs());
+                unew[i][j] = v;
+            }
+        }
+        diff
+    }
+
+    /// A `local`-row slab (plus ghost rows) of `w` interior columns.
+    fn slab(local: usize, w: usize, seed: u64) -> Vec<Vec<f64>> {
+        crate::common::test_values((local + 2) * (w + 2), seed)
+            .chunks_exact(w + 2)
+            .map(<[f64]>::to_vec)
+            .collect()
+    }
+
+    #[test]
+    fn row_stencil_is_bitwise_the_scalar_loop() {
+        // Every chunk tail of the max pass (cols mod 4), one-row slabs,
+        // and the overlap path's interior-then-boundary row sets.
+        for w in [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 192] {
+            for local in 1..=5usize {
+                let u = slab(local, w, (w * 31 + local) as u64);
+                let mut row_sets: Vec<Vec<usize>> = vec![(1..=local).collect()];
+                if local >= 3 {
+                    row_sets.push((2..local).collect());
+                    row_sets.push(vec![1, local]);
+                }
+                for rows in row_sets {
+                    let (mut fast, mut slow) = (slab(local, w, 7), slab(local, w, 7));
+                    let got = relax_rows(&u, &mut fast, rows.iter().copied());
+                    let want = relax_rows_scalar(&u, &mut slow, rows.iter().copied());
+                    let ctx = format!("w={w} local={local} rows={rows:?}");
+                    assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: max update");
+                    for (a, b) in fast.iter().flatten().zip(slow.iter().flatten()) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: grid");
+                    }
+                }
+            }
+        }
+    }
 
     fn run_on(nodes: usize, p: JacobiParams) -> (f64, JacobiOutput) {
         let c = Cluster::athlon_fast_ethernet();
@@ -266,13 +345,20 @@ mod tests {
 
     #[test]
     fn overlap_produces_identical_numerics() {
-        let mut p = JacobiParams::test();
-        let (_, plain) = run_on(4, p);
-        p.overlap = true;
-        let (_, overlapped) = run_on(4, p);
-        // Jacobi reads only old values, so reordering boundary vs
-        // interior relaxation is bitwise irrelevant.
-        assert_eq!(plain.checksum, overlapped.checksum);
+        // The Test grid, and narrow ones cut into one- to three-row
+        // slabs (only a slab of three or more rows overlaps).
+        let narrow = |cols| JacobiParams { rows: 7, cols, iters: 30, ..JacobiParams::test() };
+        let mut cases = vec![(JacobiParams::test(), 4usize)];
+        for cols in [1usize, 2, 3, 5] {
+            cases.extend([3usize, 4, 7].map(|n| (narrow(cols), n)));
+        }
+        for (p, n) in cases {
+            let (_, plain) = run_on(n, p);
+            let (_, overlapped) = run_on(n, JacobiParams { overlap: true, ..p });
+            // Jacobi reads only old values, so reordering boundary vs
+            // interior relaxation is bitwise irrelevant.
+            assert_eq!(plain, overlapped, "cols={} n={n}", p.cols);
+        }
     }
 
     #[test]
