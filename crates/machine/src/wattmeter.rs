@@ -235,6 +235,28 @@ impl PowerTrace {
     }
 }
 
+/// [`PowerTrace::power_at`] for a non-decreasing sequence of times, in
+/// one pass over the segments instead of one binary search per read.
+/// Segments are appended in time order with positive length, so the
+/// one that can hold `t_s` is the first that ends after it.
+struct Sampler<'a> {
+    segments: &'a [Segment],
+    /// Segments before this one end at or before every later read.
+    next: usize,
+}
+
+impl Sampler<'_> {
+    fn power_at(&mut self, t_s: f64) -> f64 {
+        while self.segments.get(self.next).is_some_and(|s| t_s >= s.t1_s) {
+            self.next += 1;
+        }
+        match self.segments.get(self.next) {
+            Some(s) if t_s >= s.t0_s => s.power_w,
+            _ => 0.0,
+        }
+    }
+}
+
 /// The sampling integrator: models the separate computer that polls the
 /// multimeters "several tens of times a second" and integrates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -268,12 +290,14 @@ impl Wattmeter {
         }
         let dt = 1.0 / self.sample_hz;
         let n = (end / dt).ceil() as u64;
+        // Sample midpoints never decrease, so one cursor serves them all.
+        let mut power = Sampler { segments: trace.segments(), next: 0 };
         let mut acc = 0.0;
         for k in 0..n {
             let t0 = k as f64 * dt;
             let t1 = (t0 + dt).min(end);
             let mid = 0.5 * (t0 + t1);
-            acc += trace.power_at(mid) * (t1 - t0);
+            acc += power.power_at(mid) * (t1 - t0);
         }
         acc
     }
@@ -300,6 +324,7 @@ impl Wattmeter {
         }
         let dt = 1.0 / self.sample_hz;
         let n = (end / dt).ceil() as u64;
+        let mut power = Sampler { segments: trace.segments(), next: 0 };
         let mut acc = 0.0;
         let mut held = 0.0;
         for k in 0..n {
@@ -307,7 +332,7 @@ impl Wattmeter {
             let t1 = (t0 + dt).min(end);
             let mid = 0.5 * (t0 + t1);
             if let Some(w) =
-                psc_faults::plan::meter_sample(faults, seed, rank, k, trace.power_at(mid))
+                psc_faults::plan::meter_sample(faults, seed, rank, k, power.power_at(mid))
             {
                 held = w;
             }
@@ -645,6 +670,40 @@ mod props {
                 let mid = 0.5 * (s.t0_s + s.t1_s);
                 prop_assert_eq!(trace.power_at(mid).to_bits(), s.power_w.to_bits());
             }
+        }
+
+        /// The wattmeter's cursor reads exactly what a binary search per
+        /// sample reads, gaps and boundaries included, so both
+        /// integrals keep their bits.
+        #[test]
+        fn measured_energy_matches_per_sample_power_at(
+            trace in fragmented_trace(),
+            hz in prop_oneof![Just(30.0f64), 1.0..500.0f64],
+            seed in 0u64..1000,
+        ) {
+            let meter = Wattmeter::new(hz);
+            let dt = 1.0 / hz;
+            let end = trace.end_s();
+            let samples = (0..(end / dt).ceil() as u64).map(|k| {
+                let t0 = k as f64 * dt;
+                let t1 = (t0 + dt).min(end);
+                (k, 0.5 * (t0 + t1), t1 - t0)
+            });
+            let reference: f64 =
+                samples.clone().fold(0.0, |acc, (_, mid, w)| acc + trace.power_at(mid) * w);
+            prop_assert_eq!(meter.measure_energy_j(&trace).to_bits(), reference.to_bits());
+
+            let faults = psc_faults::WattmeterFaults { dropout_prob: 0.1, noise_sigma: 0.05 };
+            let mut held = 0.0;
+            let reference = samples.fold(0.0, |acc, (k, mid, w)| {
+                let read = trace.power_at(mid);
+                if let Some(p) = psc_faults::plan::meter_sample(&faults, seed, 0, k, read) {
+                    held = p;
+                }
+                acc + held * w
+            });
+            let faulted = meter.measure_energy_j_faulted(&trace, &faults, seed, 0);
+            prop_assert_eq!(faulted.to_bits(), reference.to_bits());
         }
 
         /// Compaction is idempotent.

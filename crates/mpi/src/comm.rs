@@ -25,9 +25,10 @@ use crate::policyhook::{Observation, PolicyEvent, RankPolicy};
 use crate::reduce::ReduceOp;
 use crate::retime::CursorEndpoint;
 use crate::router::{Envelope, MatchBuffer, Router};
-use crate::skeleton::{RankSkeleton, Recorder, SkelOp, NO_PEER};
+use crate::skeleton::{RankSkeleton, Recorder, SkelOp};
 use crate::trace::{
-    FaultEvent, FaultKind, GearShift, MpiOp, PhaseSpan, PolicyDecision, RankTrace, TraceEvent,
+    FaultEvent, FaultKind, GearShift, MpiOp, PhaseSpan, PolicyDecision, RankTrace, SpanNames,
+    TraceEvent, NO_PEER,
 };
 use crossbeam::channel::Receiver;
 use psc_faults::RankFaults;
@@ -178,7 +179,9 @@ pub struct Comm {
     power: PowerTrace,
     coll_seq: u64,
     wire_scale: f64,
-    span_stack: Vec<(String, f64)>,
+    span_stack: Vec<(Arc<str>, f64)>,
+    /// Every span name this rank has opened, so a span allocates no name.
+    names: SpanNames,
     faults: Option<RankFaults>,
     policy: Option<PolicyCtx>,
     /// Set while the driver records this rank's skeleton.
@@ -211,6 +214,7 @@ impl Comm {
             coll_seq: 0,
             wire_scale: 1.0,
             span_stack: Vec::new(),
+            names: SpanNames::default(),
             faults: None,
             policy: None,
             recorder: None,
@@ -389,16 +393,22 @@ impl Comm {
     /// with a [`Comm::span_end`]; spans left open are closed at
     /// finalize time.
     pub fn span_begin(&mut self, name: &str) {
+        let name = self.names.intern(name);
+        self.open_span(name);
+    }
+
+    /// [`Comm::span_begin`] of an already shared name.
+    fn open_span(&mut self, name: Arc<str>) {
         if let Some(r) = self.recorder.as_mut() {
-            r.span_begin(name);
+            r.span_begin(&name);
         }
-        self.span_stack.push((name.to_string(), self.clock_s));
+        self.span_stack.push((Arc::clone(&name), self.clock_s));
         if self.policy.is_some() {
             let depth = self.span_stack.len() - 1;
             if let Some(ctx) = self.policy.as_mut() {
                 ctx.span_marks.push((self.counters, self.clock_s));
             }
-            self.policy_step(None, PolicyEvent::PhaseStart { name, depth });
+            self.policy_step(None, PolicyEvent::PhaseStart { name: &name, depth });
         }
     }
 
@@ -806,7 +816,7 @@ impl Comm {
                     let peer = (peer != NO_PEER).then_some(peer as usize);
                     self.finish_op(op, cur.t0, cur.bytes, peer);
                 }
-                SkelOp::SpanBegin(i) => self.span_begin(&skel.names[i as usize]),
+                SkelOp::SpanBegin(i) => self.open_span(Arc::clone(&skel.names[i as usize])),
                 SkelOp::SpanEnd => self.span_end(),
                 SkelOp::WireScale(scale) => self.set_wire_scale(scale),
                 SkelOp::SetGear(g) => self.set_gear(g as usize),
@@ -957,7 +967,7 @@ impl Comm {
         let idle_w = self.node.idle_power_w(self.gear);
         self.power.push(self.clock_s, idle_w);
         self.counters.record_idle(self.clock_s - t0);
-        self.trace.record(TraceEvent { op, t_enter_s: t0, t_exit_s: self.clock_s, bytes, peer });
+        self.trace.record(TraceEvent::new(op, t0, self.clock_s, bytes, peer));
         // Finalize is excluded: nothing runs after it, so a shift there
         // could only burn stall time.
         if self.policy.is_some() && op != MpiOp::Finalize {

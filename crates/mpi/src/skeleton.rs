@@ -11,12 +11,10 @@
 //! issuing the same requests with empty payloads (DESIGN.md, "Skeleton
 //! replay tier").
 
-use crate::trace::MpiOp;
+use crate::trace::{peer_word, MpiOp};
 use psc_machine::WorkBlock;
 use std::collections::BTreeMap;
-
-/// `End::peer` encoding of `None` (collectives name no peer).
-pub(crate) const NO_PEER: u32 = u32::MAX;
+use std::sync::Arc;
 
 /// One program-level input to a rank's virtual time. Repeated values
 /// (work blocks, message shapes, span names) are interned in the
@@ -34,6 +32,7 @@ pub(crate) enum SkelOp {
     /// belong to. Its entry time and byte count are not stored: the
     /// entry is the clock at the first primitive after the previous
     /// non-primitive op, the bytes are the sum over those primitives.
+    /// `peer` is the event's peer word (`trace::NO_PEER` for none).
     End { op: MpiOp, peer: u32 },
     /// `Comm::span_begin` of `names[i]`.
     SpanBegin(u32),
@@ -54,7 +53,8 @@ pub struct RankSkeleton {
     pub(crate) ops: Vec<SkelOp>,
     pub(crate) blocks: Vec<WorkBlock>,
     pub(crate) shapes: Vec<(u32, u64)>,
-    pub(crate) names: Vec<String>,
+    /// Span names, shared with every trace re-timed from this skeleton.
+    pub(crate) names: Vec<Arc<str>>,
     /// Collective sequence number the program ended at, so finalize's
     /// barrier draws the tags it would have drawn.
     pub(crate) coll_seq: u64,
@@ -66,8 +66,8 @@ impl RankSkeleton {
         self.ops.capacity() * size_of::<SkelOp>()
             + self.blocks.capacity() * size_of::<WorkBlock>()
             + self.shapes.capacity() * size_of::<(u32, u64)>()
-            + self.names.capacity() * size_of::<String>()
-            + self.names.iter().map(String::capacity).sum::<usize>()
+            + self.names.capacity() * size_of::<Arc<str>>()
+            + self.names.iter().map(|n| 2 * size_of::<usize>() + n.len()).sum::<usize>()
     }
 }
 
@@ -99,7 +99,7 @@ pub(crate) struct Recorder {
     skel: RankSkeleton,
     block_ids: BTreeMap<(u64, u64), u32>,
     shape_ids: BTreeMap<(u32, u64), u32>,
-    name_ids: BTreeMap<String, u32>,
+    name_ids: BTreeMap<Arc<str>, u32>,
 }
 
 /// Look `key` up in `ids`, appending `value` to `table` on first sight.
@@ -128,17 +128,14 @@ impl Recorder {
     }
 
     pub(crate) fn end(&mut self, op: MpiOp, peer: Option<usize>) {
-        let peer = peer.map_or(NO_PEER, |p| p as u32);
-        self.skel.ops.push(SkelOp::End { op, peer });
+        self.skel.ops.push(SkelOp::End { op, peer: peer_word(peer) });
     }
 
-    pub(crate) fn span_begin(&mut self, name: &str) {
-        let id = match self.name_ids.get(name) {
-            Some(&id) => id,
-            None => {
-                intern(&mut self.name_ids, &mut self.skel.names, name.to_string(), name.to_string())
-            }
-        };
+    /// `name` is the rank's shared copy (`trace::SpanNames`), so the
+    /// skeleton holds the same allocation the recording's trace does.
+    pub(crate) fn span_begin(&mut self, name: &Arc<str>) {
+        let id =
+            intern(&mut self.name_ids, &mut self.skel.names, Arc::clone(name), Arc::clone(name));
         self.skel.ops.push(SkelOp::SpanBegin(id));
     }
 

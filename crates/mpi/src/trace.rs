@@ -17,7 +17,9 @@
 //!   work is "computation between the last send and a blocking point".
 
 use psc_machine::wire::{Reader, WireError, Writer};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The kind of message-passing operation an event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,47 +118,83 @@ impl MpiOp {
     }
 }
 
-/// One intercepted message-passing call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One intercepted message-passing call. 32 bytes: a result holds one
+/// per MPI call of every rank, so the peer is a `u32` with a sentinel
+/// rather than a 16-byte `Option<usize>`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Operation kind.
     pub op: MpiOp,
+    /// Peer rank, or [`NO_PEER`] for collectives; read through
+    /// [`TraceEvent::peer`].
+    peer: u32,
     /// Virtual time at call entry, seconds.
     pub t_enter_s: f64,
     /// Virtual time at call exit, seconds.
     pub t_exit_s: f64,
     /// Payload bytes moved by this rank in this call.
     pub bytes: u64,
-    /// Peer rank for point-to-point calls; `None` for collectives.
-    pub peer: Option<usize>,
 }
 
-/// Set in an event's tag byte when `peer` is `Some`; the peer word
-/// must be zero when it is clear, so every event has one encoding.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 32);
+
+/// The peer word of an event (and of a skeleton's `End` op) that names
+/// no peer: collectives.
+pub(crate) const NO_PEER: u32 = u32::MAX;
+
+/// `peer` as a peer word.
+///
+/// # Panics
+///
+/// Panics if the rank does not fit below [`NO_PEER`].
+pub(crate) fn peer_word(peer: Option<usize>) -> u32 {
+    peer.map_or(NO_PEER, |p| {
+        u32::try_from(p).ok().filter(|&w| w != NO_PEER).expect("peer rank does not fit a u32")
+    })
+}
+
+/// Set in an event's tag byte when it names a peer; the peer word must
+/// be zero when it is clear, so every event has one encoding.
 const HAS_PEER: u8 = 0x80;
 
 impl TraceEvent {
     /// Tag byte (op, [`HAS_PEER`]) + enter, exit, bytes, peer words.
     const WIRE_BYTES: usize = 1 + 4 * 8;
 
+    /// An event; `peer` is `None` for collectives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` is `u32::MAX` or more.
+    pub fn new(op: MpiOp, t_enter_s: f64, t_exit_s: f64, bytes: u64, peer: Option<usize>) -> Self {
+        TraceEvent { op, peer: peer_word(peer), t_enter_s, t_exit_s, bytes }
+    }
+
+    /// Peer rank for point-to-point calls; `None` for collectives.
+    #[inline]
+    pub fn peer(&self) -> Option<usize> {
+        (self.peer != NO_PEER).then_some(self.peer as usize)
+    }
+
     fn encode(&self, w: &mut Writer) {
-        w.u8(self.op.tag() | if self.peer.is_some() { HAS_PEER } else { 0 });
+        let has_peer = self.peer != NO_PEER;
+        w.u8(self.op.tag() | if has_peer { HAS_PEER } else { 0 });
         w.f64(self.t_enter_s);
         w.f64(self.t_exit_s);
         w.u64(self.bytes);
-        w.usize(self.peer.unwrap_or(0));
+        w.u64(if has_peer { u64::from(self.peer) } else { 0 });
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let tag = r.u8()?;
         let op = MpiOp::from_tag(tag & !HAS_PEER)?;
-        let (t_enter_s, t_exit_s, bytes, peer) = (r.f64()?, r.f64()?, r.u64()?, r.usize()?);
-        let peer = match (tag & HAS_PEER != 0, peer) {
-            (true, peer) => Some(peer),
-            (false, 0) => None,
-            (false, _) => return Err(WireError::BadTag("TraceEvent.peer")),
+        let (t_enter_s, t_exit_s, bytes, word) = (r.f64()?, r.f64()?, r.u64()?, r.u64()?);
+        let peer = match (tag & HAS_PEER != 0, word) {
+            (true, word) if word < u64::from(NO_PEER) => word as u32,
+            (false, 0) => NO_PEER,
+            _ => return Err(WireError::BadTag("TraceEvent.peer")),
         };
-        Ok(TraceEvent { op, t_enter_s, t_exit_s, bytes, peer })
+        Ok(TraceEvent { op, peer, t_enter_s, t_exit_s, bytes })
     }
 
     /// Time spent inside the call, seconds.
@@ -165,13 +203,44 @@ impl TraceEvent {
     }
 }
 
+/// JSON writes the peer as an `Option<usize>`: `null` for a collective,
+/// never the sentinel word.
+impl Serialize for TraceEvent {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("op".into(), self.op.to_value()),
+            ("t_enter_s".into(), self.t_enter_s.to_value()),
+            ("t_exit_s".into(), self.t_exit_s.to_value()),
+            ("bytes".into(), self.bytes.to_value()),
+            ("peer".into(), self.peer().to_value()),
+        ])
+    }
+}
+
+impl Deserialize for TraceEvent {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let peer: Option<u32> = serde::__from_field(v, "peer")?;
+        if peer == Some(NO_PEER) {
+            return Err(serde::Error::msg("field `peer`: rank out of range"));
+        }
+        Ok(TraceEvent {
+            op: serde::__from_field(v, "op")?,
+            peer: peer.unwrap_or(NO_PEER),
+            t_enter_s: serde::__from_field(v, "t_enter_s")?,
+            t_exit_s: serde::__from_field(v, "t_exit_s")?,
+            bytes: serde::__from_field(v, "bytes")?,
+        })
+    }
+}
+
 /// A named application phase interval on one rank, recorded by the
 /// [`crate::comm::Comm::span`] API. Spans may nest; `depth` is the
 /// nesting level at which the span was opened (0 = outermost).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseSpan {
-    /// Phase name, e.g. `"jacobi-halo"`.
-    pub name: String,
+    /// Phase name, e.g. `"jacobi-halo"`. Spans of one rank that share a
+    /// name share its allocation (see [`SpanNames`]).
+    pub name: Arc<str>,
     /// Virtual time the span was opened, seconds.
     pub t_start_s: f64,
     /// Virtual time the span was closed, seconds.
@@ -191,9 +260,9 @@ impl PhaseSpan {
         w.usize(self.depth);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>, names: &mut SpanNames) -> Result<Self, WireError> {
         Ok(PhaseSpan {
-            name: r.str()?.to_owned(),
+            name: names.intern(r.str()?),
             t_start_s: r.f64()?,
             t_end_s: r.f64()?,
             depth: r.usize()?,
@@ -209,6 +278,24 @@ impl PhaseSpan {
     /// well-nestedness check).
     pub fn contains(&self, other: &PhaseSpan) -> bool {
         self.t_start_s <= other.t_start_s && other.t_end_s <= self.t_end_s
+    }
+}
+
+/// The span names of one rank, each allocated once: a kernel opens the
+/// same few phases hundreds of times per run. Ordered (`clippy.toml`
+/// bans `HashMap`) and looked up by `&str`.
+#[derive(Debug, Default)]
+pub(crate) struct SpanNames(BTreeSet<Arc<str>>);
+
+impl SpanNames {
+    /// The shared copy of `name`, allocated on first sight.
+    pub(crate) fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.0.insert(Arc::clone(&shared));
+        shared
     }
 }
 
@@ -400,11 +487,12 @@ impl RankTrace {
     }
 
     /// Inverse of [`RankTrace::encode`]; every buffer comes back with
-    /// no spare capacity.
+    /// no spare capacity, and same-named spans share one name.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut names = SpanNames::default();
         Ok(RankTrace {
             events: r.seq(TraceEvent::WIRE_BYTES, TraceEvent::decode)?,
-            spans: r.seq(PhaseSpan::MIN_WIRE_BYTES, PhaseSpan::decode)?,
+            spans: r.seq(PhaseSpan::MIN_WIRE_BYTES, |r| PhaseSpan::decode(r, &mut names))?,
             gear_shifts: r.seq(GearShift::WIRE_BYTES, GearShift::decode)?,
             faults: r.seq(FaultEvent::WIRE_BYTES, FaultEvent::decode)?,
             decisions: r.seq(PolicyDecision::WIRE_BYTES, PolicyDecision::decode)?,
@@ -490,7 +578,7 @@ impl RankTrace {
     /// Instances of the same name do not overlap unless a span is nested
     /// inside a same-named span, so this is normally wall time.
     pub fn span_time_s(&self, name: &str) -> f64 {
-        self.spans.iter().filter(|s| s.name == name).map(PhaseSpan::duration_s).sum()
+        self.spans.iter().filter(|s| *s.name == *name).map(PhaseSpan::duration_s).sum()
     }
 
     /// Whether the recorded spans are well nested: every pair of spans is
@@ -610,7 +698,7 @@ mod tests {
     use super::*;
 
     fn ev(op: MpiOp, t0: f64, t1: f64) -> TraceEvent {
-        TraceEvent { op, t_enter_s: t0, t_exit_s: t1, bytes: 8, peer: Some(0) }
+        TraceEvent::new(op, t0, t1, 8, Some(0))
     }
 
     #[test]
@@ -689,20 +777,8 @@ mod tests {
     #[test]
     fn bytes_and_counts() {
         let mut t = RankTrace::new();
-        t.record(TraceEvent {
-            op: MpiOp::Send,
-            t_enter_s: 0.0,
-            t_exit_s: 0.1,
-            bytes: 100,
-            peer: Some(1),
-        });
-        t.record(TraceEvent {
-            op: MpiOp::Recv,
-            t_enter_s: 0.1,
-            t_exit_s: 0.2,
-            bytes: 50,
-            peer: Some(1),
-        });
+        t.record(TraceEvent::new(MpiOp::Send, 0.0, 0.1, 100, Some(1)));
+        t.record(TraceEvent::new(MpiOp::Recv, 0.1, 0.2, 50, Some(1)));
         assert_eq!(t.bytes_sent(), 100);
         assert_eq!(t.count_op(MpiOp::Send), 1);
         assert_eq!(t.count_op(MpiOp::Recv), 1);
@@ -710,7 +786,7 @@ mod tests {
     }
 
     fn span(name: &str, t0: f64, t1: f64, depth: usize) -> PhaseSpan {
-        PhaseSpan { name: name.to_string(), t_start_s: t0, t_end_s: t1, depth }
+        PhaseSpan { name: name.into(), t_start_s: t0, t_end_s: t1, depth }
     }
 
     #[test]
@@ -750,6 +826,21 @@ mod tests {
         assert_eq!(t.fault_events()[1].kind, FaultKind::MessageDrop);
         let back: RankTrace = serde::json::from_str(&serde::json::to_string(&t)).unwrap();
         assert_eq!(back, t);
+    }
+
+    /// JSON keeps the shape of the `Option<usize>` peer: `null` for a
+    /// collective, never the sentinel word.
+    #[test]
+    fn events_serialize_their_peer_as_an_option() {
+        let mut t = RankTrace::new();
+        t.record(TraceEvent::new(MpiOp::Send, 0.0, 0.1, 8, Some(3)));
+        t.record(TraceEvent::new(MpiOp::Barrier, 0.1, 0.2, 0, None));
+        let json = serde::json::to_string(&t);
+        assert!(json.contains(r#""peer":3}"#) && json.contains(r#""peer":null}"#), "{json}");
+        let back: RankTrace = serde::json::from_str(&json).unwrap();
+        assert_eq!(back, t);
+        let sentinel = json.replace(r#""peer":3}"#, &format!(r#""peer":{}}}"#, u32::MAX));
+        assert!(serde::json::from_str::<RankTrace>(&sentinel).is_err());
     }
 
     #[test]
@@ -887,17 +978,16 @@ mod tests {
             let index = |x: f64| x.to_bits() as usize;
             let trace = RankTrace {
                 events: (0..len)
-                    .map(|i| TraceEvent {
-                        op: OPS[i % OPS.len()],
-                        t_enter_s: draw(),
-                        t_exit_s: draw(),
-                        bytes: word(draw()),
-                        peer: [None, Some(0), Some(index(draw())), Some(usize::MAX)][i % 4],
+                    .map(|i| {
+                        let (op, t_enter_s, t_exit_s) = (OPS[i % OPS.len()], draw(), draw());
+                        let any = index(draw()) % NO_PEER as usize;
+                        let peer = [None, Some(0), Some(any), Some(NO_PEER as usize - 1)][i % 4];
+                        TraceEvent::new(op, t_enter_s, t_exit_s, word(draw()), peer)
                     })
                     .collect(),
                 spans: (0..len)
                     .map(|i| PhaseSpan {
-                        name: NAMES[i % NAMES.len()].to_string(),
+                        name: NAMES[i % NAMES.len()].into(),
                         t_start_s: draw(),
                         t_end_s: draw(),
                         depth: index(draw()),
@@ -962,7 +1052,7 @@ mod tests {
                         .map(f64::to_bits),
                 );
                 for e in &t.events {
-                    let peer = e.peer.map_or([0, 0], |p| [1, p as u64]);
+                    let peer = e.peer().map_or([0, 0], |p| [1, p as u64]);
                     out.extend([e.op.tag() as u64, e.bytes, peer[0], peer[1]]);
                     out.extend([e.t_enter_s, e.t_exit_s].map(f64::to_bits));
                 }
@@ -1031,8 +1121,10 @@ mod tests {
                     prop_assert_eq!(t.gear_shifts.capacity(), t.gear_shifts.len());
                     prop_assert_eq!(t.faults.capacity(), t.faults.len());
                     prop_assert_eq!(t.decisions.capacity(), t.decisions.len());
-                    for s in &t.spans {
-                        prop_assert_eq!(s.name.capacity(), s.name.len());
+                    for a in &t.spans {
+                        for b in t.spans.iter().filter(|b| b.name == a.name) {
+                            prop_assert!(Arc::ptr_eq(&a.name, &b.name), "{:?} decoded twice", a.name);
+                        }
                     }
                 }
             }
@@ -1120,7 +1212,7 @@ mod tests {
             let mut run = sample();
             run.ranks.truncate(1);
             run.ranks[0].trace.events.truncate(1);
-            run.ranks[0].trace.events[0].peer = None;
+            run.ranks[0].trace.events[0].peer = NO_PEER;
             let mut frame = run.to_bytes();
             let peer_word = 8 + 3 * 8 + 8 + 9 * 8 + 8 + 1 + 3 * 8;
             assert_eq!(frame[peer_word..peer_word + 8], [0; 8]);
@@ -1129,6 +1221,34 @@ mod tests {
                 RunResult::from_bytes(&resealed(frame)),
                 Err(WireError::BadTag("TraceEvent.peer"))
             );
+        }
+
+        /// A flagged peer word must name a rank below `u32::MAX`, the
+        /// sentinel an event keeps for "no peer": the largest valid
+        /// word decodes, every word from the sentinel up is an error.
+        #[test]
+        fn peer_words_from_u32_max_up_are_errors() {
+            let mut run = sample();
+            run.ranks.truncate(1);
+            run.ranks[0].trace.events.truncate(1);
+            run.ranks[0].trace.events[0] = TraceEvent::new(MpiOp::Send, 0.0, 1.0, 8, Some(3));
+            let frame = run.to_bytes();
+            let peer_word = 8 + 3 * 8 + 8 + 9 * 8 + 8 + 1 + 3 * 8;
+            assert_eq!(frame[peer_word..peer_word + 8], 3u64.to_le_bytes());
+            let with_peer = |word: u64| {
+                let mut f = frame.clone();
+                f[peer_word..peer_word + 8].copy_from_slice(&word.to_le_bytes());
+                RunResult::from_bytes(&resealed(f))
+            };
+            let last = with_peer(u64::from(u32::MAX) - 1).unwrap();
+            assert_eq!(last.ranks[0].trace.events[0].peer(), Some(u32::MAX as usize - 1));
+            for word in [u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX] {
+                assert_eq!(
+                    with_peer(word),
+                    Err(WireError::BadTag("TraceEvent.peer")),
+                    "peer word {word:#x}"
+                );
+            }
         }
     }
 }

@@ -2,10 +2,13 @@
 //! skeleton from a wake-on-delivery queue, so the replay tier allocates
 //! no rank stacks. A coroutine driver allocates one 2 MiB stack per
 //! rank per run; here no single allocation made while the engine
-//! re-times LU at 16 ranks may reach 64 KiB.
+//! re-times LU at 16 ranks may reach 64 KiB. Nor does a phase span
+//! allocate: a re-timed span shares its name with the skeleton, so
+//! re-timing Jacobi at 16 ranks makes fewer allocations than it
+//! records spans.
 //!
-//! A counting global allocator records the largest allocation this
-//! thread makes while the re-timings run.
+//! A counting global allocator records how many allocations this
+//! thread makes, and the largest, while the re-timings run.
 
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_mpi::{Cluster, GearSelection};
@@ -18,16 +21,24 @@ thread_local! {
     /// Const-initialized with no destructor, so touching it from the
     /// allocator never allocates.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Allocations (and reallocations) this thread made.
+    static COUNT: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+    let _ = COUNT.try_with(|c| c.set(c.get() + 1));
 }
 
 struct CountingAllocator;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local maximum update, which neither allocates nor unwinds.
+// thread-local maximum and count update, which neither allocates nor
+// unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LARGEST.try_with(|m| m.set(m.get().max(layout.size())));
+        note(layout.size());
         // SAFETY: the caller's `layout` obligations pass through as-is.
         unsafe { System.alloc(layout) }
     }
@@ -38,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = LARGEST.try_with(|m| m.set(m.get().max(new_size)));
+        note(new_size);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`,
         // and the caller upholds `realloc`'s contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -86,4 +97,28 @@ fn retimings_allocate_no_rank_stacks_and_match_full_runs() {
             "re-timing diverged from the full run: {spec:?}"
         );
     }
+}
+
+#[test]
+fn a_retimed_span_allocates_nothing() {
+    const NODES: usize = 16;
+    let engine = Engine::serial(Cluster::athlon_fast_ethernet());
+    engine.run(&RunSpec::uniform(Benchmark::Jacobi, ProblemClass::Test, NODES, 1));
+    let spec = RunSpec {
+        gears: GearSelection::PerRank((0..NODES).map(|r| 1 + r % 6).collect()),
+        ..RunSpec::uniform(Benchmark::Jacobi, ProblemClass::Test, NODES, 1)
+    };
+    let before = replayed(&engine);
+
+    COUNT.with(|c| c.set(0));
+    let run = engine.run(&spec);
+    let allocations = COUNT.with(Cell::get);
+
+    assert_eq!(replayed(&engine) - before, 1.0, "the spec was re-timed");
+    let spans: usize = run.ranks.iter().map(|r| r.trace.spans().len()).sum();
+    assert!(spans >= 100 * NODES, "Jacobi records ≈ 250 spans per rank, got {spans} in all");
+    assert!(
+        allocations < spans,
+        "re-timing {spans} spans made {allocations} allocations; spans allocate names again"
+    );
 }

@@ -171,13 +171,13 @@ pub fn attribute_rank(rank: usize, trace: &RankTrace, power: &PowerTrace) -> Ran
         if span.depth == 0 {
             phased_j += energy_j;
         }
-        if let Some(p) = phases.iter_mut().find(|p| p.name == span.name) {
+        if let Some(p) = phases.iter_mut().find(|p| *p.name == *span.name) {
             p.instances += 1;
             p.time_s += span.duration_s();
             p.energy_j += energy_j;
         } else {
             phases.push(PhaseEnergy {
-                name: span.name.clone(),
+                name: span.name.to_string(),
                 instances: 1,
                 time_s: span.duration_s(),
                 energy_j,

@@ -52,7 +52,7 @@ pub fn chrome_trace(run: &RunResult) -> Value {
         // Phase spans: complete ("X") duration events on the phase track.
         for span in r.trace.spans() {
             events.push(obj(vec![
-                ("name", Value::Str(span.name.clone())),
+                ("name", Value::Str(span.name.to_string())),
                 ("cat", Value::Str("phase".to_string())),
                 ("ph", Value::Str("X".to_string())),
                 ("ts", us(span.t_start_s)),
@@ -65,7 +65,7 @@ pub fn chrome_trace(run: &RunResult) -> Value {
 
         // MPI operations: complete events on the mpi track.
         for ev in r.trace.events() {
-            let peer = match ev.peer {
+            let peer = match ev.peer() {
                 Some(p) => Value::U64(p as u64),
                 None => Value::Null,
             };
