@@ -10,7 +10,7 @@
 //! plain `(gear, time, energy)` observations, so it can equally be fed
 //! measurements from real hardware.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -13,9 +13,10 @@
 //! coroutines never suspend holding a borrow ([`suspend`]), that the
 //! cache key covers every input ([`cachekey`], which also owns the
 //! P002 policy-encoding check), that metrics stay observation-only
-//! ([`metricsrule`]), plus the per-file boundaries of [`rules`] and
-//! [`unsafety`]. It is dependency-light: no `syn`, a small hand-rolled
-//! token scanner ([`scan`]).
+//! ([`metricsrule`]), plus the per-file boundaries of [`rules`]. Where
+//! `unsafe` may appear is rustc's and clippy's to enforce, through
+//! crate-root lints. It is dependency-light: no `syn`, a small
+//! hand-rolled token scanner ([`scan`]).
 //!
 //! ## Suppressions
 //!
@@ -28,7 +29,7 @@
 //!
 //! Run it as `powerscale analyze [--deny] [--format json]`.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -43,7 +44,6 @@ pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod suspend;
-pub mod unsafety;
 
 pub use report::{Finding, Report, Severity};
 
@@ -101,14 +101,7 @@ impl Allows {
 pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let allows = Allows::parse(src);
     let toks = scan::strip_cfg_test(&scan::tokenize(src));
-    file_rules(rel_path, src, &toks).into_iter().filter(|f| !allows.covers(f)).collect()
-}
-
-/// The per-file rules over one file's raw source and stripped tokens.
-fn file_rules(rel_path: &str, src: &str, toks: &[scan::Tok]) -> Vec<Finding> {
-    let mut findings = rules::check_tokens(rel_path, toks);
-    findings.extend(unsafety::check(rel_path, src, toks));
-    findings
+    rules::check_tokens(rel_path, &toks).into_iter().filter(|f| !allows.covers(f)).collect()
 }
 
 /// The crate directory a workspace-relative path belongs to: `mpi` for
@@ -192,7 +185,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let ir = modres::WorkspaceIr::build(root)?;
     let graph = callgraph::CallGraph::build(&ir);
     let mut findings: Vec<Finding> =
-        ir.files.iter().flat_map(|f| file_rules(&f.path, &f.src, &f.toks)).collect();
+        ir.files.iter().flat_map(|f| rules::check_tokens(&f.path, &f.toks)).collect();
     findings.extend(reach::check(&ir, &graph));
     findings.extend(reach::check_kernel_blindness(&ir, &graph));
     findings.extend(suspend::check(&ir, &graph));

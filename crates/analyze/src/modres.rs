@@ -28,7 +28,7 @@ pub struct FileIr {
     pub path: String,
     /// Crate directory under `crates/` (`mpi`), or `""` for the root.
     pub crate_dir: String,
-    /// The raw source text (for pragmas and `SAFETY:` comments).
+    /// The raw source text (for pragmas).
     pub src: String,
     /// The stripped token stream (comments, strings, `#[cfg(test)]`
     /// items removed).

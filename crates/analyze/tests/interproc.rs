@@ -19,9 +19,6 @@
 //! * `x_firing` / `x_clean` — suspension safety (X001/X002/X003): a
 //!   guard held across `Yielder::suspend` / `arch::switch`, vs. scoped
 //!   and explicitly dropped guards.
-//! * `w_firing` / `w_clean` — unsafe hygiene (W001/W002): unjustified
-//!   unsafety in the allowlisted core and justified-but-misplaced
-//!   unsafety outside it, vs. documented allowlisted unsafety.
 //!
 //! Each firing fixture also carries a committed golden `--format json`
 //! report under `fixtures/golden/`, compared byte-for-byte. Regenerate
@@ -157,27 +154,6 @@ fn x_clean_scoped_and_dropped_guards_pass() {
 }
 
 // ----------------------------------------------------------------
-// W family — unsafe hygiene
-// ----------------------------------------------------------------
-
-#[test]
-fn w_firing_reports_unjustified_and_misplaced_unsafety() {
-    let f = findings("w_firing");
-    assert_eq!(rules(&f), vec!["W001", "W002"], "{f:?}");
-
-    let w001 = f.iter().find(|f| f.rule == "W001").unwrap();
-    assert_eq!(w001.file, "crates/mpi/src/des/coro.rs");
-    let w002 = f.iter().find(|f| f.rule == "W002").unwrap();
-    assert_eq!(w002.file, "crates/kernels/src/cg.rs");
-}
-
-#[test]
-fn w_clean_documented_allowlisted_unsafety_passes() {
-    let f = findings("w_clean");
-    assert!(f.is_empty(), "{f:?}");
-}
-
-// ----------------------------------------------------------------
 // Golden reports — the exact `--format json` bytes
 // ----------------------------------------------------------------
 
@@ -242,7 +218,7 @@ fn real_workspace_call_graph_covers_every_crate() {
 
 #[test]
 fn golden_json_reports_are_byte_stable() {
-    for name in ["r_firing", "k_firing", "x_firing", "w_firing"] {
+    for name in ["r_firing", "k_firing", "x_firing"] {
         let rendered = Report::new(findings(name)).render_json();
         let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("fixtures/golden")

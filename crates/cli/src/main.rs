@@ -16,7 +16,7 @@
 //!
 //! Add `--class test` for the tiny problem sizes (CI-speed runs).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use psc_analysis::curve::{EnergyTimeCurve, EnergyTimePoint};
 use psc_analysis::pareto::{configs_of, fastest_under_power_cap, pareto_frontier};

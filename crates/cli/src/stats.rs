@@ -152,8 +152,8 @@ pub fn render_stats(snap: &Snapshot) -> String {
         );
     }
 
-    // -- DES backend (present only when the event-driven backend ran a
-    // recording; re-timings run no scheduler) --
+    // -- DES backend (present only when a recording ran; re-timings
+    // report no dispatches, and only coroutines have a stack mark) --
     let des_events = snap.family_total("engine_des_events_total");
     if des_events > 0.0 {
         let hw = snap.family_total("engine_des_stack_high_water_bytes");

@@ -17,6 +17,8 @@
 //! pure function of the seed and class — `--jobs` never changes a byte
 //! (CI compares worker counts on exactly this property).
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::cases::{classify_pair, ScalingCase};
 use psc_analysis::curve::EnergyTimeCurve;
 use psc_experiments::harness::{engine_from_args, fig2_nodes, measure_curve};

@@ -8,6 +8,8 @@
 //!    watch the energy-optimal gear move (the "heat-limited future"
 //!    discussion).
 
+#![forbid(unsafe_code)]
+
 use psc_experiments::harness::{
     cluster, decompositions, engine_from_args, finish_sweep, gear_profile,
 };

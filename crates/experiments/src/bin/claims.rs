@@ -2,6 +2,8 @@
 //! the slowdown bound, the UPC effect, single-node savings numbers, and
 //! the monotonicity observations the figures rely on.
 
+#![forbid(unsafe_code)]
+
 use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;

@@ -1,6 +1,8 @@
 //! Figure 1 — "Energy consumption vs execution time for NAS benchmarks
 //! on a single AMD machine": six benchmarks, six gears, one node.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::plot::{ascii_plot, to_csv};
 use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, telemetry_snapshot};
 use psc_experiments::report::{render_claims, write_artifact, Claim};

@@ -2,6 +2,8 @@
 //! on 2, 4, and 8 (or 4 and 9) nodes", plus the paper's case 1/2/3
 //! classification of each adjacent node-count pair.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::cases::{classify_pair, ScalingCase};
 use psc_analysis::plot::{ascii_plot, to_csv};
 use psc_experiments::harness::{

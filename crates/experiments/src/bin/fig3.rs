@@ -3,6 +3,8 @@
 //! good speedup (paper: 1.9, 3.6, 5.0, 6.4, 7.7), so each adjacent
 //! pair of curves falls in case 3.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::cases::{classify_pair, ScalingCase};
 use psc_analysis::plot::{ascii_plot, to_csv};
 use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, telemetry_snapshot};

@@ -3,6 +3,8 @@
 //! of a power-scalable cluster. Headline: gear 5 on 8 nodes uses ~80 %
 //! of the energy of gear 1 on 4 nodes and executes in half the time.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::plot::{ascii_plot, to_csv};
 use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, telemetry_snapshot};
 use psc_experiments::report::{render_claims, write_artifact, Claim};

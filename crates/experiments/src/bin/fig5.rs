@@ -3,6 +3,8 @@
 //! runs and against the Sun cluster, then extrapolate every NAS
 //! benchmark to 16, 25, and 32 power-scalable nodes at every gear.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::plot::{ascii_plot, to_csv};
 use psc_experiments::harness::{
     decompositions, engine_for, engine_from_args, finish_sweep, gear_profile, measure_curve,

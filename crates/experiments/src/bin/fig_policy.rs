@@ -11,6 +11,8 @@
 //! other row of the same benchmark — the planning answer an online
 //! policy changes: which schedules are ever worth running.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::pareto::{pareto_frontier, Config};
 use psc_experiments::harness::{engine_from_args, finish_sweep};
 use psc_experiments::report::{render_claims, write_artifact, Claim};

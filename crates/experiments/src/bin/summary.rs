@@ -3,6 +3,8 @@
 //! numbers (per-benchmark best gears, savings, the case taxonomy, and
 //! EDP winners). Run the `fig*` binaries first.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::cases::classify_pair;
 use psc_analysis::curve::EnergyTimeCurve;
 use psc_analysis::metrics::{best_ed2p_gear, best_edp_gear};

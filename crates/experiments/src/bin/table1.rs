@@ -4,6 +4,8 @@
 //! predicts the tradeoff — the slope column comes out (almost) sorted
 //! too.
 
+#![forbid(unsafe_code)]
+
 use psc_analysis::table::UpmTable;
 use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, measure_upm};
 use psc_experiments::report::{render_claims, write_artifact, Claim};

@@ -19,7 +19,7 @@
 //! Binaries print ASCII plots/tables and write CSVs into `./results`
 //! (override with the `RESULTS_DIR` environment variable).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

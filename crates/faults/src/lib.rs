@@ -24,7 +24,7 @@
 //!   what keeps the paper's gear-relative invariants provable under
 //!   noise (see `DESIGN.md` notes in each component's docs).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod plan;
 pub mod rng;

@@ -37,7 +37,7 @@
 //! | SP        | 49.5                   |
 //! | CG        | 8.6                    |
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

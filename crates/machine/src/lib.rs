@@ -29,7 +29,7 @@
 //! `_j` joules, `_w` watts, `_hz` hertz, `_v` volts. Frequencies are stored
 //! in hertz (e.g. 2.0 GHz = `2.0e9`).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

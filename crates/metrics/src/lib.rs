@@ -40,7 +40,7 @@
 //! depend on this crate at all, and inside the runner the cache-key and
 //! spec-execution paths must stay metrics-free.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

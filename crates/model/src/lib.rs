@@ -27,7 +27,7 @@
 //! `phase-adaptive` rule, and the node-bottleneck planner is private
 //! to `examples/gear_advisor.rs`.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

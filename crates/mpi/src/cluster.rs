@@ -11,16 +11,18 @@ use crate::des;
 use crate::network::NetworkModel;
 use crate::policyhook::{ClusterPolicy, RankPolicy};
 use crate::retime;
-use crate::router::{MatchBuffer, Router};
+use crate::router::{self, Baton, Endpoint, Switchboard};
 use crate::skeleton::{RankSkeleton, Skeleton};
 use crate::trace::RankTrace;
+use crossbeam::channel::unbounded;
 use psc_faults::{FaultPlan, RankFaults};
 use psc_machine::wattmeter::cluster_energy_j;
 use psc_machine::wire::{Reader, WireError, Writer};
 use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, Wattmeter};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which driver executes the rank programs of a [`Cluster`] run.
 ///
@@ -33,14 +35,16 @@ use std::sync::Arc;
 /// for the identity suites that compare the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeBackend {
-    /// One OS thread per rank, parked on a channel when blocked. The
-    /// driver on targets without a coroutine context switch, and the
-    /// differential reference for [`RuntimeBackend::Des`].
+    /// One OS thread per rank, but only the one holding the baton
+    /// runs; it hands the baton on when it blocks, in the same wake
+    /// order the DES scheduler uses. The driver on targets without a
+    /// coroutine context switch, and the differential reference for
+    /// [`RuntimeBackend::Des`].
     Threaded,
     /// Single-threaded discrete-event scheduler: each rank is a
-    /// coroutine suspended at blocking `Comm` operations, resumed in
-    /// deterministic `(virtual time, rank)` order. The default — it
-    /// removes per-run thread spawn/join and futex costs entirely.
+    /// coroutine suspended at blocking `Comm` operations and resumed in
+    /// wake order. The default — it has no per-run thread spawn/join or
+    /// futex costs.
     #[default]
     Des,
 }
@@ -67,8 +71,8 @@ impl RuntimeBackend {
 /// coroutine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
-    /// Coroutine dispatches performed by the DES scheduler (0 under the
-    /// threaded backend).
+    /// Rank dispatches: turns handed out in wake order. Both drivers
+    /// step the same wake sequence, so they count the same.
     pub events_processed: u64,
     /// Peak rank-coroutine stack usage in bytes (0 under the threaded
     /// backend, whose ranks run on OS-thread stacks).
@@ -488,8 +492,8 @@ impl Cluster {
     /// configuration: every rank re-issues its recorded requests
     /// through the same `Comm` clock, fault, policy and trace code and
     /// the same `assemble` a full run uses. Only the driver differs —
-    /// op cursors stepped from one wake-on-delivery queue, with no
-    /// coroutine and no scheduler (DESIGN.md §12).
+    /// op cursors stepped in the switchboard's wake order, with no
+    /// coroutine and no thread (DESIGN.md §12).
     ///
     /// # Panics
     ///
@@ -506,17 +510,17 @@ impl Cluster {
         let setups = self.setups(cfg, faults, policy, false);
         let n = cfg.nodes;
         assert_eq!(skeleton.ranks.len(), n, "skeleton recorded on another node count");
-        let state = retime::CursorState::new(n);
+        let board = Rc::new(RefCell::new(Switchboard::new(n)));
         let node = Arc::new(self.node.clone());
         let mut ranks: Vec<(Comm, ReplayCursor)> = setups
             .into_iter()
             .map(|setup| {
-                let ep = retime::CursorEndpoint::new(setup.rank, Rc::clone(&state));
+                let ep = Endpoint::new(setup.rank, Rc::clone(&board));
                 let comm = setup.comm(n, Arc::clone(&node), self.network, Fabric::Cursor(ep));
                 (comm, ReplayCursor::default())
             })
             .collect();
-        retime::drive(&state, &mut ranks, skeleton);
+        retime::drive(&board, &mut ranks, skeleton);
         let per_rank =
             ranks.into_iter().map(|(comm, _)| RankProducts::of(comm, (), None)).collect();
         self.assemble(faults, per_rank).0
@@ -536,9 +540,7 @@ impl Cluster {
     {
         let setups = self.setups(cfg, faults, policy, record);
         let (per_rank, stats) = match self.backend.effective() {
-            RuntimeBackend::Threaded => {
-                (self.drive_threaded(setups, &program), BackendStats::default())
-            }
+            RuntimeBackend::Threaded => self.drive_threaded(setups, &program),
             RuntimeBackend::Des => self.drive_des(setups, &program),
         };
 
@@ -589,37 +591,47 @@ impl Cluster {
             .collect()
     }
 
-    /// The thread-per-rank driver: each rank on its own OS thread,
-    /// blocked receives parked on crossbeam channels.
-    fn drive_threaded<R, F>(&self, setups: Vec<RankSetup>, program: &F) -> Vec<RankProducts<R>>
+    /// The thread-per-rank driver: each rank on its own OS thread, run
+    /// one at a time by a baton the driver hands on in wake order (see
+    /// [`router::pass_baton`]).
+    fn drive_threaded<R, F>(
+        &self,
+        setups: Vec<RankSetup>,
+        program: &F,
+    ) -> (Vec<RankProducts<R>>, BackendStats)
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
         let n = setups.len();
-        let (router, outlets) = Router::new(n);
-        let router = Arc::new(router);
+        let board = Arc::new(Mutex::new(Switchboard::new(n)));
+        let (driver, handoffs) = unbounded();
         let node = Arc::new(self.node.clone());
 
-        let mut per_rank: Vec<RankProducts<R>> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
+            let mut turns = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
-            for (setup, inbox) in setups.into_iter().zip(outlets) {
-                let router = Arc::clone(&router);
+            for setup in setups {
+                let (turn_tx, turn) = unbounded();
+                turns.push(turn_tx);
+                let baton = Baton::new(setup.rank, Arc::clone(&board), turn, driver.clone());
                 let node = Arc::clone(&node);
                 let network = self.network;
                 handles.push(scope.spawn(move || {
-                    let fabric = Fabric::Threaded { router, inbox, buffer: MatchBuffer::new() };
-                    setup.run(n, node, network, fabric, program)
+                    baton.run(|baton| setup.run(n, node, network, Fabric::Threaded(baton), program))
                 }));
             }
-            handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
-        });
-        per_rank.sort_by_key(|p| p.rank);
-        per_rank
+            let dispatches = router::pass_baton(&board, turns, &handoffs);
+            let per_rank = handles
+                .into_iter()
+                .map(|h| h.join().ok().flatten().expect("every rank finished"))
+                .collect();
+            (per_rank, BackendStats { events_processed: dispatches, stack_high_water_bytes: 0 })
+        })
     }
 
     /// The discrete-event driver: every rank a coroutine on this
-    /// thread, dispatched by the virtual-clock scheduler in `des`.
+    /// thread, dispatched in wake order by the scheduler in `des`.
     fn drive_des<R, F>(
         &self,
         setups: Vec<RankSetup>,
@@ -629,17 +641,15 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        use std::cell::RefCell;
-
         let n = setups.len();
-        let state = des::DesState::new(n);
+        let board = Rc::new(RefCell::new(Switchboard::new(n)));
         let results: Rc<RefCell<Vec<Option<RankProducts<R>>>>> =
             Rc::new(RefCell::new((0..n).map(|_| None).collect()));
         let node = Arc::new(self.node.clone());
         let mut coros = Vec::with_capacity(n);
         for setup in setups {
             let rank = setup.rank;
-            let state = Rc::clone(&state);
+            let ep = Endpoint::new(rank, Rc::clone(&board));
             let results = Rc::clone(&results);
             let node = Arc::clone(&node);
             let network = self.network;
@@ -648,14 +658,14 @@ impl Cluster {
                 des::coro::STACK_BYTES,
                 label,
                 move |yielder| {
-                    let fabric = Fabric::Des(des::DesEndpoint::new(rank, state, yielder.clone()));
+                    let fabric = Fabric::Des(ep, yielder.clone());
                     let products = setup.run(n, node, network, fabric, program);
                     results.borrow_mut()[rank] = Some(products);
                 },
             ));
         }
 
-        let drive = des::drive(&state, coros);
+        let drive = des::drive(&board, coros);
 
         let per_rank = results
             .borrow_mut()
@@ -1573,13 +1583,13 @@ mod replay_tests {
     /// The panic message `f` raises.
     fn panic_message(f: impl FnOnce()) -> String {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .expect_err("the run must deadlock");
+            .expect_err("the run must fail");
         payload.downcast::<String>().map(|s| *s).expect("a formatted panic message")
     }
 
     /// Rank 0 waits for a message rank 1 never sends; rank 1 ends up in
-    /// finalize's barrier. Both drivers name both parked receives, in
-    /// the same words.
+    /// finalize's barrier. All three drivers name both parked receives,
+    /// in the same words.
     #[test]
     fn a_deadlocked_skeleton_names_every_parked_receive_as_the_des_scheduler_does() {
         let c = Cluster::athlon_fast_ethernet();
@@ -1595,17 +1605,33 @@ mod replay_tests {
         });
         assert!(retimed.contains("rank 0 ← recv(src 1, tag 5)"), "{retimed}");
         assert!(retimed.contains("rank 1 ← recv(src 0, tag "), "{retimed}");
-        // Without a context switch a full run would fall back to the
-        // threaded driver, which hangs on a deadlock instead.
-        if des::coro::SWITCH_SUPPORTED {
+        for backend in [RuntimeBackend::Des, RuntimeBackend::Threaded] {
             let full = panic_message(|| {
-                c.with_backend(RuntimeBackend::Des).run(&cfg, |comm| {
+                c.clone().with_backend(backend).run(&cfg, |comm| {
                     if comm.rank() == 0 {
                         comm.recv::<()>(1, 5);
                     }
                 });
             });
-            assert_eq!(full, retimed);
+            assert_eq!(full, retimed, "{backend:?}");
+        }
+    }
+
+    /// A rank's own panic fails the run with its original message under
+    /// either driver, while the other ranks wait in a receive.
+    #[test]
+    fn a_rank_panic_reaches_the_caller_with_its_payload() {
+        for backend in [RuntimeBackend::Des, RuntimeBackend::Threaded] {
+            let c = Cluster::athlon_fast_ethernet().with_backend(backend);
+            let message = panic_message(|| {
+                c.run(&ClusterConfig::uniform(3, 1), |comm| {
+                    if comm.rank() == 1 {
+                        panic!("rank {} gave up", comm.rank());
+                    }
+                    comm.barrier();
+                });
+            });
+            assert_eq!(message, "rank 1 gave up", "{backend:?}");
         }
     }
 }

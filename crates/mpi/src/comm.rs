@@ -18,19 +18,17 @@
 //! `P_g` while computing, idle power `I_g` while inside a
 //! message-passing call — the step-function model of paper §4.1.
 
-use crate::des::DesEndpoint;
+use crate::des::{self, coro::Yielder};
 use crate::network::NetworkModel;
 use crate::payload::Payload;
 use crate::policyhook::{Observation, PolicyEvent, RankPolicy};
 use crate::reduce::ReduceOp;
-use crate::retime::CursorEndpoint;
-use crate::router::{Envelope, MatchBuffer, Router};
+use crate::router::{Baton, Endpoint, Envelope};
 use crate::skeleton::{RankSkeleton, Recorder, SkelOp};
 use crate::trace::{
     FaultEvent, FaultKind, GearShift, MpiOp, PhaseSpan, PolicyDecision, RankTrace, SpanNames,
     TraceEvent, NO_PEER,
 };
-use crossbeam::channel::Receiver;
 use psc_faults::RankFaults;
 use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, WorkBlock};
 use std::any::Any;
@@ -38,36 +36,31 @@ use std::sync::Arc;
 
 /// The message transport behind a [`Comm`]: one of the two full-run
 /// drivers' (chosen by the platform's `RuntimeBackend`), or the
-/// re-timing cursors'. Everything above this seam — clock arithmetic,
-/// collectives, tracing, fault injection — is shared between them,
-/// which is what makes their results byte-identical.
+/// re-timing cursors'. All three deliver, match and park through one
+/// [`crate::router::Switchboard`] and run ranks in its wake order.
+/// Everything above this seam — clock arithmetic, collectives, tracing,
+/// fault injection — is shared between them, which is what makes their
+/// results byte-identical.
 pub(crate) enum Fabric {
-    /// Thread-per-rank: a shared [`Router`] of crossbeam channels; a
-    /// receive blocks the rank's OS thread on its inbox.
-    Threaded {
-        /// Shared send side of every rank's mailbox.
-        router: Arc<Router>,
-        /// This rank's receive side.
-        inbox: Receiver<Envelope>,
-        /// Messages that arrived before they were asked for.
-        buffer: MatchBuffer,
-    },
-    /// Discrete-event scheduler: a receive suspends the rank's
-    /// coroutine until the matching message's virtual arrival.
-    Des(DesEndpoint),
+    /// Thread per rank, one running at a time: a receive that misses
+    /// hands the baton back to the driver and blocks the rank's OS
+    /// thread until its turn comes round.
+    Threaded(Baton),
+    /// Discrete-event scheduler: a receive that misses suspends the
+    /// rank's coroutine.
+    Des(Endpoint, Yielder),
     /// Re-timing (`Cluster::retime`): a receive that misses parks the
     /// rank and returns, and the driver resumes its [`ReplayCursor`]
     /// once the message is delivered.
-    Cursor(CursorEndpoint),
+    Cursor(Endpoint),
 }
 
 impl Fabric {
     /// Deliver an envelope to `dst`. Never blocks the sender.
     fn deliver(&mut self, dst: usize, env: Envelope) {
         match self {
-            Fabric::Threaded { router, .. } => router.deliver(dst, env),
-            Fabric::Des(ep) => ep.deliver(dst, env),
-            Fabric::Cursor(ep) => ep.deliver(dst, env),
+            Fabric::Threaded(baton) => baton.deliver(dst, env),
+            Fabric::Des(ep, _) | Fabric::Cursor(ep) => ep.deliver(dst, env),
         }
     }
 
@@ -77,31 +70,17 @@ impl Fabric {
     /// the re-timing fabric parks the rank and returns `None` instead.
     fn recv_matching(&mut self, src: usize, tag: u64) -> Option<Envelope> {
         match self {
-            Fabric::Threaded { inbox, buffer, .. } => {
-                if let Some(env) = buffer.take(src, tag) {
-                    return Some(env);
-                }
-                loop {
-                    let env = inbox.recv().expect(
-                        "all senders dropped while rank still receiving — deadlock in program",
-                    );
-                    if env.src == src && env.tag == tag {
-                        return Some(env);
-                    }
-                    buffer.hold(env);
-                }
-            }
-            Fabric::Des(ep) => Some(ep.recv_matching(src, tag)),
-            Fabric::Cursor(ep) => ep.recv_matching(src, tag),
+            Fabric::Threaded(baton) => Some(baton.recv_matching(src, tag)),
+            Fabric::Des(ep, yielder) => Some(des::recv_matching(ep, yielder, src, tag)),
+            Fabric::Cursor(ep) => ep.take(src, tag),
         }
     }
 
     /// Messages still held for this rank (finalize sanity check).
     fn held(&self) -> usize {
         match self {
-            Fabric::Threaded { buffer, .. } => buffer.len(),
-            Fabric::Des(ep) => ep.held(),
-            Fabric::Cursor(ep) => ep.held(),
+            Fabric::Threaded(baton) => baton.held(),
+            Fabric::Des(ep, _) | Fabric::Cursor(ep) => ep.held(),
         }
     }
 }

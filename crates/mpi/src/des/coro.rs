@@ -22,8 +22,8 @@
 //!
 //! Panics raised by the coroutine body are caught at the coroutine
 //! boundary and re-surfaced to the scheduler via [`Coroutine::take_panic`],
-//! which lets the driver propagate the *original* payload (an
-//! improvement over the threaded backend's `join().expect(..)`).
+//! which lets the driver propagate the *original* payload, as the
+//! threaded backend's baton does.
 //!
 //! Only x86-64 has a context-switch implementation; on other targets
 //! [`SWITCH_SUPPORTED`] is `false` and the cluster driver transparently
@@ -603,7 +603,9 @@ mod tests {
     #[test]
     fn deep_stack_use_stays_within_bounds() {
         fn burn(depth: usize, y: &Yielder) -> u64 {
-            let pad = [depth as u64; 32];
+            // Opaque to the optimizer, so a release build keeps the pad
+            // on the stack.
+            let pad = std::hint::black_box([depth as u64; 32]);
             if depth == 0 {
                 y.suspend();
                 pad[0]

@@ -9,11 +9,13 @@
 //! Every rank owns a **virtual clock** (seconds, `f64`). Under the
 //! default [`cluster::RuntimeBackend::Des`] backend all ranks run as
 //! coroutines of a single-threaded discrete-event scheduler,
-//! suspended at blocking operations and resumed in `(virtual time,
-//! rank)` order; the [`cluster::RuntimeBackend::Threaded`] backend runs
-//! each rank as an OS thread instead and is retained for differential
-//! testing. The two produce byte-identical results. Two things advance
-//! the clock:
+//! suspended at blocking operations and resumed in wake order (the
+//! order their messages are delivered); the
+//! [`cluster::RuntimeBackend::Threaded`] backend runs each rank on an
+//! OS thread instead, one at a time, handing a baton on in the same
+//! order. It is the fallback where no context switch exists, and the
+//! identity suites' reference. The two produce byte-identical results.
+//! Two things advance the clock:
 //!
 //! * [`comm::Comm::compute`] — executing a work block, charged by the
 //!   node's CPU model at the rank's current gear (CPU time scales with
@@ -50,6 +52,10 @@
 //! not arrived (DESIGN.md §12). The two rank drivers above therefore
 //! run only full runs, the recordings among them.
 
+// Only `des::coro` may write `unsafe` (it allows `unsafe_code` for
+// itself), and clippy holds every block, impl and fn there to a
+// `// SAFETY:` comment or a `# Safety` section.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -62,7 +68,7 @@ pub mod payload;
 pub mod policyhook;
 pub mod reduce;
 pub(crate) mod retime;
-pub mod router;
+pub(crate) mod router;
 pub mod skeleton;
 pub mod trace;
 

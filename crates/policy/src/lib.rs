@@ -38,7 +38,7 @@
 //! mutable state — `psc-analyze` rule P001 bans the corresponding
 //! idents from this crate.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -36,7 +36,7 @@
 //! you edit a kernel, wipe the cache directory (or set `PSC_CACHE=0`)
 //! to avoid reusing stale measurements.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -21,7 +21,7 @@
 //! | `engine_skeletons` | gauge | — | `(kernel, class, nodes)` tuples whose skeleton the engine holds |
 //! | `engine_skeleton_bytes` | gauge | — | heap bytes of those skeletons |
 //! | `engine_run_wall_seconds` | histogram | `bench`, `gear`, `tier` | host wall-clock per *executed* run; `tier` is `full` (kernel ran) or `replay` |
-//! | `engine_des_events_total` | counter | — | DES scheduler dispatches across recordings (`tier=full` runs; a re-timing runs no scheduler, and the threaded backend reports 0) |
+//! | `engine_des_events_total` | counter | — | rank dispatches across recordings (`tier=full` runs): turns handed out in wake order, the same count under the DES and the threaded driver; a re-timing reports none |
 //! | `engine_des_stack_high_water_bytes` | gauge | — | peak rank-coroutine stack usage across recordings (a re-timing has no coroutine stacks, and the threaded backend reports 0) |
 //! | `engine_cache_lookups_total` | counter | `result` | cache layer answers: `mem_hit`, `disk_hit`, `miss` |
 //! | `engine_cache_corrupt_total` | counter | — | damaged disk entries healed by re-execution |
@@ -192,10 +192,10 @@ impl EngineMetrics {
 
     /// One run actually executed on a worker lane, by running the
     /// kernel or by re-timing its skeleton (`tier`). `backend` carries
-    /// the DES scheduler's dispatch count and stack high-water mark for
-    /// a recording (both 0 for a re-timing, which runs no scheduler,
-    /// and under the threaded backend, which has no event queue and
-    /// runs ranks on OS-thread stacks).
+    /// a recording's dispatch count and coroutine stack high-water mark
+    /// (both 0 for a re-timing, which reports none; the high-water mark
+    /// is also 0 under the threaded backend, whose ranks run on
+    /// OS-thread stacks).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_run_executed(
         &self,
@@ -230,7 +230,7 @@ impl EngineMetrics {
             self.registry
                 .counter(
                     "engine_des_events_total",
-                    "DES scheduler dispatches across recordings (re-timings run no scheduler).",
+                    "Rank dispatches across recordings, in wake order (re-timings report none).",
                     &[],
                 )
                 .add(backend.events_processed);

@@ -22,7 +22,7 @@
 //! [`replay`] is the proof harness: seeded Zipf-skewed client streams,
 //! byte-compared against direct serial engine execution.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -27,7 +27,7 @@
 //! already collects, so simulation cost is unchanged when no exporter is
 //! invoked.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

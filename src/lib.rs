@@ -29,7 +29,7 @@
 //! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md`
 //! for the system inventory and per-experiment reproduction records.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub use psc_analysis as analysis;
 pub use psc_experiments as experiments;

@@ -121,6 +121,9 @@ fn run_manifests_are_byte_identical_across_backends() {
     }
 }
 
+/// Both drivers hand turns out in the switchboard's wake order, so
+/// they report the same dispatch count for the same program. (The name
+/// predates the threaded baton, when threads had no queue to count.)
 #[test]
 fn des_reports_events_and_threaded_reports_none() {
     let spec = RunSpec::uniform(Benchmark::Cg, ProblemClass::Test, 4, 2);
@@ -131,8 +134,7 @@ fn des_reports_events_and_threaded_reports_none() {
         });
         stats.events_processed
     };
-    if RuntimeBackend::Des.effective() == RuntimeBackend::Des {
-        assert!(run_stats(RuntimeBackend::Des) > 0, "DES must count scheduler dispatches");
-    }
-    assert_eq!(run_stats(RuntimeBackend::Threaded), 0, "threaded has no event queue");
+    let des = run_stats(RuntimeBackend::Des);
+    assert!(des > 0, "the driver must count its dispatches");
+    assert_eq!(run_stats(RuntimeBackend::Threaded), des, "both drivers step one wake sequence");
 }
