@@ -1,7 +1,6 @@
 //! R-family non-firing fixture: the kernel reaches a host clock, but
-//! only through the sanctioned timing chokepoint — reached, never
-//! expanded through.
-use psc_experiments::timing::host_now_s;
+//! only through a chokepoint — reached, never expanded through.
+use psc_faults::rng::host_now_s;
 
 pub fn run_ep() {
     let _t = host_now_s();

@@ -26,8 +26,6 @@
 //!
 //! **Chokepoints** — reached but never expanded through, and exempt
 //! from sink matching inside them:
-//! * `crates/experiments/src/timing.rs` — `HostTimer`, the sanctioned
-//!   host-timing seam;
 //! * `crates/faults/src/rng.rs` — the counter-keyed fault RNG (F001's
 //!   sanctioned module);
 //! * `crates/runner/src/metrics.rs` — `EngineMetrics`, the M001
@@ -67,11 +65,7 @@ use crate::report::{Finding, Severity};
 use std::collections::BTreeSet;
 
 /// Files whose functions are chokepoints: reached, never expanded.
-pub const CHOKEPOINT_FILES: &[&str] = &[
-    "crates/experiments/src/timing.rs",
-    "crates/faults/src/rng.rs",
-    "crates/runner/src/metrics.rs",
-];
+pub const CHOKEPOINT_FILES: &[&str] = &["crates/faults/src/rng.rs", "crates/runner/src/metrics.rs"];
 
 /// Function-level chokepoints, matched by id suffix.
 pub const CHOKEPOINT_FNS: &[&str] = &["Cluster::drive_threaded"];
@@ -114,7 +108,7 @@ const FAMILIES: &[SinkFamily] = &[
     SinkFamily {
         rule: "R001",
         what: "host clock read",
-        advice: "route host timing through psc_experiments::timing::HostTimer",
+        advice: "route host timing through psc_metrics::clock, outside the simulation roots",
         matches_external: is_clock_sink,
         include_methods: true,
     },

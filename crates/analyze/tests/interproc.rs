@@ -10,8 +10,8 @@
 //!   the sinks are laundered through helpers in *other* crates, visible
 //!   only to the call-graph rules; the firing kernel crate also
 //!   declares `psc-metrics`, M001's manifest half. The clean twin
-//!   reaches a host clock solely through the sanctioned timing
-//!   chokepoint.
+//!   reaches a host clock solely through a chokepoint file (the fault
+//!   RNG's module).
 //! * `k_firing` / `k_clean` — kernel blindness (K001, riding the R
 //!   pass): a kernel branching on `Comm::gear` directly and on
 //!   `Comm::now_s` through a helper crate, vs. a kernel that only

@@ -30,7 +30,7 @@ use psc_kernels::{Benchmark, ProblemClass};
 use psc_machine::WorkBlock;
 use psc_policy::choose_gear;
 use psc_runner::{Engine, RunSpec};
-use psc_telemetry::{write_chrome_trace, write_self_trace, RunManifest};
+use psc_telemetry::{chrome_trace_json, self_trace_json, write_file, RunManifest};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -184,23 +184,14 @@ fn export_metrics(e: &Engine, args: &[String]) -> Result<(), String> {
     }
     let snap = e.metrics().snapshot();
     let spans = e.metrics().spans();
-    let write = |path: &str, text: String| -> Result<(), String> {
-        let path = Path::new(path);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("creating {}: {e}", parent.display()))?;
-            }
-        }
-        std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
-    };
+    let write =
+        |path: &str, text: String| write_file(Path::new(path), &text).map_err(|e| e.to_string());
     if let Some(path) = flag(args, "--metrics-out") {
         write(&path, psc_metrics::render_prometheus(&snap))?;
         println!("  metrics  {path}");
     }
     if let Some(path) = flag(args, "--self-trace-out") {
-        write_self_trace(&spans, &snap, Path::new(&path))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write(&path, self_trace_json(&spans, &snap))?;
         println!("  self-trace {path} (open in Perfetto)");
     }
     if let Some(path) = flag(args, "--events-out") {
@@ -311,13 +302,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     if let Some(path) = flag(args, "--trace-out") {
         let path = PathBuf::from(path);
-        write_chrome_trace(&run, &path).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write_file(&path, &chrome_trace_json(&run)).map_err(|e| e.to_string())?;
         println!("  trace    {}", path.display());
     }
     if let Some(path) = flag(args, "--manifest-out") {
         let path = PathBuf::from(path);
         let m = RunManifest::new(bench.name(), class_label(class), &cfg, &run);
-        m.write(&path).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write_file(&path, &m.to_json()).map_err(|e| e.to_string())?;
         println!("  manifest {}", path.display());
     }
     Ok(())
@@ -350,10 +341,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         None => PathBuf::from("results")
             .join(format!("{}-n{nodes}-g{gear}.trace.json", bench.name().to_lowercase())),
     };
-    write_chrome_trace(&run, &trace_path)
-        .map_err(|e| format!("writing {}: {e}", trace_path.display()))?;
+    write_file(&trace_path, &chrome_trace_json(&run)).map_err(|e| e.to_string())?;
     let manifest_path = m.default_path();
-    m.write(&manifest_path).map_err(|e| format!("writing {}: {e}", manifest_path.display()))?;
+    write_file(&manifest_path, &m.to_json()).map_err(|e| e.to_string())?;
     println!("wrote {} (open in Perfetto)", trace_path.display());
     println!("wrote {}", manifest_path.display());
     Ok(())
@@ -377,8 +367,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 .map(|gear| {
                     let run = e.run(&RunSpec::uniform(bench, class, nodes, gear));
                     let path = path_with_gear(base, gear);
-                    write_chrome_trace(&run, &path)
-                        .map_err(|e| format!("writing {}: {e}", path.display()))?;
+                    write_file(&path, &chrome_trace_json(&run)).map_err(|e| e.to_string())?;
                     Ok(EnergyTimePoint { gear, time_s: run.time_s, energy_j: run.energy_j })
                 })
                 .collect::<Result<Vec<_>, String>>()?;

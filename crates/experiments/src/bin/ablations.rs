@@ -14,13 +14,12 @@ use psc_experiments::harness::{
     cluster, decompositions, engine_from_args, finish_sweep, gear_profile,
 };
 use psc_experiments::report::{render_claims, write_artifact, Claim};
-use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_machine::{CpuModel, GearTable, NodeSpec, PowerModel, WorkBlock};
 use psc_model::comm::{CommFit, CommShape};
 use psc_model::predict::ClusterModel;
 use psc_mpi::ClusterConfig;
-use psc_runner::RunSpec;
+use psc_runner::{RunSpec, Stopwatch};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -32,7 +31,7 @@ fn main() {
     // not content-addressable benchmark runs and use the cluster
     // directly.
     let e = engine_from_args(&args);
-    let timer = HostTimer::start();
+    let timer = Stopwatch::start();
     let c = cluster();
     let mut claims = Vec::new();
     let mut out = String::new();

@@ -6,16 +6,15 @@
 
 use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
-use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
-use psc_runner::RunSpec;
+use psc_runner::{RunSpec, Stopwatch};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let class =
         if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
     let e = engine_from_args(&args);
-    let timer = HostTimer::start();
+    let timer = Stopwatch::start();
     let mut claims = Vec::new();
 
     // ------------------------------------------------------------------

@@ -11,11 +11,10 @@ use psc_experiments::harness::{
     predicted_curve, sun_cluster, telemetry_snapshot,
 };
 use psc_experiments::report::{render_claims, write_artifact, Claim};
-use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_model::predict::ClusterModel;
 use psc_model::validate::ValidationReport;
-use psc_runner::RunSpec;
+use psc_runner::{RunSpec, Stopwatch};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -23,7 +22,7 @@ fn main() {
         if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
     let e = engine_from_args(&args);
     let sun = engine_for(sun_cluster(), &args);
-    let timer = HostTimer::start();
+    let timer = Stopwatch::start();
     let targets = [16usize, 25, 32];
 
     println!("Figure 5: model-driven extrapolation to 16/25/32 nodes\n");

@@ -16,10 +16,9 @@
 use psc_analysis::pareto::{pareto_frontier, Config};
 use psc_experiments::harness::{engine_from_args, finish_sweep};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
-use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_policy::PolicySpec;
-use psc_runner::{Engine, RunSpec};
+use psc_runner::{Engine, RunSpec, Stopwatch};
 
 /// One measured row of the figure.
 struct Row {
@@ -50,7 +49,7 @@ fn main() {
     let class =
         if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
     let e = engine_from_args(&args);
-    let timer = HostTimer::start();
+    let timer = Stopwatch::start();
 
     // A budget between the cluster's slowest-gear and fastest-gear
     // worst-case draw, derived from the node model so the figure holds

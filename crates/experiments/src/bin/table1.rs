@@ -9,8 +9,8 @@
 use psc_analysis::table::UpmTable;
 use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, measure_upm};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
-use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
+use psc_runner::Stopwatch;
 
 /// The paper's Table 1, for reference output.
 const PAPER_ROWS: [(&str, f64, f64, f64); 6] = [
@@ -27,7 +27,7 @@ fn main() {
     let class =
         if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
     let e = engine_from_args(&args);
-    let timer = HostTimer::start();
+    let timer = Stopwatch::start();
 
     // The UPM probe is the curve's gear-1 run; with the shared run
     // cache the whole table costs the same runs as fig1.

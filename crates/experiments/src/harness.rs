@@ -7,7 +7,6 @@
 //! pool. Results are bit-identical to serial execution, so the figures
 //! do not depend on the worker count.
 
-use crate::timing::HostTimer;
 use psc_analysis::curve::{EnergyTimeCurve, EnergyTimePoint};
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
 use psc_kernels::{Benchmark, ProblemClass};
@@ -15,8 +14,8 @@ use psc_model::decompose::Decomposition;
 use psc_model::gears::GearProfile;
 use psc_model::predict::ClusterModel;
 use psc_mpi::{Cluster, NetworkModel};
-use psc_runner::{Engine, RunPlan, RunSpec};
-use psc_telemetry::{RunManifest, SweepManifest};
+use psc_runner::{Engine, RunPlan, RunSpec, Stopwatch};
+use psc_telemetry::{write_file, RunManifest, SweepManifest};
 use std::path::PathBuf;
 
 /// The paper's testbed: ten Athlon-64 nodes on 100 Mb/s Ethernet.
@@ -188,16 +187,16 @@ pub fn telemetry_snapshot(
     let name =
         manifest.default_path().file_name().expect("manifest path has a file name").to_os_string();
     let path = crate::report::results_dir().join(name);
-    manifest.write(&path).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    write_file(&path, &manifest.to_json()).unwrap_or_else(|e| panic!("{e}"));
     (manifest.attribution.table(), path)
 }
 
 /// Close out a binary's sweep: snapshot the engine's cache accounting
 /// into a [`SweepManifest`], archive it as `<label>.sweep.json` under
 /// the results directory, print the one-line summary, and return the
-/// path. The timer comes from [`crate::timing::HostTimer::start`] — the
-/// workspace's single allowlisted host-timing location.
-pub fn finish_sweep(e: &Engine, label: &str, timer: HostTimer) -> PathBuf {
+/// path. `timer` is the [`Stopwatch`] the binary started when its sweep
+/// began; the manifest's `wall_s` is the time since then.
+pub fn finish_sweep(e: &Engine, label: &str, timer: Stopwatch) -> PathBuf {
     let stats = e.cache_stats();
     let manifest = SweepManifest {
         label: label.to_string(),
@@ -210,7 +209,7 @@ pub fn finish_sweep(e: &Engine, label: &str, timer: HostTimer) -> PathBuf {
         wall_s: timer.elapsed_s(),
     };
     let path = crate::report::results_dir().join(format!("{label}.sweep.json"));
-    manifest.write(&path).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    write_file(&path, &manifest.to_json()).unwrap_or_else(|e| panic!("{e}"));
     println!("{}", manifest.summary());
     path
 }
@@ -377,7 +376,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::env::set_var("RESULTS_DIR", &dir);
         let e = test_engine();
-        let timer = HostTimer::start();
+        let timer = Stopwatch::start();
         let _ = measure_curve(&e, Benchmark::Ep, ProblemClass::Test, 1);
         let _ = measure_curve(&e, Benchmark::Ep, ProblemClass::Test, 1); // all hits
         let path = finish_sweep(&e, "test-sweep", timer);

@@ -25,4 +25,3 @@
 
 pub mod harness;
 pub mod report;
-pub mod timing;

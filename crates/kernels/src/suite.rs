@@ -363,49 +363,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod timing_probe {
-    use super::*;
-    use psc_mpi::{Cluster, ClusterConfig};
-    use std::time::Instant;
-
-    #[test]
-    #[ignore]
-    #[allow(clippy::disallowed_methods)] // prints host time per kernel; nothing is computed from it
-    fn probe() {
-        let c = Cluster::athlon_fast_ethernet();
-        for b in Benchmark::ALL {
-            let t0 = Instant::now();
-            let (res, _) =
-                c.run(&ClusterConfig::uniform(1, 1), move |comm| b.run(comm, ProblemClass::B));
-            let host = t0.elapsed().as_secs_f64();
-            println!(
-                "{:<10} n=1 g=1: virtual {:>8.1}s energy {:>9.0}J host {:>5.2}s",
-                b.name(),
-                res.time_s,
-                res.energy_j,
-                host
-            );
-        }
-        for (b, n) in [
-            (Benchmark::Mg, 8usize),
-            (Benchmark::Cg, 8),
-            (Benchmark::Lu, 8),
-            (Benchmark::Bt, 9),
-            (Benchmark::Jacobi, 10),
-        ] {
-            let t0 = Instant::now();
-            let (res, _) =
-                c.run(&ClusterConfig::uniform(n, 1), move |comm| b.run(comm, ProblemClass::B));
-            let host = t0.elapsed().as_secs_f64();
-            println!(
-                "{:<10} n={} g=1: virtual {:>8.1}s host {:>5.2}s",
-                b.name(),
-                n,
-                res.time_s,
-                host
-            );
-        }
-    }
-}

@@ -1,14 +1,13 @@
-//! Host wall-clock access for self-profiling — the **second allowlisted
-//! host-timing location** in the workspace (the first is
-//! `psc_experiments::timing::HostTimer`).
+//! The workspace's one host clock.
 //!
 //! Simulated results must never depend on host time (`clippy.toml`'s
-//! `disallowed-methods` bans the clock reads). Self-
-//! profiling, by definition, measures host time — so this module holds
-//! the crate's only `Instant::now` calls, anchored to a process-wide
-//! epoch so every span in a process shares one timeline. Analyzer rule
-//! M001 guarantees nothing read from these clocks can flow back into a
-//! cache key or a simulated result.
+//! `disallowed-methods` bans the clock reads). Self-profiling and sweep
+//! wall-clock accounting, by definition, measure host time — so this
+//! module holds the workspace's only `Instant::now` calls, anchored to
+//! a process-wide epoch so every span and every [`Stopwatch`] in a
+//! process shares one timeline. Analyzer rule M001 guarantees nothing
+//! read from this clock can flow back into a cache key or a simulated
+//! result.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -26,9 +26,9 @@
 //! * [`jsonl`] — a structured JSONL event log (`--events-out`): one
 //!   JSON object per line, spans and metric samples interleaved, for
 //!   machine consumption without a trace viewer.
-//! * [`clock`] — the crate's **only** wall-clock access, exempt from
-//!   clippy's clock ban by `#[allow]` exactly like
-//!   `psc_experiments::timing::HostTimer`.
+//! * [`clock`] — the workspace's **only** wall-clock access, exempt
+//!   from clippy's clock ban by `#[allow]`; sweep binaries time
+//!   themselves with its [`Stopwatch`] too.
 //!
 //! ## The observation-only contract (analyzer rule M001)
 //!

@@ -49,3 +49,6 @@ pub use cache::{CacheStats, RunCache};
 pub use engine::{default_jobs, Engine, RunOutcome};
 pub use metrics::{EngineMetrics, PoolUtilization};
 pub use plan::{RunPlan, RunSpec};
+/// The host stopwatch, re-exported so sweep drivers time themselves on
+/// the same clock the engine profiles with.
+pub use psc_metrics::Stopwatch;

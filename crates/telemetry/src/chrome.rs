@@ -11,88 +11,193 @@
 //! activations (cat `"fault"`), when the run carried a fault plan.
 
 use psc_mpi::RunResult;
-use serde::{json, Value};
-use std::io;
-use std::path::Path;
+use serde::json::{write_f64, write_string};
+use std::fmt::{Debug, Write as _};
+use Arg::{Str, F64, U64};
 
 const TID_PHASES: u64 = 0;
 const TID_MPI: u64 = 1;
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Map(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+fn us(t_s: f64) -> f64 {
+    t_s * 1e6
 }
 
-fn us(t_s: f64) -> Value {
-    Value::F64(t_s * 1e6)
+/// One value of an event field, an `args` entry or `otherData`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arg<'a> {
+    U64(u64),
+    F64(f64),
+    Str(&'a str),
+    Null,
 }
 
-fn meta(name: &str, pid: usize, tid: Option<u64>, value: &str) -> Value {
-    let mut pairs = vec![
-        ("name", Value::Str(name.to_string())),
-        ("ph", Value::Str("M".to_string())),
-        ("pid", Value::U64(pid as u64)),
-    ];
-    if let Some(tid) = tid {
-        pairs.push(("tid", Value::U64(tid)));
+/// A Trace Event Format document appended straight into a `String`,
+/// one event at a time. Strings and floats go through the same
+/// encoders as `serde::json`, and each event kind writes its fields in
+/// one fixed order, so the text is what serializing the equivalent
+/// `Value` tree would print.
+pub(crate) struct TraceWriter {
+    out: String,
+    events: usize,
+}
+
+impl TraceWriter {
+    pub(crate) fn new() -> Self {
+        TraceWriter { out: String::from("{\"traceEvents\":["), events: 0 }
     }
-    pairs.push(("args", obj(vec![("name", Value::Str(value.to_string()))])));
-    obj(pairs)
+
+    fn pair(&mut self, key: &str, value: Arg<'_>) {
+        write_string(&mut self.out, key);
+        self.out.push(':');
+        match value {
+            U64(n) => {
+                let _ = write!(self.out, "{n}");
+            }
+            F64(n) => write_f64(&mut self.out, n),
+            Str(s) => write_string(&mut self.out, s),
+            Arg::Null => self.out.push_str("null"),
+        }
+    }
+
+    fn map<'a>(&mut self, pairs: impl IntoIterator<Item = (&'a str, Arg<'a>)>) {
+        self.out.push('{');
+        for (i, (key, value)) in pairs.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.pair(key, value);
+        }
+        self.out.push('}');
+    }
+
+    /// `{<fields>,"args":{<args>}}`, comma-separated from the last event.
+    fn event<'a>(
+        &mut self,
+        fields: &[(&str, Arg<'_>)],
+        args: impl IntoIterator<Item = (&'a str, Arg<'a>)>,
+    ) {
+        if self.events > 0 {
+            self.out.push(',');
+        }
+        self.events += 1;
+        for (i, &(key, value)) in fields.iter().enumerate() {
+            self.out.push(if i == 0 { '{' } else { ',' });
+            self.pair(key, value);
+        }
+        self.out.push_str(",\"args\":");
+        self.map(args);
+        self.out.push('}');
+    }
+
+    /// A metadata (`M`) event naming a process, or a thread of it.
+    pub(crate) fn metadata(&mut self, name: &str, pid: u64, tid: Option<u64>, value: &str) {
+        let fields = [
+            ("name", Str(name)),
+            ("ph", Str("M")),
+            ("pid", U64(pid)),
+            ("tid", tid.map_or(Arg::Null, U64)),
+        ];
+        let fields = if tid.is_some() { &fields[..] } else { &fields[..3] };
+        self.event(fields, [("name", Str(value))]);
+    }
+
+    /// A complete (`X`) duration event, times in microseconds.
+    pub(crate) fn complete<'a>(
+        &mut self,
+        (name, cat): (&str, &str),
+        (ts_us, dur_us): (f64, f64),
+        (pid, tid): (u64, u64),
+        args: impl IntoIterator<Item = (&'a str, Arg<'a>)>,
+    ) {
+        let fields = [
+            ("name", Str(name)),
+            ("cat", Str(cat)),
+            ("ph", Str("X")),
+            ("ts", F64(ts_us)),
+            ("dur", F64(dur_us)),
+            ("pid", U64(pid)),
+            ("tid", U64(tid)),
+        ];
+        self.event(&fields, args);
+    }
+
+    /// A thread-scoped instant (`i`, `"s":"t"`) event.
+    fn instant(&mut self, (name, cat): (&str, &str), ts_us: f64, pid: u64, arg: (&str, Arg<'_>)) {
+        let fields = [
+            ("name", Str(name)),
+            ("cat", Str(cat)),
+            ("ph", Str("i")),
+            ("s", Str("t")),
+            ("ts", F64(ts_us)),
+            ("pid", U64(pid)),
+            ("tid", U64(TID_PHASES)),
+        ];
+        self.event(&fields, [arg]);
+    }
+
+    /// A counter (`C`) sample on a process track.
+    fn counter(&mut self, name: &str, ts_us: f64, pid: u64, arg: (&str, Arg<'_>)) {
+        let fields = [("name", Str(name)), ("ph", Str("C")), ("ts", F64(ts_us)), ("pid", U64(pid))];
+        self.event(&fields, [arg]);
+    }
+
+    /// Close the event array and the envelope around it.
+    pub(crate) fn finish<'a>(
+        mut self,
+        other_data: impl IntoIterator<Item = (&'a str, Arg<'a>)>,
+    ) -> String {
+        self.out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":");
+        self.map(other_data);
+        self.out.push('}');
+        self.out
+    }
 }
 
-/// Build the Chrome Trace Event Format JSON value for a run.
-pub fn chrome_trace(run: &RunResult) -> Value {
-    let mut events: Vec<Value> = Vec::new();
+/// `format!("{value:?}")` into a reused buffer.
+fn debug_into(buf: &mut String, value: impl Debug) -> &str {
+    buf.clear();
+    let _ = write!(buf, "{value:?}");
+    buf
+}
+
+/// A run's Chrome trace as JSON text. Load the file in Perfetto or
+/// `chrome://tracing`.
+pub fn chrome_trace_json(run: &RunResult) -> String {
+    let mut w = TraceWriter::new();
+    let mut name = String::new();
 
     for r in &run.ranks {
-        let pid = r.rank;
-        events.push(meta("process_name", pid, None, &format!("rank {pid}")));
-        events.push(meta("thread_name", pid, Some(TID_PHASES), "phases"));
-        events.push(meta("thread_name", pid, Some(TID_MPI), "mpi"));
+        let pid = r.rank as u64;
+        w.metadata("process_name", pid, None, &format!("rank {pid}"));
+        w.metadata("thread_name", pid, Some(TID_PHASES), "phases");
+        w.metadata("thread_name", pid, Some(TID_MPI), "mpi");
 
         // Phase spans: complete ("X") duration events on the phase track.
         for span in r.trace.spans() {
-            events.push(obj(vec![
-                ("name", Value::Str(span.name.to_string())),
-                ("cat", Value::Str("phase".to_string())),
-                ("ph", Value::Str("X".to_string())),
-                ("ts", us(span.t_start_s)),
-                ("dur", us(span.duration_s())),
-                ("pid", Value::U64(pid as u64)),
-                ("tid", Value::U64(TID_PHASES)),
-                ("args", obj(vec![("depth", Value::U64(span.depth as u64))])),
-            ]));
+            w.complete(
+                (&span.name, "phase"),
+                (us(span.t_start_s), us(span.duration_s())),
+                (pid, TID_PHASES),
+                [("depth", U64(span.depth as u64))],
+            );
         }
 
         // MPI operations: complete events on the mpi track.
         for ev in r.trace.events() {
-            let peer = match ev.peer() {
-                Some(p) => Value::U64(p as u64),
-                None => Value::Null,
-            };
-            events.push(obj(vec![
-                ("name", Value::Str(format!("{:?}", ev.op))),
-                ("cat", Value::Str("mpi".to_string())),
-                ("ph", Value::Str("X".to_string())),
-                ("ts", us(ev.t_enter_s)),
-                ("dur", us(ev.duration_s())),
-                ("pid", Value::U64(pid as u64)),
-                ("tid", Value::U64(TID_MPI)),
-                ("args", obj(vec![("bytes", Value::U64(ev.bytes)), ("peer", peer)])),
-            ]));
+            let peer = ev.peer().map_or(Arg::Null, |p| U64(p as u64));
+            w.complete(
+                (debug_into(&mut name, ev.op), "mpi"),
+                (us(ev.t_enter_s), us(ev.duration_s())),
+                (pid, TID_MPI),
+                [("bytes", U64(ev.bytes)), ("peer", peer)],
+            );
         }
 
         // Gear shifts: thread-scoped instant events on the phase track.
         for shift in r.trace.gear_shifts() {
-            events.push(obj(vec![
-                ("name", Value::Str(format!("gear {}\u{2192}{}", shift.from_gear, shift.to_gear))),
-                ("cat", Value::Str("dvfs".to_string())),
-                ("ph", Value::Str("i".to_string())),
-                ("s", Value::Str("t".to_string())),
-                ("ts", us(shift.t_s)),
-                ("pid", Value::U64(pid as u64)),
-                ("tid", Value::U64(TID_PHASES)),
-                ("args", obj(vec![("stall_us", Value::F64(shift.stall_s * 1e6))])),
-            ]));
+            name.clear();
+            let _ = write!(name, "gear {}\u{2192}{}", shift.from_gear, shift.to_gear);
+            w.instant((&name, "dvfs"), us(shift.t_s), pid, ("stall_us", F64(shift.stall_s * 1e6)));
         }
 
         // Policy decisions: instant events (cat "policy") on the phase
@@ -100,90 +205,181 @@ pub fn chrome_trace(run: &RunResult) -> Value {
         // a shift — the matching `dvfs` instant lands one transition
         // stall later, so the pair visualizes decision-to-effect lag.
         for d in r.trace.decisions() {
-            events.push(obj(vec![
-                ("name", Value::Str(format!("policy g{}\u{2192}g{}", d.from_gear, d.to_gear))),
-                ("cat", Value::Str("policy".to_string())),
-                ("ph", Value::Str("i".to_string())),
-                ("s", Value::Str("t".to_string())),
-                ("ts", us(d.t_s)),
-                ("pid", Value::U64(pid as u64)),
-                ("tid", Value::U64(TID_PHASES)),
-                ("args", obj(vec![("to_gear", Value::U64(d.to_gear as u64))])),
-            ]));
+            name.clear();
+            let _ = write!(name, "policy g{}\u{2192}g{}", d.from_gear, d.to_gear);
+            w.instant((&name, "policy"), us(d.t_s), pid, ("to_gear", U64(d.to_gear as u64)));
         }
 
         // Fault activations: thread-scoped instant events on the phase
         // track, so injected perturbations line up with the compute and
         // MPI activity they distorted.
         for fault in r.trace.fault_events() {
-            events.push(obj(vec![
-                ("name", Value::Str(format!("{:?}", fault.kind))),
-                ("cat", Value::Str("fault".to_string())),
-                ("ph", Value::Str("i".to_string())),
-                ("s", Value::Str("t".to_string())),
-                ("ts", us(fault.t_s)),
-                ("pid", Value::U64(pid as u64)),
-                ("tid", Value::U64(TID_PHASES)),
-                ("args", obj(vec![("magnitude", Value::F64(fault.magnitude))])),
-            ]));
+            let name = debug_into(&mut name, fault.kind);
+            w.instant((name, "fault"), us(fault.t_s), pid, ("magnitude", F64(fault.magnitude)));
         }
 
         // Wall-outlet power: a counter track sampled at every step of
         // the power profile (plus a closing zero so the counter does
         // not extend past the run).
         for seg in r.power.segments() {
-            events.push(obj(vec![
-                ("name", Value::Str("power_w".to_string())),
-                ("ph", Value::Str("C".to_string())),
-                ("ts", us(seg.t0_s)),
-                ("pid", Value::U64(pid as u64)),
-                ("args", obj(vec![("watts", Value::F64(seg.power_w))])),
-            ]));
+            w.counter("power_w", us(seg.t0_s), pid, ("watts", F64(seg.power_w)));
         }
-        events.push(obj(vec![
-            ("name", Value::Str("power_w".to_string())),
-            ("ph", Value::Str("C".to_string())),
-            ("ts", us(r.power.end_s())),
-            ("pid", Value::U64(pid as u64)),
-            ("args", obj(vec![("watts", Value::F64(0.0))])),
-        ]));
+        w.counter("power_w", us(r.power.end_s()), pid, ("watts", F64(0.0)));
     }
 
-    obj(vec![
-        ("traceEvents", Value::Seq(events)),
-        ("displayTimeUnit", Value::Str("ms".to_string())),
-        (
-            "otherData",
-            obj(vec![
-                ("time_s", Value::F64(run.time_s)),
-                ("energy_j", Value::F64(run.energy_j)),
-                ("ranks", Value::U64(run.ranks.len() as u64)),
-            ]),
-        ),
+    w.finish([
+        ("time_s", F64(run.time_s)),
+        ("energy_j", F64(run.energy_j)),
+        ("ranks", U64(run.ranks.len() as u64)),
     ])
-}
-
-/// Serialize a run's Chrome trace to a JSON string.
-pub fn chrome_trace_json(run: &RunResult) -> String {
-    json::to_string(&chrome_trace(run))
-}
-
-/// Write a run's Chrome trace to `path` (parent directories are
-/// created as needed). Load the file in Perfetto or `chrome://tracing`.
-pub fn write_chrome_trace(run: &RunResult, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, chrome_trace_json(run))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psc_faults::FaultPlan;
+    use psc_kernels::{Benchmark, ProblemClass};
     use psc_machine::WorkBlock;
-    use psc_mpi::{Cluster, ClusterConfig, ReduceOp};
+    use psc_mpi::{
+        Cluster, ClusterConfig, ClusterPolicy, Observation, PolicyEvent, RankPolicy, ReduceOp,
+    };
+    use serde::{json, Value};
+
+    /// The same trace as a `serde::Value` tree: the reference
+    /// [`chrome_trace_json`] must match byte for byte.
+    fn reference(run: &RunResult) -> Value {
+        fn obj(pairs: Vec<(&str, Value)>) -> Value {
+            Value::Map(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        }
+        fn us(t_s: f64) -> Value {
+            Value::F64(t_s * 1e6)
+        }
+        fn meta(name: &str, pid: usize, tid: Option<u64>, value: &str) -> Value {
+            let mut pairs = vec![
+                ("name", Value::Str(name.to_string())),
+                ("ph", Value::Str("M".to_string())),
+                ("pid", Value::U64(pid as u64)),
+            ];
+            if let Some(tid) = tid {
+                pairs.push(("tid", Value::U64(tid)));
+            }
+            pairs.push(("args", obj(vec![("name", Value::Str(value.to_string()))])));
+            obj(pairs)
+        }
+        let instant = |name: String, cat: &str, t_s: f64, pid: usize, args: Value| {
+            obj(vec![
+                ("name", Value::Str(name)),
+                ("cat", Value::Str(cat.to_string())),
+                ("ph", Value::Str("i".to_string())),
+                ("s", Value::Str("t".to_string())),
+                ("ts", us(t_s)),
+                ("pid", Value::U64(pid as u64)),
+                ("tid", Value::U64(TID_PHASES)),
+                ("args", args),
+            ])
+        };
+        let counter = |t_s: f64, pid: usize, watts: f64| {
+            obj(vec![
+                ("name", Value::Str("power_w".to_string())),
+                ("ph", Value::Str("C".to_string())),
+                ("ts", us(t_s)),
+                ("pid", Value::U64(pid as u64)),
+                ("args", obj(vec![("watts", Value::F64(watts))])),
+            ])
+        };
+
+        let mut events: Vec<Value> = Vec::new();
+        for r in &run.ranks {
+            let pid = r.rank;
+            events.push(meta("process_name", pid, None, &format!("rank {pid}")));
+            events.push(meta("thread_name", pid, Some(TID_PHASES), "phases"));
+            events.push(meta("thread_name", pid, Some(TID_MPI), "mpi"));
+            for span in r.trace.spans() {
+                events.push(obj(vec![
+                    ("name", Value::Str(span.name.to_string())),
+                    ("cat", Value::Str("phase".to_string())),
+                    ("ph", Value::Str("X".to_string())),
+                    ("ts", us(span.t_start_s)),
+                    ("dur", us(span.duration_s())),
+                    ("pid", Value::U64(pid as u64)),
+                    ("tid", Value::U64(TID_PHASES)),
+                    ("args", obj(vec![("depth", Value::U64(span.depth as u64))])),
+                ]));
+            }
+            for ev in r.trace.events() {
+                let peer = match ev.peer() {
+                    Some(p) => Value::U64(p as u64),
+                    None => Value::Null,
+                };
+                events.push(obj(vec![
+                    ("name", Value::Str(format!("{:?}", ev.op))),
+                    ("cat", Value::Str("mpi".to_string())),
+                    ("ph", Value::Str("X".to_string())),
+                    ("ts", us(ev.t_enter_s)),
+                    ("dur", us(ev.duration_s())),
+                    ("pid", Value::U64(pid as u64)),
+                    ("tid", Value::U64(TID_MPI)),
+                    ("args", obj(vec![("bytes", Value::U64(ev.bytes)), ("peer", peer)])),
+                ]));
+            }
+            for shift in r.trace.gear_shifts() {
+                let name = format!("gear {}\u{2192}{}", shift.from_gear, shift.to_gear);
+                let args = obj(vec![("stall_us", Value::F64(shift.stall_s * 1e6))]);
+                events.push(instant(name, "dvfs", shift.t_s, pid, args));
+            }
+            for d in r.trace.decisions() {
+                let name = format!("policy g{}\u{2192}g{}", d.from_gear, d.to_gear);
+                let args = obj(vec![("to_gear", Value::U64(d.to_gear as u64))]);
+                events.push(instant(name, "policy", d.t_s, pid, args));
+            }
+            for fault in r.trace.fault_events() {
+                let args = obj(vec![("magnitude", Value::F64(fault.magnitude))]);
+                events.push(instant(format!("{:?}", fault.kind), "fault", fault.t_s, pid, args));
+            }
+            for seg in r.power.segments() {
+                events.push(counter(seg.t0_s, pid, seg.power_w));
+            }
+            events.push(counter(r.power.end_s(), pid, 0.0));
+        }
+        obj(vec![
+            ("traceEvents", Value::Seq(events)),
+            ("displayTimeUnit", Value::Str("ms".to_string())),
+            (
+                "otherData",
+                obj(vec![
+                    ("time_s", Value::F64(run.time_s)),
+                    ("energy_j", Value::F64(run.energy_j)),
+                    ("ranks", Value::U64(run.ranks.len() as u64)),
+                ]),
+            ),
+        ])
+    }
+
+    /// Asks for one downshift at the first phase end, then holds.
+    struct DownshiftOnce;
+    struct DownshiftOnceRank(bool);
+    impl ClusterPolicy for DownshiftOnce {
+        fn rank_policy(
+            &self,
+            _rank: usize,
+            _size: usize,
+            _node: &psc_machine::NodeSpec,
+        ) -> Box<dyn RankPolicy> {
+            Box::new(DownshiftOnceRank(false))
+        }
+    }
+    impl RankPolicy for DownshiftOnceRank {
+        fn decide(&mut self, obs: &Observation<'_>) -> Option<usize> {
+            if self.0 {
+                return None;
+            }
+            if let PolicyEvent::PhaseEnd { .. } = obs.event {
+                self.0 = true;
+                return Some(obs.gear_index + 1);
+            }
+            None
+        }
+    }
 
     fn sample_run() -> RunResult {
         let c = Cluster::athlon_fast_ethernet();
@@ -198,18 +394,59 @@ mod tests {
         run
     }
 
+    /// The whole document, parsed back.
+    fn parsed(run: &RunResult) -> Value {
+        json::parse(&chrome_trace_json(run)).expect("export must be valid JSON")
+    }
+
+    fn events(doc: &Value) -> &[Value] {
+        match doc.get("traceEvents") {
+            Some(Value::Seq(events)) => events,
+            other => panic!("traceEvents must be an array, got {other:?}"),
+        }
+    }
+
+    /// A span name holding every character class JSON escapes
+    /// differently: quote, backslash, named controls, a bare control,
+    /// and a multi-byte character that passes through.
+    const AWKWARD: &str = "q\"b\\n\nt\tc\u{1}a\u{2192}";
+
+    /// The streamed export is the reference tree's text, byte for byte,
+    /// on a Test-class kernel wrapped in nested spans (one with an
+    /// awkward name), with point-to-point ops (a peer) and collectives
+    /// (none), gear shifts, policy decisions and fault activations.
+    #[test]
+    fn streamed_export_matches_the_value_tree_byte_for_byte() {
+        let c = Cluster::athlon_fast_ethernet();
+        let plan = FaultPlan::noise(11, 0.05);
+        let cfg = ClusterConfig::uniform(4, 2);
+        let (run, _) = c.run_with_policy(&cfg, Some(&plan), Some(&DownshiftOnce), |comm| {
+            comm.span(AWKWARD, |comm| {
+                comm.span("kernel", |comm| Benchmark::Cg.run(comm, ProblemClass::Test));
+                let (me, n) = (comm.rank(), comm.size());
+                let _: f64 = comm.sendrecv((me + 1) % n, 7, me as f64, (me + n - 1) % n, 7);
+            });
+            comm.set_gear(4);
+            comm.compute(&WorkBlock::cpu_only(1.0e7));
+        });
+        let traces = || run.ranks.iter().map(|r| &r.trace);
+        assert!(traces().any(|t| t.spans().iter().any(|s| s.depth > 0)), "nested spans");
+        assert!(traces().any(|t| t.spans().iter().any(|s| &*s.name == AWKWARD)));
+        assert!(traces().any(|t| t.events().iter().any(|e| e.peer().is_some())));
+        assert!(traces().any(|t| t.events().iter().any(|e| e.peer().is_none())));
+        assert!(traces().any(|t| !t.gear_shifts().is_empty()), "gear shifts");
+        assert!(traces().any(|t| !t.decisions().is_empty()), "policy decisions");
+        assert!(traces().any(|t| !t.fault_events().is_empty()), "fault activations");
+
+        assert_eq!(chrome_trace_json(&run), json::to_string(&reference(&run)));
+    }
+
     /// Schema check: the export round-trips through the JSON parser and
     /// every event carries the fields the Trace Event Format requires.
     #[test]
     fn export_is_valid_trace_event_json() {
-        let run = sample_run();
-        let text = chrome_trace_json(&run);
-        let doc = json::parse(&text).expect("export must be valid JSON");
-
-        let events = match doc.get("traceEvents") {
-            Some(Value::Seq(events)) => events,
-            other => panic!("traceEvents must be an array, got {other:?}"),
-        };
+        let doc = parsed(&sample_run());
+        let events = events(&doc);
         assert!(!events.is_empty());
         for ev in events {
             let ph = ev.get("ph").and_then(Value::as_str).expect("event missing ph");
@@ -241,11 +478,8 @@ mod tests {
     #[test]
     fn every_rank_has_span_mpi_and_power_tracks() {
         let run = sample_run();
-        let doc = chrome_trace(&run);
-        let events = match doc.get("traceEvents") {
-            Some(Value::Seq(events)) => events,
-            _ => unreachable!(),
-        };
+        let doc = parsed(&run);
+        let events = events(&doc);
         for rank in 0..run.ranks.len() as u64 {
             let of_rank = |cat: &str| {
                 events.iter().any(|e| {
@@ -271,7 +505,6 @@ mod tests {
     /// walk performed by `export_is_valid_trace_event_json`.
     #[test]
     fn faulted_run_exports_fault_instants() {
-        use psc_faults::FaultPlan;
         let c = Cluster::athlon_fast_ethernet();
         let plan = FaultPlan::noise(11, 0.05);
         let (run, _) = c.run_with_faults(&ClusterConfig::uniform(2, 2), Some(&plan), |comm| {
@@ -280,12 +513,8 @@ mod tests {
                 comm.allreduce(vec![1.0], ReduceOp::Sum);
             });
         });
-        let doc = chrome_trace(&run);
-        let events = match doc.get("traceEvents") {
-            Some(Value::Seq(events)) => events,
-            _ => unreachable!(),
-        };
-        let faults: Vec<&Value> = events
+        let doc = parsed(&run);
+        let faults: Vec<&Value> = events(&doc)
             .iter()
             .filter(|e| e.get("cat").and_then(Value::as_str) == Some("fault"))
             .collect();
@@ -297,43 +526,16 @@ mod tests {
             assert!(ev.get("args").and_then(|a| a.get("magnitude")).is_some());
         }
         // A clean run exports none.
-        let clean = chrome_trace(&sample_run());
-        let clean_events = match clean.get("traceEvents") {
-            Some(Value::Seq(events)) => events,
-            _ => unreachable!(),
-        };
-        assert!(clean_events.iter().all(|e| e.get("cat").and_then(Value::as_str) != Some("fault")));
+        let clean = parsed(&sample_run());
+        assert!(events(&clean)
+            .iter()
+            .all(|e| e.get("cat").and_then(Value::as_str) != Some("fault")));
     }
 
     /// A run driven by a gear policy exports its decisions as `cat
     /// "policy"` instant events; a policy-free run exports none.
     #[test]
     fn policy_run_exports_decision_instants() {
-        use psc_mpi::{ClusterPolicy, Observation, PolicyEvent, RankPolicy};
-        struct DownshiftOnce;
-        struct DownshiftOnceRank(bool);
-        impl ClusterPolicy for DownshiftOnce {
-            fn rank_policy(
-                &self,
-                _rank: usize,
-                _size: usize,
-                _node: &psc_machine::NodeSpec,
-            ) -> Box<dyn RankPolicy> {
-                Box::new(DownshiftOnceRank(false))
-            }
-        }
-        impl RankPolicy for DownshiftOnceRank {
-            fn decide(&mut self, obs: &Observation<'_>) -> Option<usize> {
-                if self.0 {
-                    return None;
-                }
-                if let PolicyEvent::PhaseEnd { .. } = obs.event {
-                    self.0 = true;
-                    return Some(obs.gear_index + 1);
-                }
-                None
-            }
-        }
         let c = Cluster::athlon_fast_ethernet();
         let (run, _) =
             c.run_with_policy(&ClusterConfig::uniform(2, 1), None, Some(&DownshiftOnce), |comm| {
@@ -343,12 +545,8 @@ mod tests {
                 });
                 comm.compute(&WorkBlock::cpu_only(1.0e8));
             });
-        let doc = chrome_trace(&run);
-        let events = match doc.get("traceEvents") {
-            Some(Value::Seq(events)) => events,
-            _ => unreachable!(),
-        };
-        let decisions: Vec<&Value> = events
+        let doc = parsed(&run);
+        let decisions: Vec<&Value> = events(&doc)
             .iter()
             .filter(|e| e.get("cat").and_then(Value::as_str) == Some("policy"))
             .collect();
@@ -360,25 +558,26 @@ mod tests {
             assert!(ev.get("args").and_then(|a| a.get("to_gear")).is_some());
         }
         // A policy-free run exports none.
-        let clean = chrome_trace(&sample_run());
-        let clean_events = match clean.get("traceEvents") {
-            Some(Value::Seq(events)) => events,
-            _ => unreachable!(),
-        };
-        assert!(clean_events
+        let clean = parsed(&sample_run());
+        assert!(events(&clean)
             .iter()
             .all(|e| e.get("cat").and_then(Value::as_str) != Some("policy")));
     }
 
+    /// The export lands on disk as is, under directories that did not
+    /// exist; a path that cannot be written fails with an error naming it.
     #[test]
     fn write_creates_parent_directories() {
-        let run = sample_run();
+        let text = chrome_trace_json(&sample_run());
         let dir = std::env::temp_dir().join("psc-telemetry-test");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested").join("trace.json");
-        write_chrome_trace(&run, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(json::parse(&text).is_ok());
+        crate::write_file(&path, &text).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+
+        let under_a_file = path.join("trace.json");
+        let err = crate::write_file(&under_a_file, &text).unwrap_err();
+        assert!(err.to_string().contains(&under_a_file.display().to_string()), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

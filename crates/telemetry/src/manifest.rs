@@ -11,8 +11,7 @@ use crate::attribution::RunAttribution;
 use psc_machine::Counters;
 use psc_mpi::{ClusterConfig, RunResult};
 use serde::{json, Deserialize, Serialize};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A self-contained, serializable record of one cluster run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,17 +91,6 @@ impl RunManifest {
             self.nodes,
             gears
         ))
-    }
-
-    /// Write the manifest as JSON to `path`, creating parent
-    /// directories as needed.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
     }
 }
 

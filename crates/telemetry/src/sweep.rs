@@ -9,8 +9,6 @@
 //! record of how much work produced it.
 
 use serde::{json, Deserialize, Serialize};
-use std::io;
-use std::path::Path;
 
 /// A record of one sweep execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,17 +52,6 @@ impl SweepManifest {
     /// Parse a manifest back from JSON.
     pub fn from_json(text: &str) -> Result<Self, serde::Error> {
         json::from_str(text)
-    }
-
-    /// Write the manifest as JSON to `path`, creating parent
-    /// directories as needed.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
     }
 
     /// A one-line human summary for binary stdout.
