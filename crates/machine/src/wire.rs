@@ -178,7 +178,9 @@ impl<'a> Reader<'a> {
     /// A sequence length: the next word, accepted only if that many
     /// elements of at least `min_elem_bytes` each fit in the rest of the
     /// frame — checked before anything is allocated for the sequence.
-    fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
+    /// For decoders that split one sequence into several buffers; see
+    /// [`Reader::seq`] for the one-buffer case.
+    pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let n = self.usize()?;
         match n.checked_mul(min_elem_bytes) {
             Some(bytes) if bytes <= self.rest.len() => Ok(n),

@@ -13,7 +13,7 @@ use crate::policyhook::{ClusterPolicy, RankPolicy};
 use crate::retime;
 use crate::router::{self, Baton, Endpoint, Switchboard};
 use crate::skeleton::{RankSkeleton, Skeleton};
-use crate::trace::RankTrace;
+use crate::trace::{RankTrace, SpanNames, TraceShape};
 use crossbeam::channel::unbounded;
 use psc_faults::{FaultPlan, RankFaults};
 use psc_machine::wattmeter::cluster_energy_j;
@@ -116,9 +116,17 @@ struct RankSetup {
 
 impl RankSetup {
     /// This rank's communicator over `fabric`, armed with its faults,
-    /// its policy and (when recording) the skeleton recorder.
-    fn comm(self, size: usize, node: Arc<NodeSpec>, network: NetworkModel, fabric: Fabric) -> Comm {
-        let mut comm = Comm::new(self.rank, size, self.gear, node, network, fabric);
+    /// its policy and (when recording) the skeleton recorder. A
+    /// re-timing passes the `shape` of the recording's trace.
+    fn comm(
+        self,
+        size: usize,
+        node: Arc<NodeSpec>,
+        network: NetworkModel,
+        fabric: Fabric,
+        shape: Option<Arc<TraceShape>>,
+    ) -> Comm {
+        let mut comm = Comm::new(self.rank, size, self.gear, node, network, fabric, shape);
         comm.set_faults(self.faults, self.forced_from);
         if let Some(hook) = self.policy {
             comm.set_policy(hook);
@@ -139,7 +147,7 @@ impl RankSetup {
         fabric: Fabric,
         program: &impl Fn(&mut Comm) -> R,
     ) -> RankProducts<R> {
-        let mut comm = self.comm(size, node, network, fabric);
+        let mut comm = self.comm(size, node, network, fabric, None);
         let out = program(&mut comm);
         // Recording stops here: finalize is the runtime's, not the
         // program's, and a re-timing performs it itself.
@@ -227,12 +235,12 @@ impl RankResult {
         self.power.encode(w);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>, names: &mut SpanNames) -> Result<Self, WireError> {
         Ok(RankResult {
             rank: r.usize()?,
             gear_index: r.usize()?,
             counters: Counters::decode(r)?,
-            trace: RankTrace::decode(r)?,
+            trace: RankTrace::decode(r, names)?,
             power: PowerTrace::decode(r)?,
         })
     }
@@ -259,11 +267,13 @@ impl RunResult {
     /// frame's own size, and every decoded buffer has `capacity == len`.
     pub fn from_bytes(frame: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::open(frame)?;
+        // Ranks open the same phases: one allocation per name per frame.
+        let mut names = SpanNames::default();
         let run = RunResult {
             time_s: r.f64()?,
             energy_j: r.f64()?,
             measured_energy_j: r.f64()?,
-            ranks: r.seq(RankResult::MIN_WIRE_BYTES, RankResult::decode)?,
+            ranks: r.seq(RankResult::MIN_WIRE_BYTES, |r| RankResult::decode(r, &mut names))?,
         };
         r.finish()?;
         Ok(run)
@@ -516,7 +526,9 @@ impl Cluster {
             .into_iter()
             .map(|setup| {
                 let ep = Endpoint::new(setup.rank, Rc::clone(&board));
-                let comm = setup.comm(n, Arc::clone(&node), self.network, Fabric::Cursor(ep));
+                let shape = skeleton.ranks[setup.rank].shape.clone();
+                let comm =
+                    setup.comm(n, Arc::clone(&node), self.network, Fabric::Cursor(ep), shape);
                 (comm, ReplayCursor::default())
             })
             .collect();
@@ -684,18 +696,16 @@ impl Cluster {
     /// Shared post-processing: pad early finishers to the run's end at
     /// idle power, compact the traces, and integrate energy. Identical
     /// for both backends by construction — this is where byte-identity
-    /// is decided.
+    /// is decided. A recording's skeleton takes each rank's trace shape,
+    /// so its re-timings share it.
     fn assemble<R>(
         &self,
         faults: Option<&FaultPlan>,
-        mut per_rank: Vec<RankProducts<R>>,
+        per_rank: Vec<RankProducts<R>>,
     ) -> (RunResult, Vec<R>, Option<Skeleton>) {
         let time_s = per_rank.iter().map(|p| p.end_s).fold(0.0, f64::max);
-        let skeleton = per_rank
-            .iter_mut()
-            .map(|p| p.skeleton.take())
-            .collect::<Option<Vec<_>>>()
-            .map(|ranks| Skeleton { ranks });
+        let recording = per_rank.iter().all(|p| p.skeleton.is_some());
+        let mut skeletons = Vec::with_capacity(if recording { per_rank.len() } else { 0 });
         let mut ranks = Vec::with_capacity(per_rank.len());
         let mut outputs = Vec::with_capacity(per_rank.len());
         for p in per_rank {
@@ -713,6 +723,9 @@ impl Cluster {
             // pre-sized buffers' slack.
             power.shrink_to_fit();
             trace.shrink_to_fit();
+            if let Some(skeleton) = p.skeleton {
+                skeletons.push(RankSkeleton { shape: Some(Arc::clone(trace.shape())), ..skeleton });
+            }
             ranks.push(RankResult { rank: p.rank, gear_index, counters: p.counters, trace, power });
             outputs.push(p.out);
         }
@@ -727,6 +740,7 @@ impl Cluster {
             None => ranks.iter().map(|r| self.wattmeter.measure_energy_j(&r.power)).sum(),
         };
 
+        let skeleton = recording.then_some(Skeleton { ranks: skeletons });
         (RunResult { time_s, energy_j, measured_energy_j, ranks }, outputs, skeleton)
     }
 }
@@ -1565,18 +1579,21 @@ mod replay_tests {
         let mut stripped = skeleton.clone();
         for r in &mut stripped.ranks {
             r.ops.retain(|op| !matches!(op, SkelOp::WireScale(_)));
+            // An edited program no longer has its recording's shape.
+            r.shape = None;
         }
         assert_eq!(c.retime(&cfg, None, None, &skeleton), full);
         let wrong = c.retime(&cfg, None, None, &stripped);
         for (w, f) in wrong.ranks.iter().zip(&full.ranks) {
             let (we, fe) = (w.trace.events(), f.trace.events());
             let last = fe.len() - 1;
-            assert_eq!(fe[last].op, MpiOp::Finalize);
+            let (wl, fl) = (we.last().unwrap(), fe.last().unwrap());
+            assert_eq!(fl.op, MpiOp::Finalize);
             // Recorded sends carry their wire bytes, so everything up
             // to finalize still agrees...
-            assert_eq!(we[..last], fe[..last]);
+            assert!(we.take(last).eq(fe.take(last)));
             // ...and finalize's own 8-byte control messages do not.
-            assert_eq!(fe[last].bytes, 50 * we[last].bytes);
+            assert_eq!(fl.bytes, 50 * wl.bytes);
         }
     }
 

@@ -27,7 +27,7 @@ use crate::router::{Baton, Endpoint, Envelope};
 use crate::skeleton::{RankSkeleton, Recorder, SkelOp};
 use crate::trace::{
     FaultEvent, FaultKind, GearShift, MpiOp, PhaseSpan, PolicyDecision, RankTrace, SpanNames,
-    TraceEvent, NO_PEER,
+    TraceEvent, TraceShape, NO_PEER,
 };
 use psc_faults::RankFaults;
 use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, WorkBlock};
@@ -165,10 +165,14 @@ pub struct Comm {
     policy: Option<PolicyCtx>,
     /// Set while the driver records this rank's skeleton.
     recorder: Option<Recorder>,
+    /// `[events, spans]` of the recording's trace shape a re-timing
+    /// fills: finalize checks that it filled exactly that many.
+    recorded: Option<[usize; 2]>,
 }
 
 impl Comm {
-    /// Construct a communicator endpoint. Called by the cluster driver.
+    /// Construct a communicator endpoint. Called by the cluster driver;
+    /// a re-timing hands in its recording's trace `shape`.
     pub(crate) fn new(
         rank: usize,
         size: usize,
@@ -176,7 +180,9 @@ impl Comm {
         node: Arc<NodeSpec>,
         network: NetworkModel,
         fabric: Fabric,
+        shape: Option<Arc<TraceShape>>,
     ) -> Self {
+        let recorded = shape.as_deref().map(TraceShape::lens);
         Comm {
             rank,
             size,
@@ -187,8 +193,9 @@ impl Comm {
             clock_s: 0.0,
             counters: Counters::default(),
             // Pre-sized for steady-state kernels: hundreds of MPI events
-            // and an alternating compute/idle power profile per rank.
-            trace: RankTrace::with_capacity(512, 16),
+            // and an alternating compute/idle power profile per rank. A
+            // re-timing's trace is sized by its shape exactly.
+            trace: shape.map_or_else(|| RankTrace::with_capacity(512, 16), RankTrace::filling),
             power: PowerTrace::with_capacity(256),
             coll_seq: 0,
             wire_scale: 1.0,
@@ -197,6 +204,7 @@ impl Comm {
             faults: None,
             policy: None,
             recorder: None,
+            recorded,
         }
     }
 
@@ -834,6 +842,14 @@ impl Comm {
         }
         self.finish_op(MpiOp::Finalize, cur.t0, cur.bytes, None);
         self.trace.end_s = self.clock_s;
+        if let Some(recorded) = self.recorded {
+            let filled = [self.trace.events().len(), self.trace.spans().len()];
+            assert_eq!(
+                filled, recorded,
+                "rank {}: re-timed [events, spans] differ from the recording's",
+                self.rank
+            );
+        }
         debug_assert!(
             self.fabric.held() == 0,
             "rank {} finalized with {} unconsumed messages",

@@ -11,7 +11,7 @@
 //! issuing the same requests with empty payloads (DESIGN.md, "Skeleton
 //! replay tier").
 
-use crate::trace::{peer_word, MpiOp};
+use crate::trace::{peer_word, MpiOp, TraceShape};
 use psc_machine::WorkBlock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -58,6 +58,11 @@ pub struct RankSkeleton {
     /// Collective sequence number the program ended at, so finalize's
     /// barrier draws the tags it would have drawn.
     pub(crate) coll_seq: u64,
+    /// The structure of the recording's trace, finalize included: every
+    /// trace re-timed from this skeleton shares it and holds only its
+    /// own times. `None` for a hand-built skeleton, whose re-timings
+    /// record a shape of their own.
+    pub(crate) shape: Option<Arc<TraceShape>>,
 }
 
 impl RankSkeleton {
@@ -68,6 +73,10 @@ impl RankSkeleton {
             + self.shapes.capacity() * size_of::<(u32, u64)>()
             + self.names.capacity() * size_of::<Arc<str>>()
             + self.names.iter().map(|n| 2 * size_of::<usize>() + n.len()).sum::<usize>()
+            + self
+                .shape
+                .as_ref()
+                .map_or(0, |s| 2 * size_of::<usize>() + size_of::<TraceShape>() + s.heap_bytes())
     }
 }
 

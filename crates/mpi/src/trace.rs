@@ -7,7 +7,9 @@
 //!
 //! Every message-passing call on a [`crate::comm::Comm`] appends a
 //! [`TraceEvent`] to the rank's [`RankTrace`] ("each trace record is
-//! written to a local buffer" — ours is a `Vec`). Post-processing
+//! written to a local buffer" — ours is a pair of columns: the event's
+//! op, peer and bytes in the trace's shape, which a re-timing shares
+//! with its recording, and its enter/exit times). Post-processing
 //! recovers:
 //!
 //! * `T^A` — active (compute) time: the gaps between events;
@@ -118,9 +120,10 @@ impl MpiOp {
     }
 }
 
-/// One intercepted message-passing call. 32 bytes: a result holds one
-/// per MPI call of every rank, so the peer is a `u32` with a sentinel
-/// rather than a 16-byte `Option<usize>`.
+/// One intercepted message-passing call, as [`RankTrace::record`] takes
+/// it and [`Events`] yields it. 32 bytes: the peer is a `u32` with a
+/// sentinel rather than a 16-byte `Option<usize>` (a trace keeps the
+/// same word in its shape).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Operation kind.
@@ -253,31 +256,9 @@ impl PhaseSpan {
     /// Name length, start, end and depth words around the name's bytes.
     const MIN_WIRE_BYTES: usize = 4 * 8;
 
-    fn encode(&self, w: &mut Writer) {
-        w.str(&self.name);
-        w.f64(self.t_start_s);
-        w.f64(self.t_end_s);
-        w.usize(self.depth);
-    }
-
-    fn decode(r: &mut Reader<'_>, names: &mut SpanNames) -> Result<Self, WireError> {
-        Ok(PhaseSpan {
-            name: names.intern(r.str()?),
-            t_start_s: r.f64()?,
-            t_end_s: r.f64()?,
-            depth: r.usize()?,
-        })
-    }
-
     /// Span length, seconds.
     pub fn duration_s(&self) -> f64 {
         self.t_end_s - self.t_start_s
-    }
-
-    /// Whether `other` lies entirely inside this span (used by the
-    /// well-nestedness check).
-    pub fn contains(&self, other: &PhaseSpan) -> bool {
-        self.t_start_s <= other.t_start_s && other.t_end_s <= self.t_end_s
     }
 }
 
@@ -433,16 +414,112 @@ impl FaultEvent {
     }
 }
 
+/// An event without its times: what the program fixes. 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EventShape {
+    bytes: u64,
+    peer: u32,
+    op: MpiOp,
+}
+
+const _: () = assert!(std::mem::size_of::<EventShape>() == 16);
+
+impl EventShape {
+    fn of(ev: &TraceEvent) -> Self {
+        EventShape { bytes: ev.bytes, peer: ev.peer, op: ev.op }
+    }
+
+    fn at(self, [t_enter_s, t_exit_s]: [f64; 2]) -> TraceEvent {
+        TraceEvent { op: self.op, peer: self.peer, t_enter_s, t_exit_s, bytes: self.bytes }
+    }
+}
+
+/// A span without its times.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SpanShape {
+    name: Arc<str>,
+    depth: usize,
+}
+
+impl SpanShape {
+    fn at(&self, [t_start_s, t_end_s]: [f64; 2]) -> PhaseSpan {
+        PhaseSpan { name: Arc::clone(&self.name), t_start_s, t_end_s, depth: self.depth }
+    }
+}
+
+/// The structure of one rank's trace: op, peer and bytes of every
+/// event, name and depth of every span. The program fixes it; gears,
+/// policies and fault plans move only the times. So a recording's shape
+/// is handed to its skeleton, and every re-timing of that skeleton
+/// shares it and fills in only its own times (DESIGN.md §12).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct TraceShape {
+    events: Vec<EventShape>,
+    spans: Vec<SpanShape>,
+}
+
+impl TraceShape {
+    /// `[events, spans]`: what a re-timing must fill.
+    pub(crate) fn lens(&self) -> [usize; 2] {
+        [self.events.len(), self.spans.len()]
+    }
+
+    /// Heap bytes of the two tables (span names are counted by their
+    /// owner, the skeleton's name table).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.events.capacity() * size_of::<EventShape>()
+            + self.spans.capacity() * size_of::<SpanShape>()
+    }
+}
+
 /// The full event log of one rank over one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Events and spans are held as a shared `TraceShape` plus one
+/// `[start, end]` time pair each, and read back through [`Events`] and
+/// [`Spans`] as [`TraceEvent`] and [`PhaseSpan`] values. Equality
+/// compares the shapes by pointer first, then by content.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankTrace {
-    events: Vec<TraceEvent>,
-    spans: Vec<PhaseSpan>,
+    shape: Arc<TraceShape>,
+    /// `[t_enter_s, t_exit_s]` of each event of `shape`, in order.
+    event_times: Vec<[f64; 2]>,
+    /// `[t_start_s, t_end_s]` of each span of `shape`, in order.
+    span_times: Vec<[f64; 2]>,
     gear_shifts: Vec<GearShift>,
     faults: Vec<FaultEvent>,
     decisions: Vec<PolicyDecision>,
     /// Virtual time at which the rank's program ended.
     pub end_s: f64,
+}
+
+/// JSON keeps the layout of the logs: `events` and `spans` are lists of
+/// whole [`TraceEvent`]s and [`PhaseSpan`]s.
+impl Serialize for RankTrace {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("events".into(), Value::Seq(self.events().map(|e| e.to_value()).collect())),
+            ("spans".into(), Value::Seq(self.spans().map(|s| s.to_value()).collect())),
+            ("gear_shifts".into(), self.gear_shifts.to_value()),
+            ("faults".into(), self.faults.to_value()),
+            ("decisions".into(), self.decisions.to_value()),
+            ("end_s".into(), self.end_s.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for RankTrace {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let events: Vec<TraceEvent> = serde::__from_field(v, "events")?;
+        Ok(RankTrace::from_logs(
+            &events,
+            serde::__from_field(v, "spans")?,
+            serde::__from_field(v, "gear_shifts")?,
+            serde::__from_field(v, "faults")?,
+            serde::__from_field(v, "decisions")?,
+            serde::__from_field(v, "end_s")?,
+        ))
+    }
 }
 
 impl RankTrace {
@@ -454,9 +531,25 @@ impl RankTrace {
     /// An empty trace with pre-sized event/span buffers, so kernels
     /// that emit thousands of events do not pay repeated reallocation.
     pub fn with_capacity(events: usize, spans: usize) -> Self {
+        let shape =
+            TraceShape { events: Vec::with_capacity(events), spans: Vec::with_capacity(spans) };
+        RankTrace::over(Arc::new(shape), [events, spans])
+    }
+
+    /// An empty trace that a re-timing fills: it shares `shape` and
+    /// sizes its time columns to it exactly, so they never grow.
+    pub(crate) fn filling(shape: Arc<TraceShape>) -> Self {
+        let lens = shape.lens();
+        RankTrace::over(shape, lens)
+    }
+
+    /// An empty trace over `shape`, with room for `events` and `spans`
+    /// times.
+    fn over(shape: Arc<TraceShape>, [events, spans]: [usize; 2]) -> Self {
         RankTrace {
-            events: Vec::with_capacity(events),
-            spans: Vec::with_capacity(spans),
+            event_times: Vec::with_capacity(events),
+            span_times: Vec::with_capacity(spans),
+            shape,
             gear_shifts: Vec::new(),
             faults: Vec::new(),
             decisions: Vec::new(),
@@ -464,12 +557,49 @@ impl RankTrace {
         }
     }
 
+    /// A trace holding exactly these logs, unchecked, with a shape of
+    /// its own.
+    fn from_logs(
+        events: &[TraceEvent],
+        spans: Vec<PhaseSpan>,
+        gear_shifts: Vec<GearShift>,
+        faults: Vec<FaultEvent>,
+        decisions: Vec<PolicyDecision>,
+        end_s: f64,
+    ) -> Self {
+        RankTrace {
+            event_times: events.iter().map(|e| [e.t_enter_s, e.t_exit_s]).collect(),
+            span_times: spans.iter().map(|s| [s.t_start_s, s.t_end_s]).collect(),
+            shape: Arc::new(TraceShape {
+                events: events.iter().map(EventShape::of).collect(),
+                spans: spans
+                    .into_iter()
+                    .map(|s| SpanShape { name: s.name, depth: s.depth })
+                    .collect(),
+            }),
+            gear_shifts,
+            faults,
+            decisions,
+            end_s,
+        }
+    }
+
+    /// The trace's shape, for the skeleton of the run that recorded it.
+    pub(crate) fn shape(&self) -> &Arc<TraceShape> {
+        &self.shape
+    }
+
     /// Release the buffers' unused capacity. The cluster driver calls
     /// this once a run is assembled: results live on in the run cache,
-    /// where pre-sizing slack would be held forever.
+    /// where pre-sizing slack would be held forever. A shared shape is
+    /// left alone (it was shrunk before it was shared).
     pub fn shrink_to_fit(&mut self) {
-        self.events.shrink_to_fit();
-        self.spans.shrink_to_fit();
+        if let Some(shape) = Arc::get_mut(&mut self.shape) {
+            shape.events.shrink_to_fit();
+            shape.spans.shrink_to_fit();
+        }
+        self.event_times.shrink_to_fit();
+        self.span_times.shrink_to_fit();
         self.gear_shifts.shrink_to_fit();
         self.faults.shrink_to_fit();
         self.decisions.shrink_to_fit();
@@ -478,21 +608,44 @@ impl RankTrace {
     /// Append the five logs in declaration order, each length-prefixed,
     /// then `end_s`.
     pub(crate) fn encode(&self, w: &mut Writer) {
-        w.seq(&self.events, |w, e| e.encode(w));
-        w.seq(&self.spans, |w, s| s.encode(w));
+        let events = self.events();
+        w.usize(events.len());
+        events.for_each(|e| e.encode(w));
+        w.usize(self.span_times.len());
+        for (s, &[t_start_s, t_end_s]) in self.shape.spans.iter().zip(&self.span_times) {
+            w.str(&s.name);
+            w.f64(t_start_s);
+            w.f64(t_end_s);
+            w.usize(s.depth);
+        }
         w.seq(&self.gear_shifts, |w, g| g.encode(w));
         w.seq(&self.faults, |w, f| f.encode(w));
         w.seq(&self.decisions, |w, d| d.encode(w));
         w.f64(self.end_s);
     }
 
-    /// Inverse of [`RankTrace::encode`]; every buffer comes back with
-    /// no spare capacity, and same-named spans share one name.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut names = SpanNames::default();
+    /// Inverse of [`RankTrace::encode`], into a shape of its own; every
+    /// buffer comes back with no spare capacity, and same-named spans
+    /// share one name from `names`.
+    pub(crate) fn decode(r: &mut Reader<'_>, names: &mut SpanNames) -> Result<Self, WireError> {
+        let n = r.seq_len(TraceEvent::WIRE_BYTES)?;
+        let (mut events, mut event_times) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let ev = TraceEvent::decode(r)?;
+            events.push(EventShape::of(&ev));
+            event_times.push([ev.t_enter_s, ev.t_exit_s]);
+        }
+        let n = r.seq_len(PhaseSpan::MIN_WIRE_BYTES)?;
+        let (mut spans, mut span_times) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let (name, t_start_s, t_end_s) = (names.intern(r.str()?), r.f64()?, r.f64()?);
+            spans.push(SpanShape { name, depth: r.usize()? });
+            span_times.push([t_start_s, t_end_s]);
+        }
         Ok(RankTrace {
-            events: r.seq(TraceEvent::WIRE_BYTES, TraceEvent::decode)?,
-            spans: r.seq(PhaseSpan::MIN_WIRE_BYTES, |r| PhaseSpan::decode(r, &mut names))?,
+            shape: Arc::new(TraceShape { events, spans }),
+            event_times,
+            span_times,
             gear_shifts: r.seq(GearShift::WIRE_BYTES, GearShift::decode)?,
             faults: r.seq(FaultEvent::WIRE_BYTES, FaultEvent::decode)?,
             decisions: r.seq(PolicyDecision::WIRE_BYTES, PolicyDecision::decode)?,
@@ -501,20 +654,44 @@ impl RankTrace {
     }
 
     /// Append an event. Events must be appended in time order.
+    ///
+    /// A re-timing's trace fills its recording's shape: while the shape
+    /// has an entry at the next index, only the times are appended
+    /// (debug builds check the entry against `ev`; `Comm::finalize`
+    /// checks the count in every build). Past the shape's end the event
+    /// is appended to it, copying a shared shape first.
     pub fn record(&mut self, ev: TraceEvent) {
         debug_assert!(
-            self.events.last().is_none_or(|last| ev.t_enter_s >= last.t_exit_s - 1e-12),
+            self.event_times.last().is_none_or(|last| ev.t_enter_s >= last[1] - 1e-12),
             "trace events out of order"
         );
-        self.events.push(ev);
+        let i = self.event_times.len();
+        let shape = EventShape::of(&ev);
+        match self.shape.events.get(i) {
+            Some(recorded) => {
+                debug_assert_eq!(recorded, &shape, "re-timed event {i} differs from its recording")
+            }
+            None => Arc::make_mut(&mut self.shape).events.push(shape),
+        }
+        self.event_times.push([ev.t_enter_s, ev.t_exit_s]);
     }
 
     /// Append a completed phase span. Spans close in LIFO order, so they
     /// arrive sorted by end time (inner spans before the spans that
-    /// contain them).
+    /// contain them). A re-timing fills its recording's shape as
+    /// [`RankTrace::record`] does.
     pub fn record_span(&mut self, span: PhaseSpan) {
         debug_assert!(span.t_end_s >= span.t_start_s, "span closes before it opens");
-        self.spans.push(span);
+        let i = self.span_times.len();
+        let times = [span.t_start_s, span.t_end_s];
+        let shape = SpanShape { name: span.name, depth: span.depth };
+        match self.shape.spans.get(i) {
+            Some(recorded) => {
+                debug_assert_eq!(recorded, &shape, "re-timed span {i} differs from its recording")
+            }
+            None => Arc::make_mut(&mut self.shape).spans.push(shape),
+        }
+        self.span_times.push(times);
     }
 
     /// Append a gear-shift mark. Shifts must be appended in time order.
@@ -527,13 +704,15 @@ impl RankTrace {
     }
 
     /// The recorded events in time order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    pub fn events(&self) -> Events<'_> {
+        let times = &self.event_times[..];
+        Events { shape: &self.shape.events[..times.len()], times }
     }
 
     /// Completed phase spans, in close order (inner before outer).
-    pub fn spans(&self) -> &[PhaseSpan] {
-        &self.spans
+    pub fn spans(&self) -> Spans<'_> {
+        let times = &self.span_times[..];
+        Spans { shape: &self.shape.spans[..times.len()], times }
     }
 
     /// Mid-run gear shifts, in time order.
@@ -578,7 +757,7 @@ impl RankTrace {
     /// Instances of the same name do not overlap unless a span is nested
     /// inside a same-named span, so this is normally wall time.
     pub fn span_time_s(&self, name: &str) -> f64 {
-        self.spans.iter().filter(|s| *s.name == *name).map(PhaseSpan::duration_s).sum()
+        self.spans().filter(|s| *s.name == *name).map(|s| s.duration_s()).sum()
     }
 
     /// Whether the recorded spans are well nested: every pair of spans is
@@ -587,13 +766,16 @@ impl RankTrace {
     /// produced by the [`crate::comm::Comm::span`] API.
     pub fn spans_well_nested(&self) -> bool {
         const EPS: f64 = 1e-12;
-        for (i, a) in self.spans.iter().enumerate() {
-            if a.t_end_s < a.t_start_s {
+        let spans = &self.span_times;
+        for (i, &[a0, a1]) in spans.iter().enumerate() {
+            if a1 < a0 {
                 return false;
             }
-            for b in &self.spans[i + 1..] {
-                let disjoint = a.t_end_s <= b.t_start_s + EPS || b.t_end_s <= a.t_start_s + EPS;
-                if !disjoint && !a.contains(b) && !b.contains(a) {
+            for &[b0, b1] in &spans[i + 1..] {
+                let disjoint = a1 <= b0 + EPS || b1 <= a0 + EPS;
+                let a_has_b = a0 <= b0 && b1 <= a1;
+                let b_has_a = b0 <= a0 && a1 <= b1;
+                if !disjoint && !a_has_b && !b_has_a {
                     return false;
                 }
             }
@@ -609,7 +791,7 @@ impl RankTrace {
     /// Idle time `T^I`: total time inside MPI calls (communication plus
     /// blocking), seconds.
     pub fn idle_s(&self) -> f64 {
-        self.events.iter().map(TraceEvent::duration_s).sum()
+        self.event_times.iter().map(|[t_enter_s, t_exit_s]| t_exit_s - t_enter_s).sum()
     }
 
     /// The refined model's conservative split of active time into
@@ -630,43 +812,37 @@ impl RankTrace {
         // Concretely: for each blocking event B, find the last Send S
         // before it; compute time in (S.exit, B.enter) minus any
         // intervening event durations is reducible.
-        let evs = &self.events;
+        let (ops, times) = (&self.shape.events, &self.event_times);
         let mut i = 0;
-        while i < evs.len() {
-            if evs[i].op.is_blocking() {
+        while i < times.len() {
+            if ops[i].op.is_blocking() {
                 // Find last send strictly before event i.
                 let mut window_start = 0.0;
                 let mut j = i;
                 let mut found_send = false;
                 while j > 0 {
                     j -= 1;
-                    if evs[j].op == MpiOp::Send {
-                        window_start = evs[j].t_exit_s;
+                    if ops[j].op == MpiOp::Send {
+                        window_start = times[j][1];
                         found_send = true;
                         break;
                     }
-                    if evs[j].op.is_blocking() {
+                    if ops[j].op.is_blocking() {
                         // A previous blocking point closes the window:
                         // compute before it was already classified.
-                        window_start = evs[j].t_exit_s;
+                        window_start = times[j][1];
                         break;
                     }
                 }
                 if found_send {
-                    // Sum compute gaps between window_start and the
-                    // blocking event's entry.
-                    let mut t = window_start;
-                    for e in &evs[j + 1..i] {
-                        t = t.max(e.t_exit_s);
-                    }
                     // Compute time in the window = (enter of blocking
                     // event) − (exit of last event in window), plus gaps
                     // between events inside the window.
                     let mut gap = 0.0;
                     let mut cursor = window_start;
-                    for e in &evs[j + 1..=i] {
-                        gap += (e.t_enter_s - cursor).max(0.0);
-                        cursor = e.t_exit_s;
+                    for &[t_enter_s, t_exit_s] in &times[j + 1..=i] {
+                        gap += (t_enter_s - cursor).max(0.0);
+                        cursor = t_exit_s;
                     }
                     reducible += gap;
                 }
@@ -680,8 +856,7 @@ impl RankTrace {
 
     /// Total bytes this rank pushed into the network.
     pub fn bytes_sent(&self) -> u64 {
-        self.events
-            .iter()
+        self.events()
             .filter(|e| matches!(e.op, MpiOp::Send | MpiOp::SendRecv))
             .map(|e| e.bytes)
             .sum()
@@ -689,9 +864,77 @@ impl RankTrace {
 
     /// Number of events of a given op kind.
     pub fn count_op(&self, op: MpiOp) -> usize {
-        self.events.iter().filter(|e| e.op == op).count()
+        self.events().filter(|e| e.op == op).count()
     }
 }
+
+/// A view of one log of a [`RankTrace`] — shape entries and their times
+/// — read as whole values. It allocates nothing and is its own iterator.
+macro_rules! timed_view {
+    ($(#[$doc:meta])* $view:ident, $shape:ty => $item:ty) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq)]
+        pub struct $view<'a> {
+            shape: &'a [$shape],
+            times: &'a [[f64; 2]],
+        }
+
+        impl $view<'_> {
+            /// Number of entries.
+            pub fn len(&self) -> usize {
+                self.times.len()
+            }
+
+            /// Whether there are none.
+            pub fn is_empty(&self) -> bool {
+                self.times.is_empty()
+            }
+
+            /// The entries from the first on.
+            pub fn iter(&self) -> Self {
+                *self
+            }
+        }
+
+        impl Iterator for $view<'_> {
+            type Item = $item;
+
+            fn next(&mut self) -> Option<$item> {
+                let (shape, shapes) = self.shape.split_first()?;
+                let (times, rest) = self.times.split_first()?;
+                (self.shape, self.times) = (shapes, rest);
+                Some(shape.at(*times))
+            }
+
+            fn size_hint(&self) -> (usize, Option<usize>) {
+                (self.len(), Some(self.len()))
+            }
+
+            fn last(self) -> Option<$item> {
+                Some(self.shape.last()?.at(*self.times.last()?))
+            }
+        }
+
+        impl ExactSizeIterator for $view<'_> {}
+
+        impl std::fmt::Debug for $view<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.iter()).finish()
+            }
+        }
+    };
+}
+
+timed_view!(
+    /// A rank's events as [`TraceEvent`] values, in time order.
+    Events, EventShape => TraceEvent
+);
+
+timed_view!(
+    /// A rank's spans as [`PhaseSpan`] values, in close order; each
+    /// span's name is the shape's, shared.
+    Spans, SpanShape => PhaseSpan
+);
 
 #[cfg(test)]
 mod tests {
@@ -907,6 +1150,90 @@ mod tests {
         }
     }
 
+    /// Shared shapes: a re-timed trace holds its recording's shape, and
+    /// trusts it only where it checks it.
+    mod shape {
+        use super::*;
+        use crate::cluster::{Cluster, ClusterConfig, GearSelection, RunResult};
+        use crate::comm::Comm;
+        use crate::reduce::ReduceOp;
+        use crate::skeleton::Skeleton;
+        use psc_machine::WorkBlock;
+
+        fn program(comm: &mut Comm) {
+            for _ in 0..3 {
+                comm.span("sweep", |c| c.compute(&WorkBlock::with_upm(4.0e8, 70.0)));
+                comm.allreduce(vec![comm.rank() as f64; 64], ReduceOp::Sum);
+            }
+        }
+
+        fn recorded() -> (Cluster, Skeleton) {
+            let c = Cluster::athlon_fast_ethernet();
+            let cfg = ClusterConfig::uniform(4, 1);
+            let (_, _, _, skeleton) = c.run_recorded(&cfg, None, None, program);
+            (c, skeleton)
+        }
+
+        fn other_gears() -> ClusterConfig {
+            ClusterConfig { nodes: 4, gears: GearSelection::PerRank(vec![2, 6, 1, 4]) }
+        }
+
+        /// The message of the panic `f` raises.
+        fn panic_message(f: impl FnOnce()) -> String {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("the re-timing must fail");
+            payload.downcast::<String>().map(|s| *s).expect("a formatted panic message")
+        }
+
+        #[test]
+        fn owned_and_shared_shapes_compare_equal_and_encode_alike() {
+            let (c, skeleton) = recorded();
+            let shared = c.retime(&other_gears(), None, None, &skeleton);
+            let owned = c.run(&other_gears(), program).0;
+            for ((s, o), k) in shared.ranks.iter().zip(&owned.ranks).zip(&skeleton.ranks) {
+                let recorded = k.shape.as_ref().expect("a recording's skeleton has its shape");
+                assert!(Arc::ptr_eq(&s.trace.shape, recorded), "rank {}", s.rank);
+                assert!(!Arc::ptr_eq(&o.trace.shape, recorded), "rank {}", o.rank);
+            }
+            assert_eq!(shared, owned);
+            assert_eq!(shared.to_bytes(), owned.to_bytes());
+            assert_eq!(serde::json::to_string(&shared), serde::json::to_string(&owned));
+            assert_eq!(RunResult::from_bytes(&shared.to_bytes()).unwrap(), shared);
+        }
+
+        #[test]
+        #[cfg_attr(not(debug_assertions), ignore = "the per-entry check is a debug assertion")]
+        fn a_shape_entry_with_other_bytes_fails_the_debug_check() {
+            let (c, mut skeleton) = recorded();
+            let shape = skeleton.ranks[2].shape.as_mut().unwrap();
+            Arc::make_mut(shape).events[1].bytes += 1;
+            let message = panic_message(|| {
+                c.retime(&other_gears(), None, None, &skeleton);
+            });
+            assert!(message.contains("re-timed event 1 differs from its recording"), "{message}");
+        }
+
+        /// A shape one entry longer or shorter than the re-timing fills
+        /// fails finalize's count check, in every build.
+        #[test]
+        fn a_shape_of_another_length_fails_in_every_build() {
+            let (c, skeleton) = recorded();
+            for longer in [true, false] {
+                let mut skeleton = skeleton.clone();
+                let shape = Arc::make_mut(skeleton.ranks[1].shape.as_mut().unwrap());
+                let last = shape.events.pop().unwrap();
+                if longer {
+                    shape.events.extend([last, last]);
+                }
+                let message = panic_message(|| {
+                    c.retime(&other_gears(), None, None, &skeleton);
+                });
+                let expected = "rank 1: re-timed [events, spans] differ from the recording's";
+                assert!(message.contains(expected), "longer {longer}: {message}");
+            }
+        }
+    }
+
     /// The binary codec of [`crate::RunResult`] — this module's types
     /// plus the counters and power profile — on hand-built and hostile
     /// inputs. (Real runs of every kernel: `psc-runner`'s
@@ -976,16 +1303,17 @@ mod tests {
         fn rank(draw: &mut impl FnMut() -> f64, len: usize) -> RankResult {
             let word = |x: f64| x.to_bits();
             let index = |x: f64| x.to_bits() as usize;
-            let trace = RankTrace {
-                events: (0..len)
-                    .map(|i| {
-                        let (op, t_enter_s, t_exit_s) = (OPS[i % OPS.len()], draw(), draw());
-                        let any = index(draw()) % NO_PEER as usize;
-                        let peer = [None, Some(0), Some(any), Some(NO_PEER as usize - 1)][i % 4];
-                        TraceEvent::new(op, t_enter_s, t_exit_s, word(draw()), peer)
-                    })
-                    .collect(),
-                spans: (0..len)
+            let events: Vec<TraceEvent> = (0..len)
+                .map(|i| {
+                    let (op, t_enter_s, t_exit_s) = (OPS[i % OPS.len()], draw(), draw());
+                    let any = index(draw()) % NO_PEER as usize;
+                    let peer = [None, Some(0), Some(any), Some(NO_PEER as usize - 1)][i % 4];
+                    TraceEvent::new(op, t_enter_s, t_exit_s, word(draw()), peer)
+                })
+                .collect();
+            let trace = RankTrace::from_logs(
+                &events,
+                (0..len)
                     .map(|i| PhaseSpan {
                         name: NAMES[i % NAMES.len()].into(),
                         t_start_s: draw(),
@@ -993,7 +1321,7 @@ mod tests {
                         depth: index(draw()),
                     })
                     .collect(),
-                gear_shifts: (0..len / 2)
+                (0..len / 2)
                     .map(|_| GearShift {
                         t_s: draw(),
                         from_gear: index(draw()),
@@ -1001,22 +1329,22 @@ mod tests {
                         stall_s: draw(),
                     })
                     .collect(),
-                faults: (0..len)
+                (0..len)
                     .map(|i| FaultEvent {
                         t_s: draw(),
                         kind: KINDS[i % KINDS.len()],
                         magnitude: draw(),
                     })
                     .collect(),
-                decisions: (0..len / 3)
+                (0..len / 3)
                     .map(|_| PolicyDecision {
                         t_s: draw(),
                         from_gear: index(draw()),
                         to_gear: index(draw()),
                     })
                     .collect(),
-                end_s: draw(),
-            };
+                draw(),
+            );
             // `PowerTrace::push` refuses NaN; its decoder is the only
             // way to a profile holding arbitrary bits.
             let mut w = Writer::new();
@@ -1051,12 +1379,12 @@ mod tests {
                     [c.uops, c.l2_misses, c.active_cycles, c.active_s, c.idle_s, t.end_s]
                         .map(f64::to_bits),
                 );
-                for e in &t.events {
+                for e in t.events() {
                     let peer = e.peer().map_or([0, 0], |p| [1, p as u64]);
                     out.extend([e.op.tag() as u64, e.bytes, peer[0], peer[1]]);
                     out.extend([e.t_enter_s, e.t_exit_s].map(f64::to_bits));
                 }
-                for s in &t.spans {
+                for s in t.spans() {
                     out.extend(s.name.bytes().map(u64::from));
                     out.extend([s.t_start_s.to_bits(), s.t_end_s.to_bits(), s.depth as u64]);
                 }
@@ -1075,8 +1403,8 @@ mod tests {
                 }
                 out.extend(
                     [
-                        t.events.len(),
-                        t.spans.len(),
+                        t.events().len(),
+                        t.spans().len(),
                         t.gear_shifts.len(),
                         t.faults.len(),
                         t.decisions.len(),
@@ -1116,13 +1444,15 @@ mod tests {
                 prop_assert_eq!(back.ranks.capacity(), back.ranks.len());
                 for r in &back.ranks {
                     let t = &r.trace;
-                    prop_assert_eq!(t.events.capacity(), t.events.len());
-                    prop_assert_eq!(t.spans.capacity(), t.spans.len());
+                    prop_assert_eq!(t.shape.events.capacity(), t.shape.events.len());
+                    prop_assert_eq!(t.shape.spans.capacity(), t.shape.spans.len());
+                    prop_assert_eq!(t.event_times.capacity(), t.event_times.len());
+                    prop_assert_eq!(t.span_times.capacity(), t.span_times.len());
                     prop_assert_eq!(t.gear_shifts.capacity(), t.gear_shifts.len());
                     prop_assert_eq!(t.faults.capacity(), t.faults.len());
                     prop_assert_eq!(t.decisions.capacity(), t.decisions.len());
-                    for a in &t.spans {
-                        for b in t.spans.iter().filter(|b| b.name == a.name) {
+                    for a in &t.shape.spans {
+                        for b in t.shape.spans.iter().filter(|b| b.name == a.name) {
                             prop_assert!(Arc::ptr_eq(&a.name, &b.name), "{:?} decoded twice", a.name);
                         }
                     }
@@ -1211,8 +1541,11 @@ mod tests {
             // An event without the peer flag must carry a zero peer word.
             let mut run = sample();
             run.ranks.truncate(1);
-            run.ranks[0].trace.events.truncate(1);
-            run.ranks[0].trace.events[0].peer = NO_PEER;
+            let t = &mut run.ranks[0].trace;
+            t.event_times.truncate(1);
+            let events = &mut Arc::make_mut(&mut t.shape).events;
+            events.truncate(1);
+            events[0].peer = NO_PEER;
             let mut frame = run.to_bytes();
             let peer_word = 8 + 3 * 8 + 8 + 9 * 8 + 8 + 1 + 3 * 8;
             assert_eq!(frame[peer_word..peer_word + 8], [0; 8]);
@@ -1230,8 +1563,9 @@ mod tests {
         fn peer_words_from_u32_max_up_are_errors() {
             let mut run = sample();
             run.ranks.truncate(1);
-            run.ranks[0].trace.events.truncate(1);
-            run.ranks[0].trace.events[0] = TraceEvent::new(MpiOp::Send, 0.0, 1.0, 8, Some(3));
+            let send = TraceEvent::new(MpiOp::Send, 0.0, 1.0, 8, Some(3));
+            run.ranks[0].trace =
+                RankTrace::from_logs(&[send], Vec::new(), vec![], vec![], vec![], 0.0);
             let frame = run.to_bytes();
             let peer_word = 8 + 3 * 8 + 8 + 9 * 8 + 8 + 1 + 3 * 8;
             assert_eq!(frame[peer_word..peer_word + 8], 3u64.to_le_bytes());
@@ -1241,7 +1575,8 @@ mod tests {
                 RunResult::from_bytes(&resealed(f))
             };
             let last = with_peer(u64::from(u32::MAX) - 1).unwrap();
-            assert_eq!(last.ranks[0].trace.events[0].peer(), Some(u32::MAX as usize - 1));
+            let peer = last.ranks[0].trace.events().next().and_then(|e| e.peer());
+            assert_eq!(peer, Some(u32::MAX as usize - 1));
             for word in [u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX] {
                 assert_eq!(
                     with_peer(word),

@@ -59,13 +59,16 @@ pub struct Engine {
     /// table blocks on the owner's slot instead of simulating again —
     /// the third dedup layer (after memory and disk), and the one that
     /// makes the engine safe to share across concurrent callers.
-    inflight: Mutex<BTreeMap<u64, Arc<InflightSlot>>>,
+    inflight: Inflight<u64, RunResult>,
     /// The recorded program of every `(kernel, class, nodes)` tuple
     /// this engine has simulated in full. A skeleton is independent of
     /// gears, policy and faults, so every later spec of its tuple is
     /// re-timed from it instead of re-running the kernel (DESIGN.md,
-    /// "Skeleton replay tier"). Memory-only; the first insert wins.
+    /// "Skeleton replay tier"). Memory-only.
     skeletons: Mutex<BTreeMap<SkeletonKey, Arc<Skeleton>>>,
+    /// Tuples whose recording is under way: `skeletons`' in-flight
+    /// table, so each tuple is recorded once.
+    recording: Inflight<SkeletonKey, Skeleton>,
 }
 
 /// FNV-1a as a `fmt::Write` sink: `write!` streams the pieces of a key
@@ -120,24 +123,25 @@ impl Tier {
     }
 }
 
-/// One in-flight simulation: the owner publishes its result here and
-/// wakes every joiner. `result` stays `None` if the owner aborts
-/// (panicked mid-simulation), in which case joiners retry as owners.
-#[derive(Debug, Default)]
-struct InflightSlot {
-    state: Mutex<SlotState>,
+/// One in-flight computation of a `T` — a run, or a tuple's skeleton:
+/// the owner publishes its product here and wakes every joiner.
+/// `result` stays `None` if the owner aborts (panicked mid-simulation),
+/// in which case joiners retry as owners.
+#[derive(Debug)]
+struct InflightSlot<T> {
+    state: Mutex<SlotState<T>>,
     cv: Condvar,
 }
 
-#[derive(Debug, Default)]
-struct SlotState {
+#[derive(Debug)]
+struct SlotState<T> {
     done: bool,
-    result: Option<Arc<RunResult>>,
+    result: Option<Arc<T>>,
 }
 
-impl InflightSlot {
+impl<T> InflightSlot<T> {
     /// Block until the owner finishes; `None` means the owner aborted.
-    fn wait(&self) -> Option<Arc<RunResult>> {
+    fn wait(&self) -> Option<Arc<T>> {
         let mut st = self.state.lock().unwrap();
         while !st.done {
             st = self.cv.wait(st).unwrap();
@@ -145,6 +149,9 @@ impl InflightSlot {
         st.result.clone()
     }
 }
+
+/// The keys being computed right now, each with its slot.
+type Inflight<K, T> = Mutex<BTreeMap<K, Arc<InflightSlot<T>>>>;
 
 /// How [`Engine::run_traced`] obtained its result. Carried *beside*
 /// the result (never in it — results stay byte-identical whatever the
@@ -172,33 +179,57 @@ impl RunOutcome {
 }
 
 /// How a caller claimed a key.
-enum Claim {
-    /// The cache already had it.
-    Cached(Arc<RunResult>),
-    /// Someone else is simulating it; wait on their slot.
-    Join(Arc<InflightSlot>),
-    /// This caller owns the simulation.
-    Own(Arc<InflightSlot>),
+enum Claim<T> {
+    /// The store already had it.
+    Cached(Arc<T>),
+    /// Someone else is computing it; wait on their slot.
+    Join(Arc<InflightSlot<T>>),
+    /// This caller owns the computation.
+    Own(Arc<InflightSlot<T>>),
+}
+
+/// Atomically decide how a caller obtains `key`: `lookup`'s stored
+/// value, a join on another caller's computation in `inflight`, or
+/// ownership of it. The lookup happens *under* the in-flight lock, so
+/// two concurrent missers can never both become owners.
+fn claim<K: Ord + Copy, T>(
+    inflight: &Inflight<K, T>,
+    key: K,
+    lookup: impl FnOnce() -> Option<Arc<T>>,
+) -> Claim<T> {
+    let mut inflight = inflight.lock().expect("in-flight table poisoned");
+    if let Some(slot) = inflight.get(&key) {
+        return Claim::Join(Arc::clone(slot));
+    }
+    if let Some(stored) = lookup() {
+        return Claim::Cached(stored);
+    }
+    let slot = Arc::new(InflightSlot {
+        state: Mutex::new(SlotState { done: false, result: None }),
+        cv: Condvar::new(),
+    });
+    inflight.insert(key, Arc::clone(&slot));
+    Claim::Own(slot)
 }
 
 /// Owner-side completion guard: on drop — normal return *or* panic —
 /// the key leaves the in-flight table and every joiner is woken. A
 /// drop without [`OwnerGuard::publish`] leaves `result` empty, which
 /// joiners read as "retry".
-struct OwnerGuard<'a> {
-    inflight: &'a Mutex<BTreeMap<u64, Arc<InflightSlot>>>,
-    key: u64,
-    slot: Arc<InflightSlot>,
+struct OwnerGuard<'a, K: Ord, T> {
+    inflight: &'a Inflight<K, T>,
+    key: K,
+    slot: Arc<InflightSlot<T>>,
 }
 
-impl OwnerGuard<'_> {
-    fn publish(&self, run: Arc<RunResult>) {
+impl<K: Ord, T> OwnerGuard<'_, K, T> {
+    fn publish(&self, product: Arc<T>) {
         let mut st = self.slot.state.lock().unwrap();
-        st.result = Some(run);
+        st.result = Some(product);
     }
 }
 
-impl Drop for OwnerGuard<'_> {
+impl<K: Ord, T> Drop for OwnerGuard<'_, K, T> {
     fn drop(&mut self) {
         self.inflight.lock().unwrap().remove(&self.key);
         self.slot.state.lock().unwrap().done = true;
@@ -223,6 +254,7 @@ impl Engine {
             metrics: EngineMetrics::new(),
             inflight: Mutex::new(BTreeMap::new()),
             skeletons: Mutex::new(BTreeMap::new()),
+            recording: Mutex::new(BTreeMap::new()),
         }
         .rewire_metrics()
     }
@@ -240,6 +272,7 @@ impl Engine {
             metrics: EngineMetrics::new(),
             inflight: Mutex::new(BTreeMap::new()),
             skeletons: Mutex::new(BTreeMap::new()),
+            recording: Mutex::new(BTreeMap::new()),
         }
         .rewire_metrics()
     }
@@ -384,26 +417,8 @@ impl Engine {
         }
     }
 
-    /// Atomically decide how this caller obtains `key`: a cached
-    /// result, a join on another caller's in-flight run, or ownership
-    /// of the simulation. The cache lookup happens *under* the
-    /// in-flight lock so two concurrent missers can never both become
-    /// owners — exactly one counted miss per simulated key.
-    fn claim(&self, key: u64) -> Claim {
-        let mut inflight = self.inflight.lock().unwrap();
-        if let Some(slot) = inflight.get(&key) {
-            return Claim::Join(Arc::clone(slot));
-        }
-        if let Some(run) = self.cache.lookup(key) {
-            return Claim::Cached(run);
-        }
-        let slot = Arc::<InflightSlot>::default();
-        inflight.insert(key, Arc::clone(&slot));
-        Claim::Own(slot)
-    }
-
     /// Resolve one key — the only way the engine obtains a result:
-    /// claim it, then return the cached run, share another caller's
+    /// claim it (exactly one counted miss per simulated key), then return the cached run, share another caller's
     /// in-flight run, or simulate it here, store it and publish it.
     ///
     /// `lane` and `queue_wait_s` are what an owner reports about
@@ -420,7 +435,7 @@ impl Engine {
         on_miss: &mut dyn FnMut(),
     ) -> (Arc<RunResult>, RunOutcome) {
         loop {
-            let slot = match self.claim(key) {
+            let slot = match claim(&self.inflight, key, || self.cache.lookup(key)) {
                 Claim::Cached(run) => return (run, RunOutcome::CacheHit),
                 Claim::Join(slot) => {
                     on_miss();
@@ -586,31 +601,46 @@ impl Engine {
     /// policy or fault plan — re-times that skeleton
     /// (`Cluster::retime`), bit-identical to a full run
     /// (`tests/replay_identity.rs`) and with no backend statistics, as
-    /// it runs no scheduler. Two callers racing on a fresh tuple both
-    /// run in full; nobody waits for a skeleton.
+    /// it runs no scheduler. Each tuple is recorded once: callers racing
+    /// on a fresh tuple claim it as [`Engine::resolve`] claims a key, so
+    /// one records and the rest wait for its skeleton (or, if the
+    /// recorder panics, retry as the recorder).
     fn execute_spec(&self, spec: &RunSpec) -> (RunResult, BackendStats, Tier) {
         let cfg = spec.config();
         let faults = self.effective_faults(spec);
         let policy = spec.policy.as_ref().map(|p| p as &dyn psc_mpi::ClusterPolicy);
         let tuple: SkeletonKey = (spec.bench, spec.class, spec.nodes);
-        let known = self.skeletons.lock().expect("skeleton store poisoned").get(&tuple).cloned();
-        if let Some(skeleton) = known {
-            let run = self.cluster.retime(&cfg, faults, policy, &skeleton);
-            return (run, BackendStats::default(), Tier::Replay);
-        }
-        let (run, _outputs, backend, skeleton) =
-            self.cluster
-                .run_recorded(&cfg, faults, policy, |comm| spec.bench.run(comm, spec.class));
-        // Debug builds turn every recording into a re-timing oracle.
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            self.cluster.retime(&cfg, faults, policy, &skeleton),
-            run,
-            "replay diverged from the full run of {spec:?}"
-        );
-        let mut store = self.skeletons.lock().expect("skeleton store poisoned");
-        store.entry(tuple).or_insert_with(|| Arc::new(skeleton));
-        (run, backend, Tier::Full)
+        let skeleton = loop {
+            let stored =
+                || self.skeletons.lock().expect("skeleton store poisoned").get(&tuple).cloned();
+            let slot = match claim(&self.recording, tuple, stored) {
+                Claim::Cached(skeleton) => break skeleton,
+                Claim::Join(slot) => match slot.wait() {
+                    Some(skeleton) => break skeleton,
+                    None => continue,
+                },
+                Claim::Own(slot) => slot,
+            };
+            let guard = OwnerGuard { inflight: &self.recording, key: tuple, slot };
+            let (run, _outputs, backend, skeleton) =
+                self.cluster
+                    .run_recorded(&cfg, faults, policy, |comm| spec.bench.run(comm, spec.class));
+            // Debug builds turn every recording into a re-timing oracle.
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                self.cluster.retime(&cfg, faults, policy, &skeleton),
+                run,
+                "replay diverged from the full run of {spec:?}"
+            );
+            let skeleton = Arc::new(skeleton);
+            let mut store = self.skeletons.lock().expect("skeleton store poisoned");
+            store.insert(tuple, Arc::clone(&skeleton));
+            drop(store);
+            guard.publish(skeleton);
+            return (run, backend, Tier::Full);
+        };
+        let run = self.cluster.retime(&cfg, faults, policy, &skeleton);
+        (run, BackendStats::default(), Tier::Replay)
     }
 
     /// `(skeletons held, their heap bytes)`, for the metrics gauges.

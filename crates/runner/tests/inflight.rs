@@ -166,3 +166,24 @@ fn identical_simultaneous_requests_share_one_simulation() {
         assert_eq!(blob, &blobs[0], "every client got the same bytes");
     }
 }
+
+/// Each `(kernel, class, nodes)` tuple is recorded once at any worker
+/// count: the specs of a fresh tuple that race through the pool claim
+/// the tuple as keys are claimed, so one records it and the rest wait
+/// and re-time its skeleton. Every executed spec but one per tuple is
+/// a replay.
+#[test]
+fn each_tuple_is_recorded_once_at_any_worker_count() {
+    let plan = RunPlan { specs: universe() };
+    let tuples: BTreeSet<_> = plan.specs.iter().map(|s| (s.bench, s.nodes)).collect();
+    for jobs in [1, 2, 8] {
+        let e = engine().with_jobs(jobs);
+        e.execute(&plan);
+        let executed = e.cache_stats().misses;
+        assert_eq!(executed, plan.len() as u64, "jobs {jobs}: every spec is distinct");
+        let snap = e.metrics().snapshot();
+        let replayed = snap.get("engine_runs_replayed_total", &[]).map_or(0.0, |s| s.scalar());
+        assert_eq!(replayed, (executed - tuples.len() as u64) as f64, "jobs {jobs}");
+        assert_eq!(snap.get("engine_skeletons", &[]).unwrap().scalar(), tuples.len() as f64);
+    }
+}

@@ -7,8 +7,13 @@
 //! re-timing Jacobi at 16 ranks makes fewer allocations than it
 //! records spans.
 //!
+//! And a re-timed result holds only its times: the op, peer and bytes
+//! of each event and the name and depth of each span stay in the
+//! skeleton's trace shape, which every re-timing shares.
+//!
 //! A counting global allocator records how many allocations this
-//! thread makes, and the largest, while the re-timings run.
+//! thread makes, the largest, and the bytes it still holds, while the
+//! re-timings run.
 
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_mpi::{Cluster, GearSelection};
@@ -23,11 +28,17 @@ thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
     /// Allocations (and reallocations) this thread made.
     static COUNT: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static HELD: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
     let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+}
+
+fn hold(bytes: isize) {
+    let _ = HELD.try_with(|h| h.set(h.get() + bytes));
 }
 
 struct CountingAllocator;
@@ -39,17 +50,20 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        hold(layout.size() as isize);
         // SAFETY: the caller's `layout` obligations pass through as-is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as isize));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        hold(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`,
         // and the caller upholds `realloc`'s contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -120,5 +134,38 @@ fn a_retimed_span_allocates_nothing() {
     assert!(
         allocations < spans,
         "re-timing {spans} spans made {allocations} allocations; spans allocate names again"
+    );
+}
+
+/// Re-timing LU at 16 ranks leaves behind 16 bytes per event (its two
+/// times), 16 per span, 24 per power segment and a constant per rank —
+/// nothing of the trace's structure, which the skeleton's shape holds.
+#[test]
+fn a_retimed_result_holds_only_its_times() {
+    const NODES: usize = 16;
+    const PER_RANK_BYTES: usize = 512;
+    let engine = Engine::serial(Cluster::athlon_fast_ethernet());
+    engine.run(&RunSpec::uniform(Benchmark::Lu, ProblemClass::Test, NODES, 1));
+    // A first re-timing registers the replay tier's metric series.
+    engine.run(&lu(vec![2; NODES]));
+    let specs: Vec<RunSpec> =
+        (0..5).map(|k| lu((0..NODES).map(|r| 1 + (k + r) % 6).collect())).collect();
+    let before = replayed(&engine);
+
+    HELD.with(|h| h.set(0));
+    let runs: Vec<_> = specs.iter().map(|s| engine.run(s)).collect();
+    let held = HELD.with(Cell::get);
+
+    assert_eq!(replayed(&engine) - before, specs.len() as f64, "every spec was re-timed");
+    let ranks = || runs.iter().flat_map(|run| &run.ranks);
+    let events: usize = ranks().map(|r| r.trace.events().len()).sum();
+    let spans: usize = ranks().map(|r| r.trace.spans().len()).sum();
+    let segments: usize = ranks().map(|r| r.power.segments().len()).sum();
+    let bound = 16 * events + 16 * spans + 24 * segments + PER_RANK_BYTES * ranks().count();
+    assert!(
+        usize::try_from(held).is_ok_and(|held| held <= bound),
+        "{} re-timings hold {held} B, over {bound} B for {events} events, {spans} spans, \
+         {segments} segments",
+        specs.len()
     );
 }

@@ -126,16 +126,24 @@ proptest! {
     }
 
     /// A rank trace survives a JSON round trip with event, span, and
-    /// gear-shift ordering intact.
+    /// gear-shift ordering intact — recorded, or re-timed from the
+    /// recording's skeleton (sharing its shape), whose JSON is a full
+    /// run's.
     #[test]
     fn rank_trace_roundtrips_through_serde(
         steps in proptest::collection::vec(step_strategy(), 1..12),
         n in 1usize..4,
     ) {
         let c = Cluster::athlon_fast_ethernet();
-        let (run, _) =
-            c.run(&ClusterConfig::uniform(n, 3), move |comm| execute(comm, &steps));
-        for r in &run.ranks {
+        let program = |comm: &mut psc_mpi::Comm| execute(comm, &steps);
+        let (run, _, _, skeleton) =
+            c.run_recorded(&ClusterConfig::uniform(n, 3), None, None, program);
+        let retimed = c.retime(&ClusterConfig::uniform(n, 5), None, None, &skeleton);
+        let full = c.run(&ClusterConfig::uniform(n, 5), program).0;
+        for (r, f) in retimed.ranks.iter().zip(&full.ranks) {
+            prop_assert_eq!(json::to_string(&r.trace), json::to_string(&f.trace));
+        }
+        for r in run.ranks.iter().chain(&retimed.ranks) {
             let text = json::to_string(&r.trace);
             let back: RankTrace = json::from_str(&text).expect("trace must parse back");
             prop_assert_eq!(back.events(), r.trace.events());
@@ -144,8 +152,8 @@ proptest! {
             prop_assert!((back.end_s - r.trace.end_s).abs() < 1e-15);
             // Ordering is part of the contract: enter times must stay
             // monotone after the round trip.
-            for w in back.events().windows(2) {
-                prop_assert!(w[0].t_enter_s <= w[1].t_enter_s + 1e-12);
+            for (a, b) in back.events().zip(back.events().skip(1)) {
+                prop_assert!(a.t_enter_s <= b.t_enter_s + 1e-12);
             }
         }
     }

@@ -374,7 +374,7 @@ fn program_gear_requests_are_replayed_and_policy_shifts_are_not() {
 fn finalize_barrier_is_priced_at_the_programs_last_wire_scale() {
     use powerscale::mpi::MpiOp;
     let finalize_bytes = |run: &RunResult| {
-        let ev = run.ranks[0].trace.events().last().copied().unwrap();
+        let ev = run.ranks[0].trace.events().last().unwrap();
         assert_eq!(ev.op, MpiOp::Finalize);
         ev.bytes
     };
