@@ -7,13 +7,15 @@
 //!
 //! We reproduce that methodology over virtual time. A node's power draw is
 //! a step function of time (the paper's own modelling assumption, §4.1):
-//! a sequence of [`Segment`]s each with a constant wattage. The
-//! [`Wattmeter`] samples this profile at a configurable rate and
-//! integrates the samples; [`PowerTrace::exact_energy_j`] provides the
-//! closed-form integral for cross-checking.
+//! a sequence of [`Segment`]s each with a constant wattage, every one
+//! starting where the one before it ends. The [`Wattmeter`] samples this
+//! profile at a configurable rate and integrates the samples;
+//! [`PowerTrace::exact_energy_j`] provides the closed-form integral for
+//! cross-checking.
 
 use crate::wire::{Reader, WireError, Writer};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 
 /// A period of constant power draw `[t0_s, t1_s)` at `power_w`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -42,13 +44,31 @@ impl Segment {
 
 /// A step-function power profile for one node over one run.
 ///
-/// Segments are appended in time order; zero-length segments are dropped.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Segments are appended in time order, each starting where the one
+/// before it ends (the first at `+0.0`); zero-length segments are
+/// dropped. So a trace keeps only each segment's end time, and — since a
+/// node draws a few distinct wattages (P_g computing, I_g blocked) — a
+/// `u32` index into a table of them: 12 bytes a segment. [`segments`]
+/// reads them back as whole [`Segment`] values.
+///
+/// [`segments`]: PowerTrace::segments
+#[derive(Clone, Default)]
 pub struct PowerTrace {
-    segments: Vec<Segment>,
+    /// `t1_s` of each segment; segment `i` starts at `ends[i - 1]`.
+    ends: Vec<f64>,
+    /// Each segment's `power_w`, as an index into `levels`.
+    level: Vec<u32>,
+    /// The trace's wattages, interned by their bits. Only the last
+    /// [`PowerTrace::RECENT_LEVELS`] are searched, so a trace with many
+    /// levels may hold one more than once.
+    levels: Vec<f64>,
 }
 
 impl PowerTrace {
+    /// How many of the newest levels a new segment's wattage is looked
+    /// up among, which keeps [`PowerTrace::push`] O(1).
+    const RECENT_LEVELS: usize = 8;
+
     /// An empty trace.
     pub fn new() -> Self {
         PowerTrace::default()
@@ -58,7 +78,11 @@ impl PowerTrace {
     /// backing buffer reallocates. The cluster driver pre-sizes rank
     /// traces with this so steady-state runs append without growth.
     pub fn with_capacity(segments: usize) -> Self {
-        PowerTrace { segments: Vec::with_capacity(segments) }
+        PowerTrace {
+            ends: Vec::with_capacity(segments),
+            level: Vec::with_capacity(segments),
+            levels: Vec::new(),
+        }
     }
 
     /// Append a segment ending at `t1_s` with the given power. The segment
@@ -73,122 +97,163 @@ impl PowerTrace {
         assert!(power_w.is_finite() && power_w >= 0.0, "power must be finite and non-negative");
         if t1_s > t0_s {
             // Coalesce with the previous segment when the wattage matches,
-            // keeping traces compact over long alternating runs.
-            if let Some(last) = self.segments.last_mut() {
-                if (last.power_w - power_w).abs() < 1e-9 {
-                    last.t1_s = t1_s;
+            // keeping traces short over long alternating runs.
+            if let (Some(end), Some(&last)) = (self.ends.last_mut(), self.level.last()) {
+                if (self.levels[last as usize] - power_w).abs() < 1e-9 {
+                    *end = t1_s;
                     return;
                 }
             }
-            self.segments.push(Segment { t0_s, t1_s, power_w });
+            self.append(t1_s, power_w);
         }
+    }
+
+    /// Append a segment from the trace's end to `t1_s`, as it is.
+    #[inline]
+    fn append(&mut self, t1_s: f64, power_w: f64) {
+        let level = self.intern(power_w);
+        self.ends.push(t1_s);
+        self.level.push(level);
+    }
+
+    /// The index of `power_w` in the level table, by bits; added unless
+    /// it is among the newest entries. A step mostly returns to the
+    /// level of the step before the last (compute, block, compute), so
+    /// that one is tried first.
+    #[inline]
+    fn intern(&mut self, power_w: f64) -> u32 {
+        let bits = power_w.to_bits();
+        if let Some(&l) = self.level.len().checked_sub(2).and_then(|i| self.level.get(i)) {
+            if self.levels[l as usize].to_bits() == bits {
+                return l;
+            }
+        }
+        let recent = self.levels.len().saturating_sub(Self::RECENT_LEVELS);
+        let level = match self.levels[recent..].iter().rposition(|w| w.to_bits() == bits) {
+            Some(i) => recent + i,
+            None => {
+                self.levels.push(power_w);
+                self.levels.len() - 1
+            }
+        };
+        u32::try_from(level).expect("a power trace has under 2^32 levels")
+    }
+
+    /// Append `s` as it is if it starts at the trace's end, bit for bit
+    /// (`+0.0` for the first); whether it did. How decoded segments come
+    /// back: a gap is not representable.
+    fn append_contiguous(&mut self, s: Segment) -> bool {
+        let starts_at_end = s.t0_s.to_bits() == self.end_s().to_bits();
+        if starts_at_end {
+            self.append(s.t1_s, s.power_w);
+        }
+        starts_at_end
     }
 
     /// End time of the trace (0 when empty), seconds.
     pub fn end_s(&self) -> f64 {
-        self.segments.last().map_or(0.0, |s| s.t1_s)
+        self.ends.last().copied().unwrap_or(0.0)
     }
 
     /// The segments, in time order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    pub fn segments(&self) -> Segments<'_> {
+        self.segments_from(0)
     }
 
-    /// Merge adjacent segments that are contiguous in time and have
-    /// bitwise-equal wattage. Long runs at a fixed gear emit constant
-    /// power punctuated only by MPI idling, so traces that alternate
-    /// between two levels — or that were stitched together from
-    /// serialized parts — compact substantially.
-    ///
-    /// Compaction is *exact*: [`PowerTrace::exact_energy_j`] and
-    /// [`PowerTrace::end_s`] return bitwise-identical values before and
-    /// after, because the energy integral is computed over maximal
-    /// equal-power runs (see below) — exactly the runs this merges.
-    pub fn compact(&mut self) {
-        let mut out = 0usize; // last written segment
-        for i in 1..self.segments.len() {
-            let cur = self.segments[i];
-            let prev = &mut self.segments[out];
-            if Self::mergeable(prev, &cur) {
-                prev.t1_s = cur.t1_s;
-            } else {
-                out += 1;
-                self.segments[out] = cur;
-            }
+    /// The segments from the `i`-th on.
+    fn segments_from(&self, i: usize) -> Segments<'_> {
+        Segments {
+            t0_s: self.start_s(i),
+            ends: &self.ends[i..],
+            level: &self.level[i..],
+            levels: &self.levels,
         }
-        self.segments.truncate(if self.segments.is_empty() { 0 } else { out + 1 });
     }
 
-    /// Release the segment buffer's unused capacity (see
+    /// Start of the `i`-th segment: the end of the one before it.
+    #[inline]
+    fn start_s(&self, i: usize) -> f64 {
+        i.checked_sub(1).map_or(0.0, |prev| self.ends[prev])
+    }
+
+    /// Power of the `i`-th segment, watts.
+    #[inline]
+    fn power_w(&self, i: usize) -> f64 {
+        self.levels[self.level[i] as usize]
+    }
+
+    /// Release the columns' unused capacity (see
     /// [`PowerTrace::with_capacity`]: finished traces are kept, their
     /// pre-sizing slack need not be).
     pub fn shrink_to_fit(&mut self) {
-        self.segments.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.level.shrink_to_fit();
+        self.levels.shrink_to_fit();
     }
 
     /// Append the segment count, then `t0_s`, `t1_s`, `power_w` of each
     /// segment by their bits.
     pub fn encode(&self, w: &mut Writer) {
-        w.seq(&self.segments, |w, s| {
+        w.usize(self.ends.len());
+        for s in self.segments() {
             w.f64(s.t0_s);
             w.f64(s.t1_s);
             w.f64(s.power_w);
-        });
+        }
     }
 
-    /// Inverse of [`PowerTrace::encode`]; the segment buffer comes back
-    /// with no spare capacity.
+    /// Inverse of [`PowerTrace::encode`]; the columns come back with no
+    /// spare capacity. A segment that does not start at the previous
+    /// one's end, bit for bit (the first at `+0.0`), is
+    /// `BadTag("Segment.t0_s")`.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let segments =
-            r.seq(24, |r| Ok(Segment { t0_s: r.f64()?, t1_s: r.f64()?, power_w: r.f64()? }))?;
-        Ok(PowerTrace { segments })
-    }
-
-    /// Whether `b` directly continues `a` at the same power level.
-    #[inline]
-    fn mergeable(a: &Segment, b: &Segment) -> bool {
-        a.t1_s == b.t0_s && a.power_w == b.power_w
+        let n = r.seq_len(3 * 8)?;
+        let mut trace = PowerTrace::with_capacity(n);
+        // `append_contiguous`'s rule, with the end kept in a register:
+        // this loop is most of a disk hit.
+        let mut end = 0.0f64;
+        for _ in 0..n {
+            let (t0_s, t1_s, power_w) = (r.f64()?, r.f64()?, r.f64()?);
+            if t0_s.to_bits() != end.to_bits() {
+                return Err(WireError::BadTag("Segment.t0_s"));
+            }
+            trace.append(t1_s, power_w);
+            end = t1_s;
+        }
+        trace.levels.shrink_to_fit();
+        Ok(trace)
     }
 
     /// Exact energy: the closed-form integral of the step function, joules.
     ///
     /// The sum is taken per maximal run of contiguous equal-power
     /// segments — `(t_end − t_start) · power_w` for the whole run rather
-    /// than per segment — so it is invariant (bitwise) under
-    /// [`PowerTrace::compact`], which merges exactly those runs.
+    /// than per segment. `push` coalesces such runs as it goes, so on a
+    /// trace it built this is the per-segment sum; a decoded trace that
+    /// holds one reads as if it were merged.
     pub fn exact_energy_j(&self) -> f64 {
+        let n = self.ends.len();
         let mut acc = 0.0;
         let mut i = 0;
-        while i < self.segments.len() {
-            let start = self.segments[i];
+        while i < n {
             let mut j = i;
-            while j + 1 < self.segments.len()
-                && Self::mergeable(&self.segments[j], &self.segments[j + 1])
-            {
+            // Segment `j + 1` starts at `ends[j]`: the two are contiguous
+            // unless that end is NaN.
+            while j + 1 < n && !self.ends[j].is_nan() && self.power_w(j) == self.power_w(j + 1) {
                 j += 1;
             }
-            acc += (self.segments[j].t1_s - start.t0_s) * start.power_w;
+            acc += (self.ends[j] - self.start_s(i)) * self.power_w(i);
             i = j + 1;
         }
         acc
     }
 
-    /// Instantaneous power at time `t_s`, watts. Between segments and after
-    /// the end the trace reads 0 W (the node is unplugged / the run over).
+    /// Instantaneous power at time `t_s`, watts. After the end the trace
+    /// reads 0 W (the node is unplugged / the run over).
     pub fn power_at(&self, t_s: f64) -> f64 {
-        // Binary search over segment start times.
-        match self.segments.binary_search_by(|s| {
-            if t_s < s.t0_s {
-                std::cmp::Ordering::Greater
-            } else if t_s >= s.t1_s {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => self.segments[i].power_w,
-            Err(_) => 0.0,
-        }
+        // The segment that can hold `t_s` is the first that ends after it.
+        let next = self.ends.partition_point(|&t1_s| t_s >= t1_s);
+        Sampler { trace: self, next }.power_at(t_s)
     }
 
     /// Exact energy over the window `[t0_s, t1_s]`, joules: the integral
@@ -208,16 +273,16 @@ impl PowerTrace {
         // is bitwise-identical to the full sum (the policy hook calls
         // this once per MPI-call exit; a full scan there would make
         // policy runs quadratic in the trace length).
-        let lo = self.segments.partition_point(|s| s.t1_s <= t0_s);
-        let e: f64 = self.segments[lo..]
-            .iter()
+        let lo = self.ends.partition_point(|&end| end <= t0_s);
+        let e: f64 = self
+            .segments_from(lo)
             .take_while(|s| s.t0_s < t1_s)
             .map(|s| (s.t1_s.min(t1_s) - s.t0_s.max(t0_s)).max(0.0) * s.power_w)
             .sum();
         // std's f64 sum folds from a -0.0 seed, so a window overlapping
         // nothing yields -0.0 here while the full scan would have folded
         // at least one exact +0.0 term on a non-empty trace. Fold one in.
-        if self.segments.is_empty() {
+        if self.ends.is_empty() {
             e
         } else {
             e + 0.0
@@ -235,24 +300,103 @@ impl PowerTrace {
     }
 }
 
+/// Equal when the segments are, value by value, however the level
+/// tables are laid out.
+impl PartialEq for PowerTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments() == other.segments()
+    }
+}
+
+impl fmt::Debug for PowerTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PowerTrace").field("segments", &self.segments()).finish()
+    }
+}
+
+/// JSON lists whole segments, as the wire frame does.
+impl Serialize for PowerTrace {
+    fn to_value(&self) -> Value {
+        let segments = self.segments().map(|s| s.to_value()).collect();
+        Value::Map(vec![("segments".into(), Value::Seq(segments))])
+    }
+}
+
+impl Deserialize for PowerTrace {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let segments: Vec<Segment> = serde::__from_field(v, "segments")?;
+        let mut trace = PowerTrace::with_capacity(segments.len());
+        for (i, s) in segments.into_iter().enumerate() {
+            if !trace.append_contiguous(s) {
+                let msg = format!("field `segments`: segment {i} does not start at the last end");
+                return Err(serde::Error::msg(msg));
+            }
+        }
+        Ok(trace)
+    }
+}
+
+/// A [`PowerTrace`]'s segments as [`Segment`] values, in time order. It
+/// allocates nothing and is its own (exact-size) iterator.
+#[derive(Clone, Copy)]
+pub struct Segments<'a> {
+    /// Start of the next segment.
+    t0_s: f64,
+    ends: &'a [f64],
+    level: &'a [u32],
+    levels: &'a [f64],
+}
+
+impl Iterator for Segments<'_> {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        let (&t1_s, ends) = self.ends.split_first()?;
+        let (&level, rest) = self.level.split_first()?;
+        let s = Segment { t0_s: self.t0_s, t1_s, power_w: self.levels[level as usize] };
+        (self.t0_s, self.ends, self.level) = (t1_s, ends, rest);
+        Some(s)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.ends.len(), Some(self.ends.len()))
+    }
+}
+
+impl ExactSizeIterator for Segments<'_> {}
+
+impl PartialEq for Segments<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && Iterator::eq(*self, *other)
+    }
+}
+
+impl fmt::Debug for Segments<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(*self).finish()
+    }
+}
+
 /// [`PowerTrace::power_at`] for a non-decreasing sequence of times, in
 /// one pass over the segments instead of one binary search per read.
 /// Segments are appended in time order with positive length, so the
 /// one that can hold `t_s` is the first that ends after it.
 struct Sampler<'a> {
-    segments: &'a [Segment],
+    trace: &'a PowerTrace,
     /// Segments before this one end at or before every later read.
     next: usize,
 }
 
 impl Sampler<'_> {
     fn power_at(&mut self, t_s: f64) -> f64 {
-        while self.segments.get(self.next).is_some_and(|s| t_s >= s.t1_s) {
+        let ends = &self.trace.ends;
+        while ends.get(self.next).is_some_and(|&t1_s| t_s >= t1_s) {
             self.next += 1;
         }
-        match self.segments.get(self.next) {
-            Some(s) if t_s >= s.t0_s => s.power_w,
-            _ => 0.0,
+        if self.next < ends.len() && t_s >= self.trace.start_s(self.next) {
+            self.trace.power_w(self.next)
+        } else {
+            0.0
         }
     }
 }
@@ -291,7 +435,7 @@ impl Wattmeter {
         let dt = 1.0 / self.sample_hz;
         let n = (end / dt).ceil() as u64;
         // Sample midpoints never decrease, so one cursor serves them all.
-        let mut power = Sampler { segments: trace.segments(), next: 0 };
+        let mut power = Sampler { trace, next: 0 };
         let mut acc = 0.0;
         for k in 0..n {
             let t0 = k as f64 * dt;
@@ -324,7 +468,7 @@ impl Wattmeter {
         }
         let dt = 1.0 / self.sample_hz;
         let n = (end / dt).ceil() as u64;
-        let mut power = Sampler { segments: trace.segments(), next: 0 };
+        let mut power = Sampler { trace, next: 0 };
         let mut acc = 0.0;
         let mut held = 0.0;
         for k in 0..n {
@@ -445,7 +589,6 @@ mod tests {
         }
         let naive = |t0: f64, t1: f64| -> f64 {
             t.segments()
-                .iter()
                 .map(|s| (s.t1_s.min(t1) - s.t0_s.max(t0)).max(0.0) * s.power_w)
                 .sum::<f64>()
         };
@@ -476,63 +619,31 @@ mod tests {
         assert!((total - 2.0 * t.exact_energy_j()).abs() < 1e-9);
     }
 
-    #[test]
-    fn compact_merges_contiguous_equal_power_runs() {
-        // Build a trace whose segments alternate then repeat a level by
-        // constructing it from serialized parts (push would already have
-        // merged live appends).
-        let mut t = PowerTrace {
-            segments: vec![
-                Segment { t0_s: 0.0, t1_s: 1.0, power_w: 145.0 },
-                Segment { t0_s: 1.0, t1_s: 1.5, power_w: 145.0 },
-                Segment { t0_s: 1.5, t1_s: 2.0, power_w: 92.0 },
-                Segment { t0_s: 2.0, t1_s: 2.25, power_w: 92.0 },
-                Segment { t0_s: 2.25, t1_s: 3.0, power_w: 145.0 },
-            ],
-        };
-        let energy = t.exact_energy_j();
-        let end = t.end_s();
-        t.compact();
-        assert_eq!(t.segments().len(), 3);
-        assert_eq!(t.exact_energy_j().to_bits(), energy.to_bits(), "energy must be exact");
-        assert_eq!(t.end_s().to_bits(), end.to_bits());
-        assert_eq!(t.power_at(1.2), 145.0);
-        assert_eq!(t.power_at(2.1), 92.0);
+    /// A trace straight from segments, as a decoded frame arrives (no
+    /// coalescing).
+    fn from_segments(segments: &[Segment]) -> PowerTrace {
+        let mut t = PowerTrace::new();
+        for &s in segments {
+            assert!(t.append_contiguous(s), "{s:?} does not start at {}", t.end_s());
+        }
+        t
     }
 
-    #[test]
-    fn compact_keeps_gaps_and_distinct_levels() {
-        let mut t = PowerTrace {
-            segments: vec![
-                Segment { t0_s: 0.0, t1_s: 1.0, power_w: 100.0 },
-                // Gap in time: must NOT merge even at equal watts.
-                Segment { t0_s: 2.0, t1_s: 3.0, power_w: 100.0 },
-            ],
-        };
-        t.compact();
-        assert_eq!(t.segments().len(), 2);
-        assert_eq!(t.power_at(1.5), 0.0);
-    }
-
-    #[test]
-    fn compact_on_empty_and_singleton_is_noop() {
-        let mut e = PowerTrace::new();
-        e.compact();
-        assert!(e.segments().is_empty());
-        let mut s = PowerTrace::new();
-        s.push(1.0, 50.0);
-        s.compact();
-        assert_eq!(s.segments().len(), 1);
+    /// `t`'s segments as raw bits.
+    fn bits(t: &PowerTrace) -> Vec<[u64; 3]> {
+        t.segments().map(|s| [s.t0_s, s.t1_s, s.power_w].map(f64::to_bits)).collect()
     }
 
     #[test]
     fn wire_round_trip_keeps_bits_gaps_and_no_spare_capacity() {
         let nan = f64::from_bits(0x7ff8_0000_0000_beef);
         let mut t = PowerTrace::with_capacity(64);
-        t.segments.extend([
-            Segment { t0_s: -0.0, t1_s: f64::MIN_POSITIVE / 2.0, power_w: nan },
-            Segment { t0_s: 2.0, t1_s: 3.0, power_w: 100.0 }, // a gap before it
-        ]);
+        for s in [
+            Segment { t0_s: 0.0, t1_s: f64::MIN_POSITIVE / 2.0, power_w: nan },
+            Segment { t0_s: f64::MIN_POSITIVE / 2.0, t1_s: 3.0, power_w: 100.0 },
+        ] {
+            assert!(t.append_contiguous(s));
+        }
         let mut w = Writer::new();
         t.encode(&mut w);
         PowerTrace::new().encode(&mut w);
@@ -540,12 +651,82 @@ mod tests {
         let mut r = Reader::open(&frame).unwrap();
         let (back, empty) = (PowerTrace::decode(&mut r).unwrap(), PowerTrace::decode(&mut r));
         r.finish().unwrap();
-        let bits = |t: &PowerTrace| -> Vec<[u64; 3]> {
-            t.segments.iter().map(|s| [s.t0_s, s.t1_s, s.power_w].map(f64::to_bits)).collect()
-        };
         assert_eq!(bits(&back), bits(&t));
-        assert_eq!((back.segments.capacity(), back.segments.len()), (2, 2));
-        assert_eq!(empty.unwrap().segments.capacity(), 0);
+        let capacity =
+            |t: &PowerTrace| [t.ends.capacity(), t.level.capacity(), t.levels.capacity()];
+        assert_eq!(capacity(&back), [2, 2, 2]);
+        assert_eq!(capacity(&empty.unwrap()), [0, 0, 0]);
+    }
+
+    /// A frame whose segment does not start at the previous end — a gap,
+    /// or a first segment at `-0.0` — is refused, so a corrupt cache
+    /// entry heals as a miss.
+    #[test]
+    fn decode_refuses_a_segment_off_the_previous_end() {
+        let frame = |segments: &[[f64; 3]]| {
+            let mut w = Writer::new();
+            w.seq(segments, |w, s| s.iter().for_each(|&x| w.f64(x)));
+            w.finish()
+        };
+        let decode = |frame: &[u8]| PowerTrace::decode(&mut Reader::open(frame).unwrap());
+        let good = [[0.0, 1.0, 145.0], [1.0, 1.5, 92.0]];
+        assert_eq!(decode(&frame(&good)).unwrap(), two_level_trace_prefix());
+        for bad in [
+            [[0.0, 1.0, 145.0], [1.25, 1.5, 92.0]], // a gap
+            [[-0.0, 1.0, 145.0], [1.0, 1.5, 92.0]], // starts at -0.0
+            [[0.0, 1.0, 145.0], [0.5, 1.5, 92.0]],  // overlaps
+        ] {
+            assert_eq!(decode(&frame(&bad)), Err(WireError::BadTag("Segment.t0_s")), "{bad:?}");
+        }
+    }
+
+    fn two_level_trace_prefix() -> PowerTrace {
+        let mut t = PowerTrace::new();
+        t.push(1.0, 145.0);
+        t.push(1.5, 92.0);
+        t
+    }
+
+    /// Past [`PowerTrace::RECENT_LEVELS`] distinct wattages the level
+    /// table holds duplicates; segments still read, encode and decode
+    /// bit for bit.
+    #[test]
+    fn a_hundred_levels_round_trip_by_bits() {
+        let power = |i: u32| 50.0 + f64::from(i % 100) * 1.5;
+        let mut t = PowerTrace::new();
+        for i in 0..300u32 {
+            t.push(f64::from(i + 1) * 0.01, power(i));
+        }
+        assert_eq!(t.segments().len(), 300);
+        assert!(t.levels.len() > 100, "cycling 100 levels must overflow the bounded search");
+        for (i, s) in (0..).zip(t.segments()) {
+            assert_eq!(s.power_w.to_bits(), power(i).to_bits());
+        }
+        let mut w = Writer::new();
+        t.encode(&mut w);
+        let frame = w.finish();
+        let mut r = Reader::open(&frame).unwrap();
+        let back = PowerTrace::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(bits(&back), bits(&t));
+        assert_eq!(back.exact_energy_j().to_bits(), t.exact_energy_j().to_bits());
+        let mut again = Writer::new();
+        back.encode(&mut again);
+        assert_eq!(again.finish(), frame);
+    }
+
+    #[test]
+    fn segments_view_reads_contiguous_steps() {
+        let t = two_level_trace();
+        let segments = t.segments();
+        assert_eq!(segments.len(), 3);
+        assert_eq!(segments.last(), Some(Segment { t0_s: 1.5, t1_s: 3.0, power_w: 145.0 }));
+        assert_eq!(segments.map(|s| s.t0_s).collect::<Vec<_>>(), [0.0, 1.0, 1.5]);
+        assert_eq!(t, from_segments(&segments.collect::<Vec<_>>()));
+        let json = serde::json::to_string(&t);
+        assert_eq!(serde::json::from_str::<PowerTrace>(&json).unwrap(), t);
+        let gapped = json.replacen("\"t0_s\":1.0", "\"t0_s\":1.25", 1);
+        assert!(serde::json::from_str::<PowerTrace>(&gapped).is_err(), "{gapped}");
     }
 
     #[test]
@@ -627,53 +808,65 @@ mod props {
     use super::*;
     use proptest::prelude::*;
 
-    /// Arbitrary fragmented traces: contiguous runs (often repeating a
-    /// power level, so there is something to merge) with occasional
-    /// gaps, built directly from segments the way deserialized or
-    /// stitched traces arrive — `push` would have pre-merged them.
+    /// Arbitrary fragmented traces: contiguous runs from `+0.0` that
+    /// often repeat a power level, built directly from segments the way
+    /// a decoded trace arrives — `push` would have merged them.
     fn fragmented_trace() -> impl Strategy<Value = PowerTrace> {
         let level = prop_oneof![Just(92.0f64), Just(118.5), Just(145.0), 50.0..200.0f64];
-        proptest::collection::vec((0.001..0.7f64, 0.0..0.3f64, level, 0u8..2), 1..40).prop_map(
-            |parts| {
-                let mut segments = Vec::new();
-                let mut t = 0.0f64;
-                for (dur, gap, power_w, gapped) in parts {
-                    if gapped == 1 {
-                        t += gap;
-                    }
-                    segments.push(Segment { t0_s: t, t1_s: t + dur, power_w });
-                    t += dur;
-                }
-                PowerTrace { segments }
-            },
-        )
+        proptest::collection::vec((0.001..0.7f64, level), 1..40).prop_map(|parts| {
+            let mut trace = PowerTrace::new();
+            for (dur, power_w) in parts {
+                let t0_s = trace.end_s();
+                assert!(trace.append_contiguous(Segment { t0_s, t1_s: t0_s + dur, power_w }));
+            }
+            trace
+        })
+    }
+
+    /// Arbitrary `push` calls: steps that are often empty, and levels
+    /// that often repeat or land within 1e-9 W of the one before.
+    fn pushes() -> impl Strategy<Value = Vec<(f64, f64)>> {
+        let level = prop_oneof![
+            Just(92.0f64),
+            Just(145.0),
+            Just(145.0 + 5e-10),
+            Just(0.0),
+            Just(-0.0),
+            0.0..200.0f64,
+        ];
+        let step = prop_oneof![Just(0.0f64), 0.0..0.5f64, Just(f64::MIN_POSITIVE / 4.0)];
+        proptest::collection::vec((step, level), 0..60)
     }
 
     proptest! {
-        /// The satellite invariant: compaction preserves the energy
-        /// integral and the end time EXACTLY (bitwise), not just to
-        /// within a tolerance.
+        /// What `push` builds needs no compaction: no two adjacent
+        /// segments share a power's bits, the segments run contiguously
+        /// from `+0.0`, and the exact integral is the per-segment sum.
         #[test]
-        fn compact_preserves_energy_and_end_bitwise(mut trace in fragmented_trace()) {
-            let energy = trace.exact_energy_j();
-            let end = trace.end_s();
-            let original = trace.clone();
-            trace.compact();
-            prop_assert_eq!(trace.exact_energy_j().to_bits(), energy.to_bits());
+        fn push_builds_contiguous_steps_of_distinct_power(steps in pushes()) {
+            let mut trace = PowerTrace::new();
+            let mut t = 0.0f64;
+            for (dt, power_w) in steps {
+                t += dt;
+                trace.push(t, power_w);
+            }
+            let segments: Vec<Segment> = trace.segments().collect();
+            for w in segments.windows(2) {
+                prop_assert_ne!(w[0].power_w.to_bits(), w[1].power_w.to_bits());
+            }
+            let mut end = 0.0f64;
+            for s in &segments {
+                prop_assert_eq!(s.t0_s.to_bits(), end.to_bits());
+                prop_assert!(s.t1_s > s.t0_s);
+                end = s.t1_s;
+            }
             prop_assert_eq!(trace.end_s().to_bits(), end.to_bits());
-            // No mergeable pair survives, and the step function still
-            // reads the same wattage inside every original segment.
-            for w in trace.segments().windows(2) {
-                prop_assert!(!(w[0].t1_s == w[1].t0_s && w[0].power_w == w[1].power_w));
-            }
-            for s in original.segments() {
-                let mid = 0.5 * (s.t0_s + s.t1_s);
-                prop_assert_eq!(trace.power_at(mid).to_bits(), s.power_w.to_bits());
-            }
+            let reference = segments.iter().fold(0.0, |acc, s| acc + s.energy_j());
+            prop_assert_eq!(trace.exact_energy_j().to_bits(), reference.to_bits());
         }
 
         /// The wattmeter's cursor reads exactly what a binary search per
-        /// sample reads, gaps and boundaries included, so both
+        /// sample reads, boundaries included, so both
         /// integrals keep their bits.
         #[test]
         fn measured_energy_matches_per_sample_power_at(
@@ -704,15 +897,6 @@ mod props {
             });
             let faulted = meter.measure_energy_j_faulted(&trace, &faults, seed, 0);
             prop_assert_eq!(faulted.to_bits(), reference.to_bits());
-        }
-
-        /// Compaction is idempotent.
-        #[test]
-        fn compact_is_idempotent(mut trace in fragmented_trace()) {
-            trace.compact();
-            let once = trace.clone();
-            trace.compact();
-            prop_assert_eq!(trace.segments(), once.segments());
         }
     }
 }

@@ -694,7 +694,7 @@ impl Cluster {
     }
 
     /// Shared post-processing: pad early finishers to the run's end at
-    /// idle power, compact the traces, and integrate energy. Identical
+    /// idle power, trim the traces, and integrate energy. Identical
     /// for both backends by construction — this is where byte-identity
     /// is decided. A recording's skeleton takes each rank's trace shape,
     /// so its re-timings share it.
@@ -718,7 +718,6 @@ impl Cluster {
             if power.end_s() < time_s {
                 power.push(time_s, idle_w);
             }
-            power.compact();
             // Results outlive the run in the cache: give back the
             // pre-sized buffers' slack.
             power.shrink_to_fit();

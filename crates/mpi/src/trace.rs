@@ -429,21 +429,25 @@ impl EventShape {
         EventShape { bytes: ev.bytes, peer: ev.peer, op: ev.op }
     }
 
-    fn at(self, [t_enter_s, t_exit_s]: [f64; 2]) -> TraceEvent {
+    fn at(self, (): (), [t_enter_s, t_exit_s]: [f64; 2]) -> TraceEvent {
         TraceEvent { op: self.op, peer: self.peer, t_enter_s, t_exit_s, bytes: self.bytes }
     }
 }
 
-/// A span without its times.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A span without its times: its name, as an index into the shape's
+/// name table, and its depth. 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SpanShape {
-    name: Arc<str>,
-    depth: usize,
+    name: u32,
+    depth: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<SpanShape>() == 8);
+
 impl SpanShape {
-    fn at(&self, [t_start_s, t_end_s]: [f64; 2]) -> PhaseSpan {
-        PhaseSpan { name: Arc::clone(&self.name), t_start_s, t_end_s, depth: self.depth }
+    fn at(self, names: &[Arc<str>], [t_start_s, t_end_s]: [f64; 2]) -> PhaseSpan {
+        let name = Arc::clone(&names[self.name as usize]);
+        PhaseSpan { name, t_start_s, t_end_s, depth: self.depth as usize }
     }
 }
 
@@ -456,20 +460,45 @@ impl SpanShape {
 pub(crate) struct TraceShape {
     events: Vec<EventShape>,
     spans: Vec<SpanShape>,
+    /// The names `spans` index, each the first time a span closes
+    /// under it. Only the last [`TraceShape::RECENT_NAMES`] are
+    /// searched, so a rank with many names may hold one more than once;
+    /// the table is a function of the span sequence either way.
+    names: Vec<Arc<str>>,
 }
 
 impl TraceShape {
+    /// How many of the newest names a span's name is looked up among,
+    /// which keeps appending a span O(1).
+    const RECENT_NAMES: usize = 8;
+
     /// `[events, spans]`: what a re-timing must fill.
     pub(crate) fn lens(&self) -> [usize; 2] {
         [self.events.len(), self.spans.len()]
     }
 
-    /// Heap bytes of the two tables (span names are counted by their
-    /// owner, the skeleton's name table).
+    /// Append a span of `name` at `depth`; `shared` gives the copy of
+    /// `name` to keep when the table's newest entries lack it.
+    fn push_span(&mut self, name: &str, depth: u32, shared: impl FnOnce() -> Arc<str>) {
+        let recent = self.names.len().saturating_sub(Self::RECENT_NAMES);
+        let name = match self.names[recent..].iter().rposition(|n| **n == *name) {
+            Some(i) => recent + i,
+            None => {
+                self.names.push(shared());
+                self.names.len() - 1
+            }
+        };
+        let name = u32::try_from(name).expect("a trace has under 2^32 span names");
+        self.spans.push(SpanShape { name, depth });
+    }
+
+    /// Heap bytes of the three tables (the names themselves are counted
+    /// by their owner, the skeleton's name table).
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.events.capacity() * size_of::<EventShape>()
             + self.spans.capacity() * size_of::<SpanShape>()
+            + self.names.capacity() * size_of::<Arc<str>>()
     }
 }
 
@@ -494,7 +523,8 @@ pub struct RankTrace {
 }
 
 /// JSON keeps the layout of the logs: `events` and `spans` are lists of
-/// whole [`TraceEvent`]s and [`PhaseSpan`]s.
+/// whole [`TraceEvent`]s and [`PhaseSpan`]s. A span depth of `2^32` or
+/// more does not read back.
 impl Serialize for RankTrace {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -511,14 +541,15 @@ impl Serialize for RankTrace {
 impl Deserialize for RankTrace {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let events: Vec<TraceEvent> = serde::__from_field(v, "events")?;
-        Ok(RankTrace::from_logs(
+        RankTrace::from_logs(
             &events,
             serde::__from_field(v, "spans")?,
             serde::__from_field(v, "gear_shifts")?,
             serde::__from_field(v, "faults")?,
             serde::__from_field(v, "decisions")?,
             serde::__from_field(v, "end_s")?,
-        ))
+        )
+        .ok_or_else(|| serde::Error::msg("field `spans`: a depth does not fit a u32"))
     }
 }
 
@@ -531,8 +562,11 @@ impl RankTrace {
     /// An empty trace with pre-sized event/span buffers, so kernels
     /// that emit thousands of events do not pay repeated reallocation.
     pub fn with_capacity(events: usize, spans: usize) -> Self {
-        let shape =
-            TraceShape { events: Vec::with_capacity(events), spans: Vec::with_capacity(spans) };
+        let shape = TraceShape {
+            events: Vec::with_capacity(events),
+            spans: Vec::with_capacity(spans),
+            names: Vec::new(),
+        };
         RankTrace::over(Arc::new(shape), [events, spans])
     }
 
@@ -558,7 +592,7 @@ impl RankTrace {
     }
 
     /// A trace holding exactly these logs, unchecked, with a shape of
-    /// its own.
+    /// its own; `None` if a span's depth does not fit a `u32`.
     fn from_logs(
         events: &[TraceEvent],
         spans: Vec<PhaseSpan>,
@@ -566,22 +600,24 @@ impl RankTrace {
         faults: Vec<FaultEvent>,
         decisions: Vec<PolicyDecision>,
         end_s: f64,
-    ) -> Self {
-        RankTrace {
+    ) -> Option<Self> {
+        let mut shape = TraceShape {
+            events: events.iter().map(EventShape::of).collect(),
+            spans: Vec::with_capacity(spans.len()),
+            names: Vec::new(),
+        };
+        for s in &spans {
+            shape.push_span(&s.name, u32::try_from(s.depth).ok()?, || Arc::clone(&s.name));
+        }
+        Some(RankTrace {
             event_times: events.iter().map(|e| [e.t_enter_s, e.t_exit_s]).collect(),
             span_times: spans.iter().map(|s| [s.t_start_s, s.t_end_s]).collect(),
-            shape: Arc::new(TraceShape {
-                events: events.iter().map(EventShape::of).collect(),
-                spans: spans
-                    .into_iter()
-                    .map(|s| SpanShape { name: s.name, depth: s.depth })
-                    .collect(),
-            }),
+            shape: Arc::new(shape),
             gear_shifts,
             faults,
             decisions,
             end_s,
-        }
+        })
     }
 
     /// The trace's shape, for the skeleton of the run that recorded it.
@@ -597,6 +633,7 @@ impl RankTrace {
         if let Some(shape) = Arc::get_mut(&mut self.shape) {
             shape.events.shrink_to_fit();
             shape.spans.shrink_to_fit();
+            shape.names.shrink_to_fit();
         }
         self.event_times.shrink_to_fit();
         self.span_times.shrink_to_fit();
@@ -613,10 +650,10 @@ impl RankTrace {
         events.for_each(|e| e.encode(w));
         w.usize(self.span_times.len());
         for (s, &[t_start_s, t_end_s]) in self.shape.spans.iter().zip(&self.span_times) {
-            w.str(&s.name);
+            w.str(&self.shape.names[s.name as usize]);
             w.f64(t_start_s);
             w.f64(t_end_s);
-            w.usize(s.depth);
+            w.u64(u64::from(s.depth));
         }
         w.seq(&self.gear_shifts, |w, g| g.encode(w));
         w.seq(&self.faults, |w, f| f.encode(w));
@@ -625,8 +662,9 @@ impl RankTrace {
     }
 
     /// Inverse of [`RankTrace::encode`], into a shape of its own; every
-    /// buffer comes back with no spare capacity, and same-named spans
-    /// share one name from `names`.
+    /// buffer but the shape's name table comes back with no spare
+    /// capacity, and same-named spans share one name from `names`. A
+    /// span depth of `2^32` or more is `BadTag("PhaseSpan.depth")`.
     pub(crate) fn decode(r: &mut Reader<'_>, names: &mut SpanNames) -> Result<Self, WireError> {
         let n = r.seq_len(TraceEvent::WIRE_BYTES)?;
         let (mut events, mut event_times) = (Vec::with_capacity(n), Vec::with_capacity(n));
@@ -636,14 +674,17 @@ impl RankTrace {
             event_times.push([ev.t_enter_s, ev.t_exit_s]);
         }
         let n = r.seq_len(PhaseSpan::MIN_WIRE_BYTES)?;
-        let (mut spans, mut span_times) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut shape = TraceShape { events, spans: Vec::with_capacity(n), names: Vec::new() };
+        let mut span_times = Vec::with_capacity(n);
         for _ in 0..n {
-            let (name, t_start_s, t_end_s) = (names.intern(r.str()?), r.f64()?, r.f64()?);
-            spans.push(SpanShape { name, depth: r.usize()? });
+            let (name, t_start_s, t_end_s) = (r.str()?, r.f64()?, r.f64()?);
+            let depth =
+                u32::try_from(r.u64()?).map_err(|_| WireError::BadTag("PhaseSpan.depth"))?;
+            shape.push_span(name, depth, || names.intern(name));
             span_times.push([t_start_s, t_end_s]);
         }
         Ok(RankTrace {
-            shape: Arc::new(TraceShape { events, spans }),
+            shape: Arc::new(shape),
             event_times,
             span_times,
             gear_shifts: r.seq(GearShift::WIRE_BYTES, GearShift::decode)?,
@@ -683,15 +724,19 @@ impl RankTrace {
     pub fn record_span(&mut self, span: PhaseSpan) {
         debug_assert!(span.t_end_s >= span.t_start_s, "span closes before it opens");
         let i = self.span_times.len();
-        let times = [span.t_start_s, span.t_end_s];
-        let shape = SpanShape { name: span.name, depth: span.depth };
         match self.shape.spans.get(i) {
-            Some(recorded) => {
-                debug_assert_eq!(recorded, &shape, "re-timed span {i} differs from its recording")
+            Some(recorded) => debug_assert_eq!(
+                recorded.at(&self.shape.names, [span.t_start_s, span.t_end_s]),
+                span,
+                "re-timed span {i} differs from its recording"
+            ),
+            None => {
+                let depth = u32::try_from(span.depth).expect("span depth does not fit a u32");
+                Arc::make_mut(&mut self.shape)
+                    .push_span(&span.name, depth, || Arc::clone(&span.name));
             }
-            None => Arc::make_mut(&mut self.shape).spans.push(shape),
         }
-        self.span_times.push(times);
+        self.span_times.push([span.t_start_s, span.t_end_s]);
     }
 
     /// Append a gear-shift mark. Shifts must be appended in time order.
@@ -706,13 +751,13 @@ impl RankTrace {
     /// The recorded events in time order.
     pub fn events(&self) -> Events<'_> {
         let times = &self.event_times[..];
-        Events { shape: &self.shape.events[..times.len()], times }
+        Events { shape: &self.shape.events[..times.len()], names: (), times }
     }
 
     /// Completed phase spans, in close order (inner before outer).
     pub fn spans(&self) -> Spans<'_> {
         let times = &self.span_times[..];
-        Spans { shape: &self.shape.spans[..times.len()], times }
+        Spans { shape: &self.shape.spans[..times.len()], names: &self.shape.names, times }
     }
 
     /// Mid-run gear shifts, in time order.
@@ -868,14 +913,17 @@ impl RankTrace {
     }
 }
 
-/// A view of one log of a [`RankTrace`] — shape entries and their times
-/// — read as whole values. It allocates nothing and is its own iterator.
+/// A view of one log of a [`RankTrace`] — shape entries, what they
+/// index (`names`) and their times — read as whole values. It allocates
+/// nothing and is its own iterator; two views are equal when their
+/// values are.
 macro_rules! timed_view {
-    ($(#[$doc:meta])* $view:ident, $shape:ty => $item:ty) => {
+    ($(#[$doc:meta])* $view:ident, $shape:ty, $names:ty => $item:ty) => {
         $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq)]
+        #[derive(Clone, Copy)]
         pub struct $view<'a> {
             shape: &'a [$shape],
+            names: $names,
             times: &'a [[f64; 2]],
         }
 
@@ -903,7 +951,7 @@ macro_rules! timed_view {
                 let (shape, shapes) = self.shape.split_first()?;
                 let (times, rest) = self.times.split_first()?;
                 (self.shape, self.times) = (shapes, rest);
-                Some(shape.at(*times))
+                Some(shape.at(self.names, *times))
             }
 
             fn size_hint(&self) -> (usize, Option<usize>) {
@@ -911,11 +959,17 @@ macro_rules! timed_view {
             }
 
             fn last(self) -> Option<$item> {
-                Some(self.shape.last()?.at(*self.times.last()?))
+                Some(self.shape.last()?.at(self.names, *self.times.last()?))
             }
         }
 
         impl ExactSizeIterator for $view<'_> {}
+
+        impl PartialEq for $view<'_> {
+            fn eq(&self, other: &Self) -> bool {
+                self.len() == other.len() && self.iter().eq(other.iter())
+            }
+        }
 
         impl std::fmt::Debug for $view<'_> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -927,13 +981,13 @@ macro_rules! timed_view {
 
 timed_view!(
     /// A rank's events as [`TraceEvent`] values, in time order.
-    Events, EventShape => TraceEvent
+    Events, EventShape, () => TraceEvent
 );
 
 timed_view!(
     /// A rank's spans as [`PhaseSpan`] values, in close order; each
     /// span's name is the shape's, shared.
-    Spans, SpanShape => PhaseSpan
+    Spans, SpanShape, &'a [Arc<str>] => PhaseSpan
 );
 
 #[cfg(test)]
@@ -1318,7 +1372,7 @@ mod tests {
                         name: NAMES[i % NAMES.len()].into(),
                         t_start_s: draw(),
                         t_end_s: draw(),
-                        depth: index(draw()),
+                        depth: word(draw()) as u32 as usize,
                     })
                     .collect(),
                 (0..len / 2)
@@ -1344,11 +1398,21 @@ mod tests {
                     })
                     .collect(),
                 draw(),
-            );
+            )
+            .expect("every depth fits a u32");
             // `PowerTrace::push` refuses NaN; its decoder is the only
-            // way to a profile holding arbitrary bits.
+            // way to a profile holding arbitrary bits. Each segment
+            // starts at the previous end, bit for bit (the first at
+            // `+0.0`): gaps are not representable.
             let mut w = Writer::new();
-            w.seq(&vec![(); len], |w, ()| (0..3).for_each(|_| w.f64(draw())));
+            let mut t0_s = 0.0;
+            w.seq(&vec![(); len], |w, ()| {
+                let t1_s = draw();
+                for x in [t0_s, t1_s, draw()] {
+                    w.f64(x);
+                }
+                t0_s = t1_s;
+            });
             let frame = w.finish();
             let power = PowerTrace::decode(&mut Reader::open(&frame).unwrap()).unwrap();
             let counters = Counters {
@@ -1451,10 +1515,12 @@ mod tests {
                     prop_assert_eq!(t.gear_shifts.capacity(), t.gear_shifts.len());
                     prop_assert_eq!(t.faults.capacity(), t.faults.len());
                     prop_assert_eq!(t.decisions.capacity(), t.decisions.len());
-                    for a in &t.shape.spans {
-                        for b in t.shape.spans.iter().filter(|b| b.name == a.name) {
-                            prop_assert!(Arc::ptr_eq(&a.name, &b.name), "{:?} decoded twice", a.name);
-                        }
+                }
+                let names: Vec<&Arc<str>> =
+                    back.ranks.iter().flat_map(|r| &r.trace.shape.names).collect();
+                for a in &names {
+                    for b in names.iter().filter(|b| b == &a) {
+                        prop_assert!(Arc::ptr_eq(a, b), "{:?} decoded twice", a);
                     }
                 }
             }
@@ -1565,7 +1631,7 @@ mod tests {
             run.ranks.truncate(1);
             let send = TraceEvent::new(MpiOp::Send, 0.0, 1.0, 8, Some(3));
             run.ranks[0].trace =
-                RankTrace::from_logs(&[send], Vec::new(), vec![], vec![], vec![], 0.0);
+                RankTrace::from_logs(&[send], Vec::new(), vec![], vec![], vec![], 0.0).unwrap();
             let frame = run.to_bytes();
             let peer_word = 8 + 3 * 8 + 8 + 9 * 8 + 8 + 1 + 3 * 8;
             assert_eq!(frame[peer_word..peer_word + 8], 3u64.to_le_bytes());
@@ -1584,6 +1650,37 @@ mod tests {
                     "peer word {word:#x}"
                 );
             }
+        }
+
+        /// A span's depth is kept in a `u32`: the largest decodes, a
+        /// depth word of `2^32` or more is an error on the wire and in
+        /// JSON.
+        #[test]
+        fn span_depths_from_2_pow_32_up_are_errors() {
+            let mut run = sample();
+            run.ranks.truncate(1);
+            let span = PhaseSpan { name: "halo".into(), t_start_s: 0.0, t_end_s: 1.0, depth: 0 };
+            let deepest = PhaseSpan { depth: u32::MAX as usize, ..span.clone() };
+            let logs = |spans| RankTrace::from_logs(&[], spans, vec![], vec![], vec![], 1.0);
+            run.ranks[0].trace = logs(vec![deepest.clone()]).unwrap();
+            let frame = run.to_bytes();
+            let back = RunResult::from_bytes(&frame).unwrap();
+            assert_eq!(back.ranks[0].trace.spans().next(), Some(deepest));
+            let word = u64::from(u32::MAX).to_le_bytes();
+            let at = frame.windows(8).position(|w| w == word).expect("the depth word");
+            for depth in [1u64 << 32, u64::MAX] {
+                let mut f = frame.clone();
+                f[at..at + 8].copy_from_slice(&depth.to_le_bytes());
+                assert_eq!(
+                    RunResult::from_bytes(&resealed(f)),
+                    Err(WireError::BadTag("PhaseSpan.depth")),
+                    "depth {depth:#x}"
+                );
+            }
+            assert!(logs(vec![PhaseSpan { depth: 1 << 32, ..span }]).is_none());
+            let json = serde::json::to_string(&run.ranks[0].trace);
+            let deeper = json.replace(&format!("{}", u32::MAX), &format!("{}", 1u64 << 32));
+            assert!(serde::json::from_str::<RankTrace>(&deeper).is_err(), "{deeper}");
         }
     }
 }

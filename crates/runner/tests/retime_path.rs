@@ -138,8 +138,9 @@ fn a_retimed_span_allocates_nothing() {
 }
 
 /// Re-timing LU at 16 ranks leaves behind 16 bytes per event (its two
-/// times), 16 per span, 24 per power segment and a constant per rank —
-/// nothing of the trace's structure, which the skeleton's shape holds.
+/// times), 16 per span, 12 per power segment (its end time and level
+/// index) and a constant per rank — nothing of the trace's structure,
+/// which the skeleton's shape holds.
 #[test]
 fn a_retimed_result_holds_only_its_times() {
     const NODES: usize = 16;
@@ -161,7 +162,7 @@ fn a_retimed_result_holds_only_its_times() {
     let events: usize = ranks().map(|r| r.trace.events().len()).sum();
     let spans: usize = ranks().map(|r| r.trace.spans().len()).sum();
     let segments: usize = ranks().map(|r| r.power.segments().len()).sum();
-    let bound = 16 * events + 16 * spans + 24 * segments + PER_RANK_BYTES * ranks().count();
+    let bound = 16 * events + 16 * spans + 12 * segments + PER_RANK_BYTES * ranks().count();
     assert!(
         usize::try_from(held).is_ok_and(|held| held <= bound),
         "{} re-timings hold {held} B, over {bound} B for {events} events, {spans} spans, \
