@@ -35,6 +35,10 @@ pub enum WireError {
     BadUtf8,
     /// Bytes remain after the last field.
     TrailingBytes,
+    /// The frame is whole but not the result it was read as: its
+    /// structure differs from what the reader already knows of it. The
+    /// payload names the first part that differs.
+    Foreign(&'static str),
 }
 
 impl fmt::Display for WireError {

@@ -235,12 +235,17 @@ impl RankResult {
         self.power.encode(w);
     }
 
-    fn decode(r: &mut Reader<'_>, names: &mut SpanNames) -> Result<Self, WireError> {
+    /// `like` is the rank whose trace structure this one must have.
+    fn decode(
+        r: &mut Reader<'_>,
+        names: &mut SpanNames,
+        like: Option<&RankResult>,
+    ) -> Result<Self, WireError> {
         Ok(RankResult {
             rank: r.usize()?,
             gear_index: r.usize()?,
             counters: Counters::decode(r)?,
-            trace: RankTrace::decode(r, names)?,
+            trace: RankTrace::decode(r, names, like.map(|like| like.trace.shape()))?,
             power: PowerTrace::decode(r)?,
         })
     }
@@ -265,18 +270,36 @@ impl RunResult {
     /// be anything — a truncated, bit-flipped or foreign file: every
     /// failure is a [`WireError`], nothing is allocated beyond the
     /// frame's own size, and every decoded buffer has `capacity == len`.
+    /// Each rank's trace gets a shape of its own; see
+    /// [`RunResult::from_bytes_like`] to share one.
     pub fn from_bytes(frame: &[u8]) -> Result<Self, WireError> {
+        RunResult::from_bytes_like(frame, None)
+    }
+
+    /// [`RunResult::from_bytes`], for a frame that must have the trace
+    /// structure of `like` — another result of the same program, such
+    /// as a run of the same `(kernel, class, nodes)` at other gears.
+    /// Each event's op, peer and bytes and each span's name and depth
+    /// is compared with `like`'s as it is read, and every rank's trace
+    /// shares `like`'s rank's shape, so only its times are allocated. A
+    /// rank, event or span count or an entry that differs is
+    /// [`WireError::Foreign`]: the frame is not a result of that program.
+    pub fn from_bytes_like(frame: &[u8], like: Option<&RunResult>) -> Result<Self, WireError> {
         let mut r = Reader::open(frame)?;
         // Ranks open the same phases: one allocation per name per frame.
         let mut names = SpanNames::default();
-        let run = RunResult {
-            time_s: r.f64()?,
-            energy_j: r.f64()?,
-            measured_energy_j: r.f64()?,
-            ranks: r.seq(RankResult::MIN_WIRE_BYTES, |r| RankResult::decode(r, &mut names))?,
-        };
+        let (time_s, energy_j, measured_energy_j) = (r.f64()?, r.f64()?, r.f64()?);
+        let n = r.seq_len(RankResult::MIN_WIRE_BYTES)?;
+        if like.is_some_and(|like| like.ranks.len() != n) {
+            return Err(WireError::Foreign("RunResult.ranks"));
+        }
+        let mut ranks = Vec::with_capacity(n);
+        for i in 0..n {
+            let like = like.map(|like| &like.ranks[i]);
+            ranks.push(RankResult::decode(&mut r, &mut names, like)?);
+        }
         r.finish()?;
-        Ok(run)
+        Ok(RunResult { time_s, energy_j, measured_energy_j, ranks })
     }
 
     /// Maximum per-rank active (compute) time — the paper's `T^A(n)`

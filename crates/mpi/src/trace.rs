@@ -620,7 +620,8 @@ impl RankTrace {
         })
     }
 
-    /// The trace's shape, for the skeleton of the run that recorded it.
+    /// The trace's shape, for the skeleton of the run that recorded it
+    /// and for decoding another result of the same program against it.
     pub(crate) fn shape(&self) -> &Arc<TraceShape> {
         &self.shape
     }
@@ -661,30 +662,61 @@ impl RankTrace {
         w.f64(self.end_s);
     }
 
-    /// Inverse of [`RankTrace::encode`], into a shape of its own; every
-    /// buffer but the shape's name table comes back with no spare
-    /// capacity, and same-named spans share one name from `names`. A
-    /// span depth of `2^32` or more is `BadTag("PhaseSpan.depth")`.
-    pub(crate) fn decode(r: &mut Reader<'_>, names: &mut SpanNames) -> Result<Self, WireError> {
+    /// Inverse of [`RankTrace::encode`]; every buffer but the shape's
+    /// name table comes back with no spare capacity. A span depth of
+    /// `2^32` or more is `BadTag("PhaseSpan.depth")`.
+    ///
+    /// With no `like`, the trace gets a shape of its own, and
+    /// same-named spans share one name from `names`. With `like`, each
+    /// event and span is compared with `like`'s entry as it is read,
+    /// the trace shares `like` and allocates only its time columns; a
+    /// count or an entry that differs is `Foreign`.
+    pub(crate) fn decode(
+        r: &mut Reader<'_>,
+        names: &mut SpanNames,
+        like: Option<&Arc<TraceShape>>,
+    ) -> Result<Self, WireError> {
+        // What is read into a shape of its own: nothing, given `like`.
+        let owned = |n| if like.is_some() { 0 } else { n };
         let n = r.seq_len(TraceEvent::WIRE_BYTES)?;
-        let (mut events, mut event_times) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for _ in 0..n {
+        if like.is_some_and(|like| like.events.len() != n) {
+            return Err(WireError::Foreign("RankTrace.events"));
+        }
+        let (mut events, mut event_times) = (Vec::with_capacity(owned(n)), Vec::with_capacity(n));
+        for i in 0..n {
             let ev = TraceEvent::decode(r)?;
-            events.push(EventShape::of(&ev));
+            match like {
+                Some(like) if like.events[i] != EventShape::of(&ev) => {
+                    return Err(WireError::Foreign("TraceEvent"))
+                }
+                Some(_) => {}
+                None => events.push(EventShape::of(&ev)),
+            }
             event_times.push([ev.t_enter_s, ev.t_exit_s]);
         }
         let n = r.seq_len(PhaseSpan::MIN_WIRE_BYTES)?;
-        let mut shape = TraceShape { events, spans: Vec::with_capacity(n), names: Vec::new() };
+        if like.is_some_and(|like| like.spans.len() != n) {
+            return Err(WireError::Foreign("RankTrace.spans"));
+        }
+        let mut own = TraceShape { events, spans: Vec::with_capacity(owned(n)), names: Vec::new() };
         let mut span_times = Vec::with_capacity(n);
-        for _ in 0..n {
+        for i in 0..n {
             let (name, t_start_s, t_end_s) = (r.str()?, r.f64()?, r.f64()?);
             let depth =
                 u32::try_from(r.u64()?).map_err(|_| WireError::BadTag("PhaseSpan.depth"))?;
-            shape.push_span(name, depth, || names.intern(name));
+            match like {
+                Some(like) => {
+                    let s = like.spans[i];
+                    if s.depth != depth || *like.names[s.name as usize] != *name {
+                        return Err(WireError::Foreign("PhaseSpan"));
+                    }
+                }
+                None => own.push_span(name, depth, || names.intern(name)),
+            }
             span_times.push([t_start_s, t_end_s]);
         }
         Ok(RankTrace {
-            shape: Arc::new(shape),
+            shape: like.map_or_else(|| Arc::new(own), Arc::clone),
             event_times,
             span_times,
             gear_shifts: r.seq(GearShift::WIRE_BYTES, GearShift::decode)?,
@@ -1480,6 +1512,82 @@ mod tests {
             out
         }
 
+        /// A result of one rank per entry of `lens`, drawn from
+        /// `floats` in turn.
+        fn hand_built(floats: &[f64], lens: &[usize]) -> RunResult {
+            let mut next = 0;
+            let mut draw = || {
+                next += 1;
+                floats[next % floats.len()]
+            };
+            RunResult {
+                time_s: draw(),
+                energy_j: draw(),
+                measured_energy_j: draw(),
+                ranks: lens.iter().map(|&len| rank(&mut draw, len)).collect(),
+            }
+        }
+
+        /// `run` with every event and span at other times: the same
+        /// structure, sharing `run`'s shapes.
+        fn retimed(run: &RunResult, floats: &[f64]) -> RunResult {
+            let mut other = run.clone();
+            let mut draws = floats.iter().cycle().copied();
+            for r in &mut other.ranks {
+                let t = &mut r.trace;
+                for times in t.event_times.iter_mut().chain(&mut t.span_times) {
+                    *times = [draws.next().unwrap(), draws.next().unwrap()];
+                }
+            }
+            other
+        }
+
+        /// Change `like` in one part of its structure, chosen by `part`
+        /// and placed by `at` (modulo the count), and return the error
+        /// that reading a frame of the unchanged structure against it
+        /// must give.
+        fn foreign(like: &mut RunResult, part: usize, at: usize) -> WireError {
+            let Some(rank) = like.ranks.iter_mut().find(|r| !r.trace.events().is_empty()) else {
+                like.ranks.push(sample().ranks[0].clone());
+                return WireError::Foreign("RunResult.ranks");
+            };
+            let t = &mut rank.trace;
+            let shape = Arc::make_mut(&mut t.shape);
+            let (e, s) = (at % shape.events.len(), at % shape.spans.len());
+            match part {
+                0 => {
+                    let op = shape.events[e].op;
+                    shape.events[e].op = OPS[(op.tag() as usize + 1) % OPS.len()];
+                }
+                1 => {
+                    let peer = &mut shape.events[e].peer;
+                    *peer = if *peer == NO_PEER { 0 } else { NO_PEER };
+                }
+                2 => shape.events[e].bytes ^= 1,
+                3 => {
+                    let other = format!("{}≠", shape.names[shape.spans[s].name as usize]);
+                    shape.names.push(other.into());
+                    shape.spans[s].name = (shape.names.len() - 1) as u32;
+                }
+                4 => shape.spans[s].depth ^= 1,
+                5 => {
+                    shape.events.pop();
+                    t.event_times.pop();
+                    return WireError::Foreign("RankTrace.events");
+                }
+                6 => {
+                    shape.spans.pop();
+                    t.span_times.pop();
+                    return WireError::Foreign("RankTrace.spans");
+                }
+                _ => {
+                    like.ranks.pop();
+                    return WireError::Foreign("RunResult.ranks");
+                }
+            }
+            WireError::Foreign(if part < 3 { "TraceEvent" } else { "PhaseSpan" })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -1492,17 +1600,7 @@ mod tests {
                 floats in proptest::collection::vec(any_f64(), 1..40),
                 lens in proptest::collection::vec(0usize..7, 0..4),
             ) {
-                let mut next = 0;
-                let mut draw = || {
-                    next += 1;
-                    floats[next % floats.len()]
-                };
-                let run = RunResult {
-                    time_s: draw(),
-                    energy_j: draw(),
-                    measured_energy_j: draw(),
-                    ranks: lens.iter().map(|&len| rank(&mut draw, len)).collect(),
-                };
+                let run = hand_built(&floats, &lens);
                 let back = RunResult::from_bytes(&run.to_bytes()).unwrap();
                 prop_assert_eq!(bits(&back), bits(&run));
                 prop_assert_eq!(back.ranks.capacity(), back.ranks.len());
@@ -1523,6 +1621,43 @@ mod tests {
                         prop_assert!(Arc::ptr_eq(a, b), "{:?} decoded twice", a);
                     }
                 }
+            }
+
+            /// Read against a result of the same structure, a frame
+            /// decodes to what `from_bytes` gives, bit for bit, and
+            /// shares that result's shapes.
+            #[test]
+            fn a_frame_read_like_its_structure_decodes_alike(
+                floats in proptest::collection::vec(any_f64(), 1..40),
+                times in proptest::collection::vec(any_f64(), 1..40),
+                lens in proptest::collection::vec(0usize..7, 0..4),
+            ) {
+                let run = hand_built(&floats, &lens);
+                let like = RunResult::from_bytes(&retimed(&run, &times).to_bytes()).unwrap();
+                let frame = run.to_bytes();
+                let back = RunResult::from_bytes_like(&frame, Some(&like)).unwrap();
+                prop_assert_eq!(bits(&back), bits(&RunResult::from_bytes(&frame).unwrap()));
+                for (r, l) in back.ranks.iter().zip(&like.ranks) {
+                    prop_assert!(Arc::ptr_eq(&r.trace.shape, &l.trace.shape));
+                    prop_assert_eq!(r.trace.event_times.capacity(), r.trace.event_times.len());
+                    prop_assert_eq!(r.trace.span_times.capacity(), r.trace.span_times.len());
+                }
+            }
+
+            /// Read against a result that differs in an event's op,
+            /// peer or bytes, a span's name or depth, an event or span
+            /// count or the rank count, a frame is `Foreign`.
+            #[test]
+            fn a_frame_read_like_another_structure_is_foreign(
+                floats in proptest::collection::vec(any_f64(), 1..40),
+                lens in proptest::collection::vec(0usize..7, 0..4),
+                part in 0usize..8,
+                at in 0usize..64,
+            ) {
+                let run = hand_built(&floats, &lens);
+                let mut like = run.clone();
+                let expected = foreign(&mut like, part, at);
+                prop_assert_eq!(RunResult::from_bytes_like(&run.to_bytes(), Some(&like)), Err(expected));
             }
         }
 

@@ -15,14 +15,16 @@
 //!   processes, the figure binaries say, share results. Entries are
 //!   `<shard>/<key>.run`, sharded into 256 subdirectories by the key's
 //!   top byte so concurrent writers (the job server's worker lanes)
-//!   never contend on one directory. An entry that does not decode is
-//!   a counted miss, overwritten by the re-executed result.
+//!   never contend on one directory. An entry that does not decode, or
+//!   that the engine can prove is another tuple's result, is a counted
+//!   miss, overwritten by the re-executed result.
 //!
 //! The cache is *memoization*, not verification: it assumes the kernel
 //! implementations have not changed since a result was written. Wipe
 //! the directory (or set `PSC_CACHE=0`) after editing kernels.
 
 use crate::metrics::{CacheHooks, Lookup};
+use psc_machine::wire::WireError;
 use psc_mpi::RunResult;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -83,8 +85,8 @@ pub struct CacheStats {
     /// already executing (the engine's in-flight table): the joiner
     /// never reached `lookup`, it blocked on the owner's result.
     pub inflight_joins: u64,
-    /// Damaged disk entries encountered (each read as a miss and was
-    /// healed by the re-executed result's insert).
+    /// Damaged or foreign disk entries encountered (each read as a miss
+    /// and was healed by the re-executed result's insert).
     pub disk_corrupt: u64,
 }
 
@@ -125,7 +127,7 @@ pub struct RunCache {
 enum DiskEntry {
     Absent,
     Corrupt,
-    Ok(RunResult),
+    Ok(Arc<RunResult>),
 }
 
 impl RunCache {
@@ -190,16 +192,33 @@ impl RunCache {
     }
 
     /// Counting lookup: memory first, then disk. A disk hit is promoted
-    /// into the memory layer.
+    /// into the memory layer. An entry is decoded by
+    /// [`RunResult::from_bytes`], with traces of its own: this lookup
+    /// knows nothing of the spec it was keyed from, so it refuses only
+    /// entries that do not decode. The engine's lookup also refuses an
+    /// entry with the wrong rank count, or whose trace structure differs
+    /// from a result of the same tuple it already holds, and shares that
+    /// result's trace shapes (DESIGN.md §10, "Disk layout").
     pub fn lookup(&self, key: u64) -> Option<Arc<RunResult>> {
+        self.lookup_with(key, |frame| RunResult::from_bytes(frame).map(Arc::new))
+    }
+
+    /// [`RunCache::lookup`], with `decode` reading a disk entry's frame;
+    /// an entry it refuses is counted corrupt and read as a miss, and is
+    /// overwritten by the re-executed result's insert. `decode` is not
+    /// called on a memory hit.
+    pub(crate) fn lookup_with(
+        &self,
+        key: u64,
+        decode: impl FnOnce(&[u8]) -> Result<Arc<RunResult>, WireError>,
+    ) -> Option<Arc<RunResult>> {
         if let Some(run) = self.mem.lock().unwrap().get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.with_hooks(|h| h.on_lookup(Lookup::MemHit));
             return Some(run);
         }
-        match self.read_disk(key) {
+        match self.read_disk(key, decode) {
             DiskEntry::Ok(run) => {
-                let run = Arc::new(run);
                 self.mem.lock().unwrap().insert(key, Arc::clone(&run));
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -278,7 +297,11 @@ impl RunCache {
         Self::shard_dir(dir, key).join(format!("{key:016x}.run"))
     }
 
-    fn read_disk(&self, key: u64) -> DiskEntry {
+    fn read_disk(
+        &self,
+        key: u64,
+        decode: impl FnOnce(&[u8]) -> Result<Arc<RunResult>, WireError>,
+    ) -> DiskEntry {
         let Some(dir) = self.disk.as_ref() else { return DiskEntry::Absent };
         let sw = self.hooks.lock().unwrap().as_ref().and_then(|h| h.stopwatch());
         let Ok(frame) = std::fs::read(Self::entry_path(dir, key)) else {
@@ -286,7 +309,7 @@ impl RunCache {
         };
         // A damaged or foreign entry is a miss; the fresh result will
         // overwrite it.
-        let decoded = RunResult::from_bytes(&frame);
+        let decoded = decode(&frame);
         self.with_hooks(|h| h.add_disk_read(sw));
         decoded.map_or(DiskEntry::Corrupt, DiskEntry::Ok)
     }

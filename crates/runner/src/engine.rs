@@ -6,6 +6,7 @@ use crate::metrics::EngineMetrics;
 use crate::plan::{RunPlan, RunSpec};
 use psc_faults::FaultPlan;
 use psc_kernels::{Benchmark, ProblemClass};
+use psc_machine::wire::WireError;
 use psc_mpi::{BackendStats, Cluster, GearSelection, RunResult, Skeleton};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -69,6 +70,21 @@ pub struct Engine {
     /// Tuples whose recording is under way: `skeletons`' in-flight
     /// table, so each tuple is recorded once.
     recording: Inflight<SkeletonKey, Skeleton>,
+    /// The first result of each tuple this engine executed or read
+    /// from disk. A tuple fixes its trace structure, so every later
+    /// disk entry of the tuple is decoded against this result: it
+    /// shares the result's trace shapes, and an entry whose structure
+    /// differs is refused (DESIGN.md §12, "The store"). Memory-only.
+    priors: Mutex<BTreeMap<SkeletonKey, Prior>>,
+}
+
+/// A tuple's result that its disk entries are decoded against.
+#[derive(Debug)]
+struct Prior {
+    run: Arc<RunResult>,
+    /// Whether this engine executed `run`; an executed result replaces
+    /// a decoded one, because execution is authoritative.
+    executed: bool,
 }
 
 /// FNV-1a as a `fmt::Write` sink: `write!` streams the pieces of a key
@@ -104,6 +120,11 @@ impl std::fmt::Write for KeyHasher {
 
 /// Everything a rank program's control flow can depend on.
 type SkeletonKey = (Benchmark, ProblemClass, usize);
+
+/// The tuple of a spec.
+fn tuple_of(spec: &RunSpec) -> SkeletonKey {
+    (spec.bench, spec.class, spec.nodes)
+}
 
 /// Which tier answered a cache miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,6 +276,7 @@ impl Engine {
             inflight: Mutex::new(BTreeMap::new()),
             skeletons: Mutex::new(BTreeMap::new()),
             recording: Mutex::new(BTreeMap::new()),
+            priors: Mutex::new(BTreeMap::new()),
         }
         .rewire_metrics()
     }
@@ -273,6 +295,7 @@ impl Engine {
             inflight: Mutex::new(BTreeMap::new()),
             skeletons: Mutex::new(BTreeMap::new()),
             recording: Mutex::new(BTreeMap::new()),
+            priors: Mutex::new(BTreeMap::new()),
         }
         .rewire_metrics()
     }
@@ -434,8 +457,9 @@ impl Engine {
         queue_wait_s: f64,
         on_miss: &mut dyn FnMut(),
     ) -> (Arc<RunResult>, RunOutcome) {
+        let lookup = || self.cache.lookup_with(key, |frame| self.decode_entry(spec, frame));
         loop {
-            let slot = match claim(&self.inflight, key, || self.cache.lookup(key)) {
+            let slot = match claim(&self.inflight, key, lookup) {
                 Claim::Cached(run) => return (run, RunOutcome::CacheHit),
                 Claim::Join(slot) => {
                     on_miss();
@@ -470,6 +494,7 @@ impl Engine {
                 }
             }
             self.cache.insert(key, Arc::clone(&run));
+            self.keep_prior(tuple_of(spec), &run, true);
             guard.publish(Arc::clone(&run));
             return (run, RunOutcome::Executed);
         }
@@ -609,7 +634,7 @@ impl Engine {
         let cfg = spec.config();
         let faults = self.effective_faults(spec);
         let policy = spec.policy.as_ref().map(|p| p as &dyn psc_mpi::ClusterPolicy);
-        let tuple: SkeletonKey = (spec.bench, spec.class, spec.nodes);
+        let tuple = tuple_of(spec);
         let skeleton = loop {
             let stored =
                 || self.skeletons.lock().expect("skeleton store poisoned").get(&tuple).cloned();
@@ -641,6 +666,39 @@ impl Engine {
         };
         let run = self.cluster.retime(&cfg, faults, policy, &skeleton);
         (run, BackendStats::default(), Tier::Replay)
+    }
+
+    /// Decode a disk entry of `spec`, against its tuple's prior if the
+    /// engine holds one. An entry whose rank count is not `spec.nodes`,
+    /// or whose trace structure differs from the prior's, is not a
+    /// result of the tuple: [`WireError::Foreign`]. The first entry
+    /// decoded of a tuple with no prior becomes its prior.
+    fn decode_entry(&self, spec: &RunSpec, frame: &[u8]) -> Result<Arc<RunResult>, WireError> {
+        let tuple = tuple_of(spec);
+        let prior = self
+            .priors
+            .lock()
+            .expect("prior store poisoned")
+            .get(&tuple)
+            .map(|p| Arc::clone(&p.run));
+        let run = RunResult::from_bytes_like(frame, prior.as_deref())?;
+        if run.ranks.len() != spec.nodes {
+            return Err(WireError::Foreign("RunResult.ranks"));
+        }
+        let run = Arc::new(run);
+        if prior.is_none() {
+            self.keep_prior(tuple, &run, false);
+        }
+        Ok(run)
+    }
+
+    /// Keep `run` as its tuple's prior, unless the tuple has one
+    /// already that `run` does not outrank.
+    fn keep_prior(&self, tuple: SkeletonKey, run: &Arc<RunResult>, executed: bool) {
+        let mut priors = self.priors.lock().expect("prior store poisoned");
+        if priors.get(&tuple).is_none_or(|p| executed && !p.executed) {
+            priors.insert(tuple, Prior { run: Arc::clone(run), executed });
+        }
     }
 
     /// `(skeletons held, their heap bytes)`, for the metrics gauges.

@@ -1,12 +1,13 @@
 //! Crash consistency of the sharded disk layout.
 //!
 //! The disk layer's contract: a reader never sees a half-written entry
-//! (atomic temp + rename inside the shard), and every flavor of on-disk
-//! damage reads as a miss and heals atomically on the next insert.
+//! (atomic temp + rename inside the shard), every flavor of on-disk
+//! damage reads as a miss and heals atomically on the next insert, and
+//! so does an entry the engine can prove is another tuple's result.
 
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_mpi::{Cluster, RunResult};
-use psc_runner::{Engine, RunCache, RunSpec};
+use psc_runner::{Engine, RunCache, RunPlan, RunSpec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -141,5 +142,98 @@ fn concurrent_writers_across_shards_leave_a_clean_tree() {
     assert_eq!(served, PER_WRITER * 2, "every concurrently written entry is readable");
     assert!(tmp_litter(&dir).is_empty(), "no temp litter after concurrent writes");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An engine reading from `dir`.
+fn disk_engine(dir: &Path) -> Engine {
+    Engine::serial(Cluster::athlon_fast_ethernet()).with_cache(RunCache::with_disk(dir))
+}
+
+/// `spec` run from scratch, touching no disk.
+fn fresh(spec: &RunSpec) -> Arc<RunResult> {
+    Engine::serial(Cluster::athlon_fast_ethernet()).with_cache(RunCache::in_memory()).run(spec)
+}
+
+/// Store `from`'s entry under `to`'s key, as a key collision would,
+/// then read `reads` in order on a fresh engine: the last must miss as
+/// corrupt, re-execute to a fresh run's result and heal its entry.
+fn refused_and_healed(tag: &str, from: &RunSpec, to: &RunSpec, reads: &[&RunSpec]) {
+    let dir = scratch(tag);
+    let filler = disk_engine(&dir);
+    for spec in [from, to].into_iter().chain(reads.iter().copied()) {
+        filler.run(spec);
+    }
+    let path = |spec| shard_path(&dir, filler.cache_key(spec));
+    std::fs::copy(path(from), path(to)).unwrap();
+
+    let reader = disk_engine(&dir);
+    let runs: Vec<_> = reads.iter().map(|spec| reader.run(spec)).collect();
+    let stats = reader.cache_stats();
+    let hits = reads.len() as u64 - 1;
+    assert_eq!((stats.disk_hits, stats.misses, stats.disk_corrupt), (hits, 1, 1), "{stats:?}");
+    let expected = fresh(to);
+    assert!(*runs[runs.len() - 1] == *expected, "the refused entry re-executes");
+    assert!(std::fs::read(path(to)).unwrap() == expected.to_bytes(), "and heals");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// CG's entry at the path of LU at the same node count and gear decodes
+/// whole, with the right rank count; read after another gear of LU, its
+/// trace structure proves it foreign.
+#[test]
+fn another_tuples_entry_is_refused_once_its_tuple_is_known() {
+    let spec = |bench, gear| RunSpec::uniform(bench, ProblemClass::Test, 4, gear);
+    let lu1 = spec(Benchmark::Lu, 1);
+    refused_and_healed("tuple", &spec(Benchmark::Cg, 1), &lu1, &[&spec(Benchmark::Lu, 2), &lu1]);
+}
+
+/// An 8-rank entry under a 4-rank key is refused even as the first read
+/// of its tuple: the rank count alone proves it foreign.
+#[test]
+fn an_entry_with_another_rank_count_is_refused_on_first_read() {
+    let spec = |nodes| RunSpec::uniform(Benchmark::Cg, ProblemClass::Test, nodes, 1);
+    let cg4 = spec(4);
+    refused_and_healed("ranks", &spec(8), &cg4, &[&cg4]);
+}
+
+/// Callers racing to read a cold engine's tuples from disk — and so to
+/// register each tuple's first decoded result — get what a serial read
+/// gets, and read each entry once.
+#[test]
+fn concurrent_disk_reads_match_a_serial_read() {
+    let dir = scratch("concurrent");
+    let mut plan = RunPlan::new();
+    for (bench, nodes) in [(Benchmark::Cg, 4), (Benchmark::Lu, 4), (Benchmark::Mg, 2)] {
+        plan.extend(RunPlan::gear_sweep(bench, ProblemClass::Test, nodes, 6));
+    }
+    assert_eq!(plan.len(), 18);
+    disk_engine(&dir).execute(&plan);
+    let serial = disk_engine(&dir).execute(&plan);
+
+    const CALLERS: usize = 4;
+    let engine = disk_engine(&dir).with_jobs(8);
+    let reads: Vec<Vec<Arc<RunResult>>> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let mut specs = plan.specs.clone();
+                specs.rotate_left(c * 5);
+                let (engine, rotated) = (&engine, RunPlan { specs });
+                scope.spawn(move || {
+                    let mut runs = engine.execute(&rotated);
+                    runs.rotate_right(c * 5);
+                    runs
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for runs in &reads {
+        for (run, expected) in runs.iter().zip(&serial) {
+            assert!(**run == **expected, "a concurrent read differs from the serial one");
+        }
+    }
+    let stats = engine.cache_stats();
+    assert_eq!((stats.disk_hits, stats.disk_corrupt, stats.misses), (18, 0, 0), "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
