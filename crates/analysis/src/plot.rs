@@ -1,8 +1,8 @@
 //! Terminal plotting and CSV output for energy-time curves.
 //!
-//! The experiment binaries print each figure as an ASCII scatter plot
+//! The paper campaign prints each figure as an ASCII scatter plot
 //! (energy on the y-axis, time on the x-axis, one glyph per node-count
-//! curve — the layout of the paper's figures) and write a CSV next to
+//! curve — the layout of the paper's figures) and writes a CSV next to
 //! it for external plotting.
 
 use crate::curve::EnergyTimeCurve;

@@ -11,14 +11,12 @@
 //! other row of the same benchmark — the planning answer an online
 //! policy changes: which schedules are ever worth running.
 
-#![forbid(unsafe_code)]
-
+use super::{Campaign, Report};
+use crate::report::Claim;
 use psc_analysis::pareto::{pareto_frontier, Config};
-use psc_experiments::harness::{engine_from_args, finish_sweep};
-use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_policy::PolicySpec;
-use psc_runner::{Engine, RunSpec, Stopwatch};
+use psc_runner::{Engine, RunSpec};
 
 /// One measured row of the figure.
 struct Row {
@@ -44,13 +42,10 @@ fn measure(e: &Engine, spec: RunSpec) -> Row {
     Row { schedule: label, time_s: run.time_s, energy_j: run.energy_j }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
-    let timer = Stopwatch::start();
-
+/// The policy figure: static gears and online schedules of each of
+/// [`BENCHES`] on [`NODES`] nodes, with energy-time frontier membership.
+pub(super) fn fig_policy(c: &Campaign) -> Report {
+    let (e, class) = (&c.athlon, c.class);
     // A budget between the cluster's slowest-gear and fastest-gear
     // worst-case draw, derived from the node model so the figure holds
     // for any preset: 85 % of flat-out.
@@ -63,14 +58,14 @@ fn main() {
     for bench in BENCHES {
         let mut rows = Vec::new();
         for gear in 1..=e.gear_count() {
-            rows.push(measure(&e, RunSpec::uniform(bench, class, NODES, gear)));
+            rows.push(measure(e, RunSpec::uniform(bench, class, NODES, gear)));
         }
         for policy in [
             PolicySpec::PhaseAdaptive { slowdown_limit: psc_policy::DEFAULT_SLOWDOWN_LIMIT },
             PolicySpec::PhaseAdaptive { slowdown_limit: 1.2 },
             PolicySpec::PowerCap { budget_w },
         ] {
-            rows.push(measure(&e, RunSpec::uniform(bench, class, NODES, 1).with_policy(policy)));
+            rows.push(measure(e, RunSpec::uniform(bench, class, NODES, 1).with_policy(policy)));
         }
 
         // Frontier membership over this benchmark's rows. `Config.gear`
@@ -134,13 +129,5 @@ fn main() {
         }
     }
 
-    let (text, all) = render_claims("Policy figure claims", &claims);
-    println!("{text}");
-    let path = write_artifact("fig_policy.csv", &csv);
-    write_artifact("fig_policy_claims.txt", &text);
-    println!("wrote {}", path.display());
-    finish_sweep(&e, "fig_policy", timer);
-    if !all {
-        std::process::exit(1);
-    }
+    Report { files: vec![("fig_policy.csv", csv)], claims }
 }

@@ -1,18 +1,18 @@
 //! One-page digest of a completed reproduction: reads the CSVs the
-//! figure binaries wrote into `results/` and prints the cross-cutting
-//! numbers (per-benchmark best gears, savings, the case taxonomy, and
-//! EDP winners). Run the `fig*` binaries first.
+//! figures wrote into the results directory and reports the
+//! cross-cutting numbers (per-benchmark best gears, savings, the case
+//! taxonomy, and EDP winners).
 
-#![forbid(unsafe_code)]
-
+use super::{Campaign, Report};
+use crate::report::Claim;
 use psc_analysis::cases::classify_pair;
 use psc_analysis::curve::EnergyTimeCurve;
 use psc_analysis::metrics::{best_ed2p_gear, best_edp_gear};
 use psc_analysis::plot::from_csv;
-use psc_experiments::report::results_dir;
+use std::path::Path;
 
-fn load(name: &str) -> Option<Vec<EnergyTimeCurve>> {
-    let path = results_dir().join(name);
+fn load(dir: &Path, name: &str) -> Option<Vec<EnergyTimeCurve>> {
+    let path = dir.join(name);
     let text = std::fs::read_to_string(&path).ok()?;
     match from_csv(&text) {
         Ok(curves) => Some(curves),
@@ -23,20 +23,24 @@ fn load(name: &str) -> Option<Vec<EnergyTimeCurve>> {
     }
 }
 
-fn main() {
+/// The digest of `fig1.csv`, `fig2.csv` and `fig5.csv`, printed and
+/// written to `summary.txt`; its one claim fails when none of them is
+/// there.
+pub(super) fn summary(c: &Campaign) -> Report {
+    let mut s = String::new();
     let mut found_any = false;
 
-    if let Some(curves) = load("fig1.csv") {
+    if let Some(curves) = load(&c.dir, "fig1.csv") {
         found_any = true;
-        println!("Single-node energy-time tradeoff (from fig1.csv):\n");
-        println!(
-            "{:<11} {:>9} {:>9} {:>10} {:>9} {:>9}",
+        s.push_str("Single-node energy-time tradeoff (from fig1.csv):\n\n");
+        s += &format!(
+            "{:<11} {:>9} {:>9} {:>10} {:>9} {:>9}\n",
             "benchmark", "min-E gear", "savings", "delay", "EDP gear", "ED²P gear"
         );
         for c in &curves {
             let g = c.min_energy_gear();
-            println!(
-                "{:<11} {:>9} {:>8.1}% {:>9.1}% {:>9} {:>9}",
+            s += &format!(
+                "{:<11} {:>9} {:>8.1}% {:>9.1}% {:>9} {:>9}\n",
                 c.label,
                 g,
                 100.0 * c.savings(g).unwrap_or(0.0),
@@ -45,12 +49,12 @@ fn main() {
                 best_ed2p_gear(c),
             );
         }
-        println!();
+        s.push('\n');
     }
 
-    if let Some(curves) = load("fig2.csv") {
+    if let Some(curves) = load(&c.dir, "fig2.csv") {
         found_any = true;
-        println!("Node-scaling cases (from fig2.csv):\n");
+        s.push_str("Node-scaling cases (from fig2.csv):\n\n");
         let mut labels: Vec<String> = curves.iter().map(|c| c.label.clone()).collect();
         labels.dedup();
         for label in labels {
@@ -58,8 +62,8 @@ fn main() {
                 curves.iter().filter(|c| c.label == label).collect();
             of_label.sort_by_key(|c| c.nodes);
             for pair in of_label.windows(2) {
-                println!(
-                    "  {:<10} {:>2} → {:>2} nodes: {:?}",
+                s += &format!(
+                    "  {:<10} {:>2} → {:>2} nodes: {:?}\n",
                     label,
                     pair[0].nodes,
                     pair[1].nodes,
@@ -67,12 +71,12 @@ fn main() {
                 );
             }
         }
-        println!();
+        s.push('\n');
     }
 
-    if let Some(curves) = load("fig5.csv") {
+    if let Some(curves) = load(&c.dir, "fig5.csv") {
         found_any = true;
-        println!("Extrapolated minimum-energy gears (from fig5.csv):\n");
+        s.push_str("Extrapolated minimum-energy gears (from fig5.csv):\n\n");
         let mut labels: Vec<String> = curves.iter().map(|c| c.label.clone()).collect();
         labels.sort();
         labels.dedup();
@@ -82,16 +86,17 @@ fn main() {
                 .filter(|c| &c.label == label)
                 .map(|c| (c.nodes, c.min_energy_gear()))
                 .collect();
-            println!("  {:<14} {:?}", label, gears);
+            s += &format!("  {:<14} {:?}\n", label, gears);
         }
-        println!();
+        s.push('\n');
     }
 
-    if !found_any {
-        eprintln!(
-            "no results found in {} — run the fig1/fig2/fig5 binaries first",
-            results_dir().display()
-        );
-        std::process::exit(1);
-    }
+    print!("{s}");
+    let claims = vec![Claim::boolean(
+        "summary-has-inputs",
+        "fig1.csv, fig2.csv or fig5.csv is in the results directory",
+        found_any,
+    )];
+    let files = if found_any { vec![("summary.txt", s)] } else { Vec::new() };
+    Report { files, claims }
 }

@@ -1,11 +1,12 @@
-//! Shared measurement machinery for the experiment binaries.
+//! Shared measurement machinery for the paper campaign.
 //!
 //! Every measurement goes through a [`psc_runner::Engine`]: runs of the
 //! same configuration are executed once (whether requested by a curve, a
-//! node sweep, or a gear profile — or by an earlier figure binary, via
-//! the disk cache), and distinct runs fan out across the engine's worker
-//! pool. Results are bit-identical to serial execution, so the figures
-//! do not depend on the worker count.
+//! node sweep, or a gear profile — or by an earlier artifact of the
+//! campaign, or an earlier process via the disk cache), and distinct
+//! runs fan out across the engine's worker pool. Results are
+//! bit-identical to serial execution, so the figures do not depend on
+//! the worker count.
 
 use psc_analysis::curve::{EnergyTimeCurve, EnergyTimePoint};
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
@@ -14,9 +15,9 @@ use psc_model::decompose::Decomposition;
 use psc_model::gears::GearProfile;
 use psc_model::predict::ClusterModel;
 use psc_mpi::{Cluster, NetworkModel};
-use psc_runner::{Engine, RunPlan, RunSpec, Stopwatch};
+use psc_runner::{CacheStats, Engine, RunPlan, RunSpec, Stopwatch};
 use psc_telemetry::{write_file, RunManifest, SweepManifest};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The paper's testbed: ten Athlon-64 nodes on 100 Mb/s Ethernet.
 pub fn cluster() -> Cluster {
@@ -28,7 +29,7 @@ pub fn sun_cluster() -> Cluster {
     Cluster::new(psc_machine::presets::sun_cluster(), NetworkModel::fast_ethernet())
 }
 
-/// The engine the figure binaries use: the paper's testbed cluster,
+/// The engine the paper campaign uses: the paper's testbed cluster,
 /// `PSC_JOBS`/available-parallelism workers, and the environment's cache
 /// configuration (`PSC_CACHE`, `PSC_CACHE_DIR`), with optional
 /// `--jobs N`, `--faults <plan.json>`, and `--fault-seed N` command-line
@@ -170,11 +171,12 @@ pub fn class_label(class: ProblemClass) -> &'static str {
 
 /// Measure one representative configuration with full telemetry (served
 /// from the run cache when an earlier curve already measured it):
-/// archive a JSON run manifest under the results directory and return
-/// the energy-attribution table (ready to print) together with the
-/// manifest path. The figure binaries call this so every figure ships an
-/// attribution of where its headline configuration spent its joules.
+/// archive a JSON run manifest under `dir` and return the
+/// energy-attribution table (ready to print) together with the manifest
+/// path. The campaign calls this so every figure ships an attribution of
+/// where its headline configuration spent its joules.
 pub fn telemetry_snapshot(
+    dir: &Path,
     e: &Engine,
     bench: Benchmark,
     class: ProblemClass,
@@ -186,31 +188,34 @@ pub fn telemetry_snapshot(
     let manifest = RunManifest::new(bench.name(), class_label(class), &spec.config(), &run);
     let name =
         manifest.default_path().file_name().expect("manifest path has a file name").to_os_string();
-    let path = crate::report::results_dir().join(name);
+    let path = dir.join(name);
     write_file(&path, &manifest.to_json()).unwrap_or_else(|e| panic!("{e}"));
     (manifest.attribution.table(), path)
 }
 
-/// Close out a binary's sweep: snapshot the engine's cache accounting
-/// into a [`SweepManifest`], archive it as `<label>.sweep.json` under
-/// the results directory, print the one-line summary, and return the
-/// path. `timer` is the [`Stopwatch`] the binary started when its sweep
-/// began; the manifest's `wall_s` is the time since then.
-pub fn finish_sweep(e: &Engine, label: &str, timer: Stopwatch) -> PathBuf {
-    let stats = e.cache_stats();
+/// Close out a sweep: sum the cache accounting of `engines` (which
+/// share one worker count) into a [`SweepManifest`], archive it as
+/// `dir/<label>.sweep.json`, print the one-line summary to stderr, and
+/// return the path. `timer` is the [`Stopwatch`] started when the sweep
+/// began; the manifest's `wall_s` is the time since then. The summary
+/// holds a wall time and a worker count, so it stays off stdout, which
+/// is then a pure function of the campaign's inputs.
+pub fn finish_sweep(dir: &Path, label: &str, engines: &[&Engine], timer: Stopwatch) -> PathBuf {
+    let sum =
+        |f: fn(&CacheStats) -> u64| -> u64 { engines.iter().map(|e| f(&e.cache_stats())).sum() };
     let manifest = SweepManifest {
         label: label.to_string(),
-        jobs: e.jobs(),
-        total_specs: stats.lookups(),
-        unique_runs: stats.misses,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
-        disk_hits: stats.disk_hits,
+        jobs: engines.first().map_or(1, |e| e.jobs()),
+        total_specs: sum(CacheStats::lookups),
+        unique_runs: sum(|s| s.misses),
+        cache_hits: sum(|s| s.hits),
+        cache_misses: sum(|s| s.misses),
+        disk_hits: sum(|s| s.disk_hits),
         wall_s: timer.elapsed_s(),
     };
-    let path = crate::report::results_dir().join(format!("{label}.sweep.json"));
+    let path = dir.join(format!("{label}.sweep.json"));
     write_file(&path, &manifest.to_json()).unwrap_or_else(|e| panic!("{e}"));
-    println!("{}", manifest.summary());
+    eprintln!("{}", manifest.summary());
     path
 }
 
@@ -233,9 +238,6 @@ mod tests {
     fn test_engine() -> Engine {
         Engine::new(cluster()).with_cache(RunCache::in_memory())
     }
-
-    /// Serializes the tests that point `RESULTS_DIR` at a temp dir.
-    static RESULTS_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn curve_measured_at_every_gear() {
@@ -354,13 +356,11 @@ mod tests {
 
     #[test]
     fn telemetry_snapshot_archives_a_manifest() {
-        let _guard = RESULTS_ENV.lock().unwrap();
         let dir = std::env::temp_dir().join("psc-harness-telemetry-test");
         let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("RESULTS_DIR", &dir);
         let e = test_engine();
-        let (table, path) = telemetry_snapshot(&e, Benchmark::Ep, ProblemClass::Test, 2, 2);
-        std::env::remove_var("RESULTS_DIR");
+        let (table, path) = telemetry_snapshot(&dir, &e, Benchmark::Ep, ProblemClass::Test, 2, 2);
+        assert!(path.starts_with(&dir));
         assert!(table.contains("compute"), "table should list the compute category");
         let text = std::fs::read_to_string(&path).unwrap();
         let m = RunManifest::from_json(&text).unwrap();
@@ -371,21 +371,21 @@ mod tests {
 
     #[test]
     fn finish_sweep_archives_cache_accounting() {
-        let _guard = RESULTS_ENV.lock().unwrap();
         let dir = std::env::temp_dir().join("psc-harness-sweep-test");
         let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("RESULTS_DIR", &dir);
         let e = test_engine();
+        let other = test_engine();
         let timer = Stopwatch::start();
         let _ = measure_curve(&e, Benchmark::Ep, ProblemClass::Test, 1);
         let _ = measure_curve(&e, Benchmark::Ep, ProblemClass::Test, 1); // all hits
-        let path = finish_sweep(&e, "test-sweep", timer);
-        std::env::remove_var("RESULTS_DIR");
+        let _ = measure_upm(&other, Benchmark::Ep, ProblemClass::Test);
+        let path = finish_sweep(&dir, "test-sweep", &[&e, &other], timer);
+        assert_eq!(path, dir.join("test-sweep.sweep.json"));
         let m = SweepManifest::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(m.total_specs, 12);
-        assert_eq!(m.unique_runs, 6);
+        assert_eq!(m.total_specs, 13, "both engines' lookups are summed");
+        assert_eq!(m.unique_runs, 7);
         assert_eq!(m.cache_hits, 6);
-        assert!((m.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(m.jobs, e.jobs());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,23 +1,15 @@
-//! Result output: the `results/` directory and paper-vs-measured claim
+//! Result output: artifact files and paper-vs-measured claim
 //! bookkeeping.
 
+use psc_telemetry::write_file;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Where experiment outputs land: `$RESULTS_DIR` or `./results`.
-/// The directory is created on first use.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var_os("RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("cannot create results directory");
-    dir
-}
-
-/// Write a result artifact (CSV, text table) under the results dir.
-pub fn write_artifact(name: &str, content: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    std::fs::write(&path, content).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+/// Write a result artifact (CSV, text table) as `dir/name`, creating
+/// `dir` if needed.
+pub fn write_artifact(dir: &Path, name: &str, content: &str) -> PathBuf {
+    let path = dir.join(name);
+    write_file(&path, content).unwrap_or_else(|e| panic!("{e}"));
     path
 }
 
@@ -110,9 +102,11 @@ mod tests {
 
     #[test]
     fn artifacts_written_to_results_dir() {
-        std::env::set_var("RESULTS_DIR", std::env::temp_dir().join("psc-test-results"));
-        let p = write_artifact("probe.txt", "hello");
+        let dir = std::env::temp_dir().join("psc-report-artifact-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let p = write_artifact(&dir, "probe.txt", "hello");
+        assert_eq!(p, dir.join("probe.txt"));
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
-        std::env::remove_var("RESULTS_DIR");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,12 +12,13 @@
 //! * an optional **disk** layer — one binary frame per key
 //!   ([`RunResult::to_bytes`]: checksummed, floats by their bits),
 //!   written with an atomic temp-file + rename — which lets separate
-//!   processes, the figure binaries say, share results. Entries are
-//!   `<shard>/<key>.run`, sharded into 256 subdirectories by the key's
-//!   top byte so concurrent writers (the job server's worker lanes)
-//!   never contend on one directory. An entry that does not decode, or
-//!   that the engine can prove is another tuple's result, is a counted
-//!   miss, overwritten by the re-executed result.
+//!   processes (a CLI sweep and a later `paper` campaign, say) share
+//!   results. Entries are `<shard>/<key>.run`, sharded into 256
+//!   subdirectories by the key's top byte so concurrent writers (the
+//!   job server's worker lanes) never contend on one directory. An
+//!   entry that does not decode, or that the engine can prove is
+//!   another tuple's result, is a counted miss, overwritten by the
+//!   re-executed result.
 //!
 //! The cache is *memoization*, not verification: it assumes the kernel
 //! implementations have not changed since a result was written. Wipe

@@ -10,7 +10,7 @@ use psc_mpi::{Cluster, RunResult};
 use psc_runner::{Engine, RunCache, RunPlan};
 use std::sync::Arc;
 
-/// The CSV a figure binary would write: one row per run with full-
+/// The CSV a campaign figure would write: one row per run with full-
 /// precision floats (`{}` uses shortest-round-trip formatting).
 fn curve_csv(plan: &RunPlan, runs: &[Arc<RunResult>]) -> String {
     let mut csv = String::from("bench,nodes,gears,time_s,energy_j,measured_energy_j\n");

@@ -4,7 +4,7 @@
 //! [`SweepManifest`] describes the *execution* of a whole sweep: how
 //! many runs the plan named, how many actually executed, how the run
 //! cache performed (hits, misses, disk hits), the worker count, and the
-//! host wall-clock spent. The figure binaries and the CLI write one per
+//! host wall-clock spent. The `paper` campaign and the CLI write one per
 //! sweep under `results/`, so every published curve is accompanied by a
 //! record of how much work produced it.
 

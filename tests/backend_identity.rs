@@ -8,7 +8,7 @@
 //! bans host-time and thread primitives inside the scheduler): if the
 //! DES event ordering ever diverges from what the blocking semantics
 //! dictate, one of these comparisons catches it on the same
-//! figure-shaped output the experiment binaries write.
+//! figure-shaped output the paper campaign writes.
 
 use powerscale::kernels::{Benchmark, ProblemClass};
 use powerscale::mpi::RuntimeBackend;
@@ -16,7 +16,7 @@ use powerscale::prelude::*;
 use powerscale::telemetry::RunManifest;
 use std::sync::Arc;
 
-/// The CSV a figure binary would write: one row per run with
+/// The CSV a campaign figure would write: one row per run with
 /// shortest-round-trip floats, so byte equality means bit equality.
 fn curve_csv(plan: &RunPlan, runs: &[Arc<RunResult>]) -> String {
     let mut csv = String::from("bench,nodes,gears,time_s,energy_j,measured_energy_j\n");

@@ -16,7 +16,7 @@ use powerscale::runner::EngineMetrics;
 use powerscale::telemetry::selftrace::self_trace_json;
 use std::sync::Arc;
 
-/// The CSV a figure binary would write: one row per run with
+/// The CSV a campaign figure would write: one row per run with
 /// shortest-round-trip floats, so byte equality means bit equality.
 fn curve_csv(plan: &RunPlan, runs: &[Arc<RunResult>]) -> String {
     let mut csv = String::from("bench,nodes,gears,time_s,energy_j,measured_energy_j\n");
@@ -35,7 +35,7 @@ fn curve_csv(plan: &RunPlan, runs: &[Arc<RunResult>]) -> String {
 }
 
 /// Gear sweeps over three kernels plus a node sweep with deliberate
-/// overlap — the same shape the figure binaries and the CI fault
+/// overlap — the same shape the paper campaign and the CI fault
 /// matrix drive.
 fn figure_like_plan() -> RunPlan {
     let mut plan = RunPlan::new();

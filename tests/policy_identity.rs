@@ -23,7 +23,7 @@ use powerscale::prelude::*;
 use powerscale::telemetry::RunManifest;
 use std::sync::Arc;
 
-/// The CSV a figure binary would write: one row per run with
+/// The CSV a campaign figure would write: one row per run with
 /// shortest-round-trip floats, so byte equality means bit equality.
 fn curve_csv(plan: &RunPlan, runs: &[Arc<RunResult>]) -> String {
     let mut csv = String::from("bench,nodes,gears,time_s,energy_j,measured_energy_j\n");
