@@ -6,9 +6,11 @@
 //! golden. A kernel loop may be rewritten for speed (DESIGN.md's kernel
 //! arithmetic contract), but never so that one bit of an answer, a
 //! message or a charge moves; this file is what says so. The class-B
-//! half covers every Jacobi, BT and SP tuple up to 10 nodes, whose row
-//! widths, line groups and chunk sizes the Test class does not reach;
-//! it is too slow for a debug build and runs under `cargo test --release`.
+//! half covers every Jacobi tuple and every NAS kernel's (BT, CG, EP,
+//! LU, MG, SP) up to 10 nodes, whose row widths, wavefront blocks,
+//! line groups, pair counts and level shapes the Test class does not
+//! reach; it is too slow for a debug build and runs under
+//! `cargo test --release`.
 //!
 //! After an intended change to a kernel's answers, regenerate with
 //! `PSC_KERNEL_BLESS=1 cargo test --release -p psc-kernels --test output_goldens`.
@@ -77,9 +79,17 @@ fn test_class_outputs_match_goldens() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "class B is release-only")]
 fn class_b_outputs_match_goldens() {
-    let tuples: Vec<(Benchmark, usize)> = [Benchmark::Jacobi, Benchmark::Bt, Benchmark::Sp]
-        .iter()
-        .flat_map(|&b| b.valid_nodes(10).into_iter().map(move |n| (b, n)))
-        .collect();
+    let tuples: Vec<(Benchmark, usize)> = [
+        Benchmark::Jacobi,
+        Benchmark::Bt,
+        Benchmark::Sp,
+        Benchmark::Cg,
+        Benchmark::Ep,
+        Benchmark::Lu,
+        Benchmark::Mg,
+    ]
+    .iter()
+    .flat_map(|&b| b.valid_nodes(10).into_iter().map(move |n| (b, n)))
+    .collect();
     check("class_b.txt", &render(ProblemClass::B, &tuples));
 }
