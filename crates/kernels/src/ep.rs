@@ -67,14 +67,15 @@ pub struct EpOutput {
 /// one global random stream (via LCG jump-ahead), so results are
 /// independent of the rank count up to floating-point summation order.
 pub fn run(comm: &mut Comm, p: &EpParams) -> EpOutput {
+    run_with(comm, p, tally)
+}
+
+/// [`run`], with the pair loop `tally` passed in.
+fn run_with(comm: &mut Comm, p: &EpParams, tally: fn(&mut NasRng, usize, &mut Tally)) -> EpOutput {
     let range = block_range(p.pairs as usize, comm.size(), comm.rank());
     // Each pair consumes two deviates; jump to this rank's slice start.
     let mut rng = NasRng::skip(p.seed, 2 * range.start as u64);
-
-    let mut sx = 0.0;
-    let mut sy = 0.0;
-    let mut counts = [0.0f64; 10];
-    let mut accepted = 0u64;
+    let mut sums = Tally::default();
 
     // Process in chunks so work is charged alongside the arithmetic it
     // models, letting per-gear power averaging see realistic block sizes.
@@ -83,31 +84,15 @@ pub fn run(comm: &mut Comm, p: &EpParams) -> EpOutput {
     comm.span_begin("ep-gaussian");
     while remaining > 0 {
         let batch = remaining.min(CHUNK);
-        for _ in 0..batch {
-            let x = 2.0 * rng.next_f64() - 1.0;
-            let y = 2.0 * rng.next_f64() - 1.0;
-            let t = x * x + y * y;
-            if t <= 1.0 && t > 0.0 {
-                let f = (-2.0 * t.ln() / t).sqrt();
-                let gx = x * f;
-                let gy = y * f;
-                sx += gx;
-                sy += gy;
-                let m = gx.abs().max(gy.abs()) as usize;
-                if m < 10 {
-                    counts[m] += 1.0;
-                }
-                accepted += 1;
-            }
-        }
+        tally(&mut rng, batch, &mut sums);
         charge(comm, batch as f64 * FLOPS_PER_PAIR, p.work_scale, EP_UPM);
         remaining -= batch;
     }
     comm.span_end();
 
     // The single communication step: sum everything across ranks.
-    let mut buf = vec![sx, sy, accepted as f64];
-    buf.extend_from_slice(&counts);
+    let mut buf = vec![sums.sx, sums.sy, sums.accepted as f64];
+    buf.extend(sums.counts.map(|c| c as f64));
     let total = comm.span("ep-reduce", |comm| comm.allreduce(buf, ReduceOp::Sum));
 
     let mut out_counts = [0u64; 10];
@@ -117,10 +102,111 @@ pub fn run(comm: &mut Comm, p: &EpParams) -> EpOutput {
     EpOutput { sx: total[0], sy: total[1], counts: out_counts, accepted: total[2].round() as u64 }
 }
 
+/// One rank's running sums over its accepted pairs.
+#[derive(Default)]
+struct Tally {
+    sx: f64,
+    sy: f64,
+    counts: [u64; 10],
+    accepted: u64,
+}
+
+/// Pairs [`tally`] draws, tests and transforms per batch.
+const BATCH: usize = 256;
+
+/// Draw `pairs` pairs from `rng` and add the accepted ones to `sums`.
+///
+/// About one pair in five fails the acceptance test, at random, so a
+/// branch on it mispredicts often. Each batch of up to [`BATCH`] pairs
+/// therefore draws every pair first, keeps the indices of the accepted
+/// ones without a branch, transforms only those, and then adds them to
+/// the sums one by one in pair order: the sums are serial chains, so
+/// they keep their order (DESIGN.md §13). The counts are integers, exact
+/// in any order.
+fn tally(rng: &mut NasRng, pairs: usize, sums: &mut Tally) {
+    let (mut x, mut y, mut t) = ([0.0f64; BATCH], [0.0f64; BATCH], [0.0f64; BATCH]);
+    let (mut kept, mut f) = ([0u16; BATCH], [0.0f64; BATCH]);
+    let mut left = pairs;
+    while left > 0 {
+        let n = left.min(BATCH);
+        for k in 0..n {
+            x[k] = 2.0 * rng.next_f64() - 1.0;
+            y[k] = 2.0 * rng.next_f64() - 1.0;
+            t[k] = x[k] * x[k] + y[k] * y[k];
+        }
+        let mut accepted = 0;
+        for (k, &t) in t[..n].iter().enumerate() {
+            kept[accepted] = k as u16;
+            accepted += usize::from(t <= 1.0 && t > 0.0);
+        }
+        let kept = &kept[..accepted];
+        for (f, &k) in f.iter_mut().zip(kept) {
+            let t = t[usize::from(k)];
+            *f = (-2.0 * t.ln() / t).sqrt();
+        }
+        for (&f, &k) in f.iter().zip(kept) {
+            let (gx, gy) = (x[usize::from(k)] * f, y[usize::from(k)] * f);
+            sums.sx += gx;
+            sums.sy += gy;
+            let m = gx.abs().max(gy.abs()) as usize;
+            if m < 10 {
+                sums.counts[m] += 1;
+            }
+        }
+        sums.accepted += accepted as u64;
+        left -= n;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use psc_mpi::{Cluster, ClusterConfig};
+
+    /// The pair loop `tally` replaced: one pair at a time, branching on
+    /// the acceptance test.
+    fn tally_scalar(rng: &mut NasRng, pairs: usize, sums: &mut Tally) {
+        for _ in 0..pairs {
+            let x = 2.0 * rng.next_f64() - 1.0;
+            let y = 2.0 * rng.next_f64() - 1.0;
+            let t = x * x + y * y;
+            if t <= 1.0 && t > 0.0 {
+                let f = (-2.0 * t.ln() / t).sqrt();
+                let gx = x * f;
+                let gy = y * f;
+                sums.sx += gx;
+                sums.sy += gy;
+                let m = gx.abs().max(gy.abs()) as usize;
+                if m < 10 {
+                    sums.counts[m] += 1;
+                }
+                sums.accepted += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn batched_tally_is_bitwise_the_scalar_loop() {
+        // Pair counts off the batch size (one spans two chunks), split
+        // into rank slices of unequal length, some of them empty.
+        let c = Cluster::athlon_fast_ethernet();
+        for pairs in [1u64, 255, 257, 1_000, 70_001] {
+            for n in [1usize, 3, 7] {
+                let p = EpParams { pairs, ..EpParams::test() };
+                let cfg = ClusterConfig::uniform(n, 1);
+                let (fast_res, fast) = c.run(&cfg, move |comm| run_with(comm, &p, tally));
+                let (slow_res, slow) = c.run(&cfg, move |comm| run_with(comm, &p, tally_scalar));
+                let ctx = format!("pairs={pairs} n={n}");
+                for (a, b) in fast.iter().zip(&slow) {
+                    assert_eq!(a.sx.to_bits(), b.sx.to_bits(), "{ctx}: sx");
+                    assert_eq!(a.sy.to_bits(), b.sy.to_bits(), "{ctx}: sy");
+                    assert_eq!(a.counts, b.counts, "{ctx}: counts");
+                    assert_eq!(a.accepted, b.accepted, "{ctx}: accepted");
+                }
+                assert_eq!(fast_res.time_s.to_bits(), slow_res.time_s.to_bits(), "{ctx}: time");
+            }
+        }
+    }
 
     fn run_on(nodes: usize) -> EpOutput {
         let c = Cluster::athlon_fast_ethernet();

@@ -17,6 +17,7 @@ use crate::common::{block_range, charge};
 use crate::jacobi::owner_of;
 use psc_mpi::{Comm, ReduceOp};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Memory pressure of LU measured by the paper (Table 1).
 pub const LU_UPM: f64 = 73.5;
@@ -81,38 +82,37 @@ pub fn run(comm: &mut Comm, p: &LuParams) -> LuOutput {
     let up = if my.start == 0 { None } else { Some(owner_of(p.m, size, my.start - 1)) };
     let down = if my.end == p.m { None } else { Some(owner_of(p.m, size, my.end)) };
 
-    // Rows 0 and local+1 are ghosts; boundary values are zero.
-    let mut u = vec![vec![0.0f64; w]; local + 2];
+    // Rows 0 and local+1 are ghosts. Each row is padded by one column
+    // on each side whose `+0.0` is the zero boundary value (DESIGN.md
+    // §13): point `(i, j)` lives at `i * s + 1 + j`.
+    let s = w + 2;
+    let mut g = vec![0.0f64; (local + 2) * s];
+    let row = |i: usize| i * s + 1..i * s + 1 + w;
+    let hr = h2 * rhs;
 
     for _ in 0..p.iters {
         // ----- forward sweep (new values flow downward) -----
         comm.span_begin("lu-sweep-fwd");
         // Pre-sweep: obtain the *old* row below (for the u[i+1][j] term).
         if let Some(u_n) = up {
-            comm.send(u_n, TAG_GHOST_FWD, u[1].clone());
+            comm.send(u_n, TAG_GHOST_FWD, g[row(1)].to_vec());
         }
         if let Some(d_n) = down {
-            u[local + 1] = comm.recv::<Vec<f64>>(d_n, TAG_GHOST_FWD);
+            g[row(local + 1)].copy_from_slice(&comm.recv::<Vec<f64>>(d_n, TAG_GHOST_FWD));
         } else {
-            u[local + 1].iter_mut().for_each(|x| *x = 0.0);
+            g[row(local + 1)].fill(0.0);
         }
         for b in 0..p.blocks {
             let cols = block_range(w, p.blocks, b);
             if let Some(u_n) = up {
                 // The up neighbor's freshly updated boundary segment.
                 let seg = comm.recv::<Vec<f64>>(u_n, TAG_PIPE_FWD);
-                u[0][cols.clone()].copy_from_slice(&seg);
+                g[row(0)][cols.clone()].copy_from_slice(&seg);
             }
-            for i in 1..=local {
-                for j in cols.clone() {
-                    let left = if j == 0 { 0.0 } else { u[i][j - 1] };
-                    let right = if j + 1 == w { 0.0 } else { u[i][j + 1] };
-                    u[i][j] = 0.25 * (h2 * rhs + u[i - 1][j] + u[i + 1][j] + left + right);
-                }
-            }
+            relax_block::<true>(&mut g, s, local, &cols, hr);
             charge(comm, 6.0 * (local * cols.len()) as f64, p.work_scale, LU_UPM);
             if let Some(d_n) = down {
-                comm.send(d_n, TAG_PIPE_FWD, u[local][cols].to_vec());
+                comm.send(d_n, TAG_PIPE_FWD, g[row(local)][cols].to_vec());
             }
         }
 
@@ -121,29 +121,23 @@ pub fn run(comm: &mut Comm, p: &LuParams) -> LuOutput {
         // ----- backward sweep (new values flow upward) -----
         comm.span_begin("lu-sweep-bwd");
         if let Some(d_n) = down {
-            comm.send(d_n, TAG_GHOST_BWD, u[local].clone());
+            comm.send(d_n, TAG_GHOST_BWD, g[row(local)].to_vec());
         }
         if let Some(u_n) = up {
-            u[0] = comm.recv::<Vec<f64>>(u_n, TAG_GHOST_BWD);
+            g[row(0)].copy_from_slice(&comm.recv::<Vec<f64>>(u_n, TAG_GHOST_BWD));
         } else {
-            u[0].iter_mut().for_each(|x| *x = 0.0);
+            g[row(0)].fill(0.0);
         }
         for b in (0..p.blocks).rev() {
             let cols = block_range(w, p.blocks, b);
             if let Some(d_n) = down {
                 let seg = comm.recv::<Vec<f64>>(d_n, TAG_PIPE_BWD);
-                u[local + 1][cols.clone()].copy_from_slice(&seg);
+                g[row(local + 1)][cols.clone()].copy_from_slice(&seg);
             }
-            for i in (1..=local).rev() {
-                for j in cols.clone().rev() {
-                    let left = if j == 0 { 0.0 } else { u[i][j - 1] };
-                    let right = if j + 1 == w { 0.0 } else { u[i][j + 1] };
-                    u[i][j] = 0.25 * (h2 * rhs + u[i - 1][j] + u[i + 1][j] + left + right);
-                }
-            }
+            relax_block::<false>(&mut g, s, local, &cols, hr);
             charge(comm, 6.0 * (local * cols.len()) as f64, p.work_scale, LU_UPM);
             if let Some(u_n) = up {
-                comm.send(u_n, TAG_PIPE_BWD, u[1][cols].to_vec());
+                comm.send(u_n, TAG_PIPE_BWD, g[row(1)][cols].to_vec());
             }
         }
         comm.span_end();
@@ -152,22 +146,20 @@ pub fn run(comm: &mut Comm, p: &LuParams) -> LuOutput {
     // Final residual: one clean halo exchange, then ‖f − A·u‖.
     comm.span_begin("lu-residual");
     if let Some(u_n) = up {
-        let ghost: Vec<f64> = comm.sendrecv(u_n, 5, u[1].clone(), u_n, 6);
-        u[0] = ghost;
+        let ghost: Vec<f64> = comm.sendrecv(u_n, 5, g[row(1)].to_vec(), u_n, 6);
+        g[row(0)].copy_from_slice(&ghost);
     }
     if let Some(d_n) = down {
-        let ghost: Vec<f64> = comm.sendrecv(d_n, 6, u[local].clone(), d_n, 5);
-        u[local + 1] = ghost;
+        let ghost: Vec<f64> = comm.sendrecv(d_n, 6, g[row(local)].to_vec(), d_n, 5);
+        g[row(local + 1)].copy_from_slice(&ghost);
     }
     let mut res2 = 0.0;
     let mut sum = 0.0;
     for i in 1..=local {
-        for j in 0..w {
-            let left = if j == 0 { 0.0 } else { u[i][j - 1] };
-            let right = if j + 1 == w { 0.0 } else { u[i][j + 1] };
-            let r = rhs - (4.0 * u[i][j] - u[i - 1][j] - u[i + 1][j] - left - right) / h2;
+        for c in row(i) {
+            let r = rhs - (4.0 * g[c] - g[c - s] - g[c + s] - g[c - 1] - g[c + 1]) / h2;
             res2 += r * r;
-            sum += u[i][j];
+            sum += g[c];
         }
     }
     charge(comm, 9.0 * (local * w) as f64, p.work_scale, LU_UPM);
@@ -177,10 +169,142 @@ pub fn run(comm: &mut Comm, p: &LuParams) -> LuOutput {
     LuOutput { residual: total[0].sqrt(), checksum: total[1], iterations: p.iters }
 }
 
+/// Rows a Gauss–Seidel block advances side by side.
+const SKEW: usize = 4;
+
+/// Relax the column block `cols` of rows `1..=rows` of the padded grid
+/// `g` (row stride `s`) as one block of a Gauss–Seidel sweep: a forward
+/// sweep (`FWD`) goes down and right from the block's top left point, a
+/// backward one up and left from its bottom right point.
+///
+/// Each point waits for its row neighbour's new value, so one row is a
+/// serial chain. Rows advance in groups of [`SKEW`] as a wavefront: at
+/// step `t`, lane `r` of a group relaxes its row's point `t - r`. Every
+/// point of one step reads only values that a sequential sweep would
+/// also have updated (behind it) or not yet (ahead of it), so the lanes'
+/// chains overlap and every value is the sequential sweep's (DESIGN.md
+/// §13).
+fn relax_block<const FWD: bool>(
+    g: &mut [f64],
+    s: usize,
+    rows: usize,
+    cols: &Range<usize>,
+    hr: f64,
+) {
+    let first = if FWD { s + 1 + cols.start } else { rows * s + cols.end };
+    let cols = cols.len();
+    let at = |r: usize, k: usize| if FWD { first + r * s + k } else { first - r * s - k };
+    // Offsets of a point's neighbour ahead in its row and in the row below,
+    // in the sweep's own frame.
+    let (next_col, next_row) = if FWD { (1, s as isize) } else { (-1, -(s as isize)) };
+    let nb = |c: usize, d: isize| c.wrapping_add_signed(d);
+    // Lanes of step `t` that have a point, relaxed from memory.
+    let step = |g: &mut [f64], r0: usize, lanes: usize, t: usize| {
+        for r in (t + 1).saturating_sub(cols)..=t.min(lanes - 1) {
+            let c = at(r0 + r, t - r);
+            g[c] = 0.25 * ((((hr + g[c - s]) + g[c + s]) + g[c - 1]) + g[c + 1]);
+        }
+    };
+    for r0 in (0..rows).step_by(SKEW) {
+        let lanes = (rows - r0).min(SKEW);
+        let steps = cols + lanes - 1;
+        if lanes < SKEW || cols < SKEW {
+            (0..steps).for_each(|t| step(g, r0, lanes, t));
+            continue;
+        }
+        (0..SKEW - 1).for_each(|t| step(g, r0, SKEW, t));
+        // The steady steps run every lane. In the sweep's own frame, a
+        // lane's new value is its next `left` and the next lane's next
+        // `up`, and the old value `right` of a lane is the `down` of the
+        // lane before it, so each is loaded or stored once.
+        let mut new: [f64; SKEW] =
+            std::array::from_fn(|r| g[nb(at(r0 + r, SKEW - 1 - r), -next_col)]);
+        for t in SKEW - 1..cols {
+            let c: [usize; SKEW] = std::array::from_fn(|r| at(r0 + r, t - r));
+            let old: [f64; SKEW] = std::array::from_fn(|r| g[nb(c[r], next_col)]);
+            let (first_up, last_down) = (g[nb(c[0], -next_row)], g[nb(c[SKEW - 1], next_row)]);
+            new = std::array::from_fn(|r| {
+                let up = if r == 0 { first_up } else { new[r - 1] };
+                let down = if r + 1 < SKEW { old[r + 1] } else { last_down };
+                // The point's own expression, its neighbours named as in
+                // the grid: a backward sweep comes from below and right.
+                let (up, down, left, right) =
+                    if FWD { (up, down, new[r], old[r]) } else { (down, up, old[r], new[r]) };
+                0.25 * ((((hr + up) + down) + left) + right)
+            });
+            for (&c, &v) in c.iter().zip(&new) {
+                g[c] = v;
+            }
+        }
+        (cols..steps).for_each(|t| step(g, r0, SKEW, t));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use psc_mpi::{Cluster, ClusterConfig};
+
+    /// The sweep loop `relax_block` replaced, over one column block of a
+    /// `Vec<Vec<f64>>` slab: a boundary neighbour is the literal `0.0`.
+    fn relax_block_scalar(u: &mut [Vec<f64>], cols: Range<usize>, fwd: bool, hr: f64) {
+        let (local, w) = (u.len() - 2, u[0].len());
+        let rows: Vec<usize> =
+            if fwd { (1..=local).collect() } else { (1..=local).rev().collect() };
+        for i in rows {
+            let js: Vec<usize> =
+                if fwd { cols.clone().collect() } else { cols.clone().rev().collect() };
+            for j in js {
+                let left = if j == 0 { 0.0 } else { u[i][j - 1] };
+                let right = if j + 1 == w { 0.0 } else { u[i][j + 1] };
+                u[i][j] = 0.25 * (hr + u[i - 1][j] + u[i + 1][j] + left + right);
+            }
+        }
+    }
+
+    #[test]
+    fn wavefront_blocks_are_bitwise_the_scalar_sweep() {
+        // Row counts around every lane tail, blocks narrower than the
+        // wavefront's fill and drain (empty ones included), and blocks
+        // at both boundary columns.
+        let hr = 1.0 / 2401.0;
+        for w in [1usize, 2, 3, 4, 5, 7, 11, 13] {
+            for local in 1..=9usize {
+                for blocks in [1usize, 2, 3, w] {
+                    let seed = (w * 131 + local * 7 + blocks) as u64;
+                    let vals = crate::common::test_values((local + 2) * w, seed);
+                    let mut slab: Vec<Vec<f64>> =
+                        vals.chunks_exact(w).map(<[f64]>::to_vec).collect();
+                    let s = w + 2;
+                    let mut g = vec![0.0; (local + 2) * s];
+                    for (i, row) in slab.iter().enumerate() {
+                        g[i * s + 1..i * s + 1 + w].copy_from_slice(row);
+                    }
+                    for fwd in [true, false] {
+                        for b in 0..blocks {
+                            let b = if fwd { b } else { blocks - 1 - b };
+                            let cols = block_range(w, blocks, b);
+                            relax_block_scalar(&mut slab, cols.clone(), fwd, hr);
+                            if fwd {
+                                relax_block::<true>(&mut g, s, local, &cols, hr);
+                            } else {
+                                relax_block::<false>(&mut g, s, local, &cols, hr);
+                            }
+                        }
+                        let ctx = format!("w={w} local={local} blocks={blocks} fwd={fwd}");
+                        for (i, row) in slab.iter().enumerate() {
+                            let padded = &g[i * s..(i + 1) * s];
+                            assert_eq!(padded[0].to_bits(), 0, "{ctx}: left pad");
+                            assert_eq!(padded[w + 1].to_bits(), 0, "{ctx}: right pad");
+                            for (a, b) in padded[1..=w].iter().zip(row) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: row {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn run_on(nodes: usize, p: LuParams) -> (f64, LuOutput) {
         let c = Cluster::athlon_fast_ethernet();

@@ -86,6 +86,8 @@ struct Level {
     f: Vec<f64>,
     /// Scratch residual, same layout.
     r: Vec<f64>,
+    /// The smoother's second buffer for `u`, same layout.
+    spare: Vec<f64>,
 }
 
 impl Level {
@@ -114,6 +116,7 @@ impl Level {
             u: vec![0.0; rows * m],
             f: vec![0.0; rows * m],
             r: vec![0.0; rows * m],
+            spare: vec![0.0; rows * m],
         }
     }
 
@@ -121,6 +124,11 @@ impl Level {
     fn idx(&self, i: usize, j: usize) -> usize {
         debug_assert!(i + 1 >= self.r0 && i <= self.r1, "row {i} outside {}..{}", self.r0, self.r1);
         (i + 1 - self.r0) * self.m + j
+    }
+
+    /// Buffer range of row `i`, boundary columns included.
+    fn row(&self, i: usize) -> std::ops::Range<usize> {
+        self.idx(i, 0)..self.idx(i, 0) + self.m
     }
 
     fn h(&self) -> f64 {
@@ -179,46 +187,81 @@ fn halo(comm: &mut Comm, lvl: &mut Level, which: u8) {
 }
 
 /// One weighted-Jacobi sweep over the owned rows.
+///
+/// The new iterate goes into `spare`, which then becomes `u`. The sweep
+/// writes the owned interior points; `spare` must carry over everything
+/// else, so the swapped-in `u` is the whole field a copy of `u` would
+/// have been: the two ghost rows (the neighbours' rows `halo` just
+/// wrote, or a fixed boundary row) and the boundary columns of the owned
+/// rows.
 fn smooth_once(comm: &mut Comm, lvl: &mut Level, p: &MgParams) {
     halo(comm, lvl, 0);
+    smooth_sweep(lvl);
+    let pts = (lvl.local_rows() * (lvl.m - 2)) as f64;
+    charge(comm, 8.0 * pts, p.work_scale, MG_UPM);
+}
+
+/// The arithmetic of [`smooth_once`].
+fn smooth_sweep(lvl: &mut Level) {
     let m = lvl.m;
     let h2 = lvl.h() * lvl.h();
-    let mut unew = lvl.u.clone();
-    for i in lvl.r0..lvl.r1 {
-        for j in 1..m - 1 {
-            let c = lvl.idx(i, j);
-            let lap =
-                (4.0 * lvl.u[c] - lvl.u[c - m] - lvl.u[c + m] - lvl.u[c - 1] - lvl.u[c + 1]) / h2;
-            unew[c] = lvl.u[c] + OMEGA * (lvl.f[c] - lap) * h2 / 4.0;
-        }
+    for ghost in [lvl.r0 - 1, lvl.r1] {
+        let row = lvl.row(ghost);
+        lvl.spare[row.clone()].copy_from_slice(&lvl.u[row]);
     }
-    lvl.u = unew;
-    let pts = (lvl.local_rows() * (m - 2)) as f64;
-    charge(comm, 8.0 * pts, p.work_scale, MG_UPM);
+    for i in lvl.r0..lvl.r1 {
+        let row = lvl.row(i);
+        let (rows, out) = (&lvl.u[row.start - m..row.end + m], &mut lvl.spare[row.clone()]);
+        (out[0], out[m - 1]) = (rows[m], rows[2 * m - 1]);
+        stencil_row(rows, &lvl.f[row], out, h2, |u, f, lap| u + OMEGA * (f - lap) * h2 / 4.0);
+    }
+    std::mem::swap(&mut lvl.u, &mut lvl.spare);
+}
+
+/// Set every interior point of the row `out` to `point(u, f, lap)`, with
+/// `lap = ((((4.0 * u - up) - down) - left) - right) / h2`. `rows` holds
+/// the row above, the row and the row below (`m` points each, boundary
+/// columns included) and `f` the row's right-hand side. No value feeds
+/// another, so the loop vectorizes (DESIGN.md §13).
+fn stencil_row(
+    rows: &[f64],
+    f: &[f64],
+    out: &mut [f64],
+    h2: f64,
+    point: impl Fn(f64, f64, f64) -> f64,
+) {
+    let m = f.len();
+    let (above, row, below) =
+        (&rows[1..m - 1], &rows[m + 1..2 * m - 1], &rows[2 * m + 1..3 * m - 1]);
+    let (left, right) = (&rows[m..2 * m - 2], &rows[m + 2..2 * m]);
+    let pts = out[1..m - 1].iter_mut().zip(row).zip(above).zip(below).zip(left).zip(right);
+    for ((((((v, &u), &a), &b), &l), &r), &f) in pts.zip(&f[1..m - 1]) {
+        *v = point(u, f, (4.0 * u - a - b - l - r) / h2);
+    }
 }
 
 /// Compute the residual `r = f − A·u` over the owned rows.
 fn residual(comm: &mut Comm, lvl: &mut Level, p: &MgParams) {
     halo(comm, lvl, 0);
+    residual_sweep(lvl);
+    let pts = (lvl.local_rows() * (lvl.m - 2)) as f64;
+    charge(comm, 7.0 * pts, p.work_scale, MG_UPM);
+}
+
+/// The arithmetic of [`residual`].
+fn residual_sweep(lvl: &mut Level) {
     let m = lvl.m;
     let h2 = lvl.h() * lvl.h();
     for i in lvl.r0..lvl.r1 {
-        for j in 1..m - 1 {
-            let c = lvl.idx(i, j);
-            let lap =
-                (4.0 * lvl.u[c] - lvl.u[c - m] - lvl.u[c + m] - lvl.u[c - 1] - lvl.u[c + 1]) / h2;
-            lvl.r[c] = lvl.f[c] - lap;
-        }
+        let row = lvl.row(i);
+        let rows = &lvl.u[row.start - m..row.end + m];
+        stencil_row(rows, &lvl.f[row.clone()], &mut lvl.r[row], h2, |_, f, lap| f - lap);
     }
     // Zero the ghost/boundary residual so restriction sees clean edges.
-    for j in 0..m {
-        let top = lvl.idx(lvl.r0 - 1, j);
-        let bot = lvl.idx(lvl.r1, j);
-        lvl.r[top] = 0.0;
-        lvl.r[bot] = 0.0;
+    for ghost in [lvl.r0 - 1, lvl.r1] {
+        let row = lvl.row(ghost);
+        lvl.r[row].fill(0.0);
     }
-    let pts = (lvl.local_rows() * (m - 2)) as f64;
-    charge(comm, 7.0 * pts, p.work_scale, MG_UPM);
 }
 
 /// L2 norm of the residual field (global).
@@ -334,29 +377,8 @@ impl Hierarchy {
             let (a, b) = self.levels.split_at_mut(l + 1);
             (&mut a[l], &mut b[0])
         };
-        let mf = fine.m;
-        let cu = |ci: usize, cj: usize| -> f64 {
-            if ci == 0 || ci == coarse.m - 1 {
-                0.0
-            } else {
-                coarse.u[coarse.idx(ci, cj)]
-            }
-        };
-        for fi in fine.r0..fine.r1 {
-            for fj in 1..mf - 1 {
-                let (ci, ri) = (fi / 2, fi % 2);
-                let (cj, rj) = (fj / 2, fj % 2);
-                let v = match (ri, rj) {
-                    (0, 0) => cu(ci, cj),
-                    (0, 1) => 0.5 * (cu(ci, cj) + cu(ci, cj + 1)),
-                    (1, 0) => 0.5 * (cu(ci, cj) + cu(ci + 1, cj)),
-                    _ => 0.25 * (cu(ci, cj) + cu(ci, cj + 1) + cu(ci + 1, cj) + cu(ci + 1, cj + 1)),
-                };
-                let c = fine.idx(fi, fj);
-                fine.u[c] += v;
-            }
-        }
-        let pts = (fine.local_rows() * (mf - 2)) as f64;
+        prolong_add(fine, coarse);
+        let pts = (fine.local_rows() * (fine.m - 2)) as f64;
         charge(comm, 6.0 * pts, p.work_scale, MG_UPM);
     }
 
@@ -376,6 +398,46 @@ impl Hierarchy {
         self.prolong(comm, l, p);
         for _ in 0..p.smooth {
             smooth_once(comm, &mut self.levels[l], p);
+        }
+    }
+}
+
+/// The arithmetic of [`Hierarchy::prolong`]: add the bilinear
+/// interpolation of `coarse.u` to `fine.u`'s owned rows, one row at a
+/// time. A coarse boundary row interpolates as zeros.
+fn prolong_add(fine: &mut Level, coarse: &Level) {
+    let mc = coarse.m;
+    let zeros = vec![0.0; mc];
+    let coarse_row = |ci: usize| {
+        if ci == 0 || ci == mc - 1 {
+            &zeros[..]
+        } else {
+            &coarse.u[coarse.row(ci)]
+        }
+    };
+    for fi in fine.r0..fine.r1 {
+        let row = fine.row(fi);
+        let out = &mut fine.u[row];
+        let a = coarse_row(fi / 2);
+        // Interior fine column 2cj + 1 lies between coarse columns cj and
+        // cj + 1; column 2cj on coarse column cj.
+        let odd = out[1..].iter_mut().step_by(2).zip(a.windows(2));
+        if fi % 2 == 0 {
+            for (v, a) in odd {
+                *v += 0.5 * (a[0] + a[1]);
+            }
+            for (v, &a) in out[2..].iter_mut().step_by(2).zip(&a[1..mc - 1]) {
+                *v += a;
+            }
+        } else {
+            let b = coarse_row(fi / 2 + 1);
+            for ((v, a), b) in odd.zip(b.windows(2)) {
+                *v += 0.25 * (((a[0] + a[1]) + b[0]) + b[1]);
+            }
+            let even = out[2..].iter_mut().step_by(2).zip(&a[1..mc - 1]).zip(&b[1..mc - 1]);
+            for ((v, &a), &b) in even {
+                *v += 0.5 * (a + b);
+            }
         }
     }
 }
@@ -462,6 +524,127 @@ pub fn run(comm: &mut Comm, p: &MgParams) -> MgOutput {
 mod tests {
     use super::*;
     use psc_mpi::{Cluster, ClusterConfig};
+
+    /// The sweep `smooth_sweep` replaced: a fresh copy of the level.
+    fn smooth_sweep_clone(lvl: &mut Level) {
+        let m = lvl.m;
+        let h2 = lvl.h() * lvl.h();
+        let mut unew = lvl.u.clone();
+        for i in lvl.r0..lvl.r1 {
+            for j in 1..m - 1 {
+                let c = lvl.idx(i, j);
+                let lap =
+                    (4.0 * lvl.u[c] - lvl.u[c - m] - lvl.u[c + m] - lvl.u[c - 1] - lvl.u[c + 1])
+                        / h2;
+                unew[c] = lvl.u[c] + OMEGA * (lvl.f[c] - lap) * h2 / 4.0;
+            }
+        }
+        lvl.u = unew;
+    }
+
+    /// The loop `residual_sweep` replaced.
+    fn residual_sweep_scalar(lvl: &mut Level) {
+        let m = lvl.m;
+        let h2 = lvl.h() * lvl.h();
+        for i in lvl.r0..lvl.r1 {
+            for j in 1..m - 1 {
+                let c = lvl.idx(i, j);
+                let lap =
+                    (4.0 * lvl.u[c] - lvl.u[c - m] - lvl.u[c + m] - lvl.u[c - 1] - lvl.u[c + 1])
+                        / h2;
+                lvl.r[c] = lvl.f[c] - lap;
+            }
+        }
+        for j in 0..m {
+            let top = lvl.idx(lvl.r0 - 1, j);
+            let bot = lvl.idx(lvl.r1, j);
+            lvl.r[top] = 0.0;
+            lvl.r[bot] = 0.0;
+        }
+    }
+
+    /// The loop `prolong_add` replaced: one point at a time, branching on
+    /// its parity and on the coarse boundary.
+    fn prolong_add_scalar(fine: &mut Level, coarse: &Level) {
+        let mf = fine.m;
+        let cu = |ci: usize, cj: usize| -> f64 {
+            if ci == 0 || ci == coarse.m - 1 {
+                0.0
+            } else {
+                coarse.u[coarse.idx(ci, cj)]
+            }
+        };
+        for fi in fine.r0..fine.r1 {
+            for fj in 1..mf - 1 {
+                let (ci, ri) = (fi / 2, fi % 2);
+                let (cj, rj) = (fj / 2, fj % 2);
+                let v = match (ri, rj) {
+                    (0, 0) => cu(ci, cj),
+                    (0, 1) => 0.5 * (cu(ci, cj) + cu(ci, cj + 1)),
+                    (1, 0) => 0.5 * (cu(ci, cj) + cu(ci + 1, cj)),
+                    _ => 0.25 * (cu(ci, cj) + cu(ci, cj + 1) + cu(ci + 1, cj) + cu(ci + 1, cj + 1)),
+                };
+                let c = fine.idx(fi, fj);
+                fine.u[c] += v;
+            }
+        }
+    }
+
+    /// Every `(m, rank, size)` level the tests below take: replicated
+    /// levels and distributed slabs of uneven height.
+    fn ragged_levels() -> impl Iterator<Item = (usize, usize, usize)> {
+        [5usize, 9, 17, 33].into_iter().flat_map(|m| {
+            [1usize, 2, 3, 5]
+                .into_iter()
+                .flat_map(move |size| (0..size).map(move |rank| (m, rank, size)))
+        })
+    }
+
+    /// A level whose every buffer value (ghost rows and boundary columns
+    /// included) is a distinct test value.
+    fn filled_level(m: usize, rank: usize, size: usize, seed: u64) -> Level {
+        let mut lvl = Level::new(m, rank, size, 2);
+        lvl.u = crate::common::test_values(lvl.u.len(), seed);
+        lvl.f = crate::common::test_values(lvl.f.len(), seed + 1);
+        lvl.r = crate::common::test_values(lvl.r.len(), seed + 2);
+        lvl.spare = crate::common::test_values(lvl.spare.len(), seed + 3);
+        lvl
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: [{k}]");
+        }
+    }
+
+    #[test]
+    fn row_sweeps_are_bitwise_the_scalar_loops() {
+        for (m, rank, size) in ragged_levels() {
+            let seed = (m * 17 + size * 5 + rank) as u64;
+            let (mut fast, mut slow) =
+                (filled_level(m, rank, size, seed), filled_level(m, rank, size, seed));
+            for sweep in 0..3 {
+                let ctx = format!("m={m} size={size} rank={rank} sweep={sweep}");
+                smooth_sweep(&mut fast);
+                smooth_sweep_clone(&mut slow);
+                assert_bits(&fast.u, &slow.u, &format!("{ctx}: smoothed u"));
+                residual_sweep(&mut fast);
+                residual_sweep_scalar(&mut slow);
+                assert_bits(&fast.r, &slow.r, &format!("{ctx}: residual"));
+            }
+            if m > 5 {
+                let coarse = filled_level(m / 2 + 1, rank, size, seed + 9);
+                prolong_add(&mut fast, &coarse);
+                prolong_add_scalar(&mut slow, &coarse);
+                assert_bits(
+                    &fast.u,
+                    &slow.u,
+                    &format!("m={m} size={size} rank={rank}: prolonged u"),
+                );
+            }
+        }
+    }
 
     fn run_on(nodes: usize, p: MgParams) -> (f64, MgOutput) {
         let c = Cluster::athlon_fast_ethernet();
